@@ -16,13 +16,7 @@ from .core import (
     partition_windows,
     validate_series,
 )
-from .detrend import (
-    DetrendConfig,
-    ForceMatrix,
-    local_trend,
-    profile,
-    window_ols,
-)
+from .detrend import DetrendConfig, ForceMatrix
 from .errors import (
     CoherenceError,
     ConfigError,
@@ -46,7 +40,6 @@ from .fluctuation import (
     fluctuation_dpxa,
     rho_curve,
     rho_dcca,
-    window_cov,
 )
 from .generators import (
     BfbmSpec,

@@ -9,6 +9,7 @@ output file is reproducible from its own metadata. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -116,22 +117,16 @@ def _cmd_gen(args) -> int:
         spec = FgnSpec(args.hurst, args.length, args.seed)
         series = gen_fgn(spec)
         write_series_csv(out, {"fgn": series.values})
-        meta = {"kind": "fgn", "hurst": spec.hurst, "length": spec.length,
-                "seed": spec.seed}
     elif args.kind == "bfbm":
         spec = BfbmSpec(args.hx, args.hy, args.rho, args.length, args.seed)
         rx, ry = gen_bfbm_increments(spec)
         write_series_csv(out, {"x": rx.values, "y": ry.values})
-        meta = {"kind": "bfbm", "hurst_x": spec.hurst_x,
-                "hurst_y": spec.hurst_y, "corr": spec.corr,
-                "length": spec.length, "seed": spec.seed}
     else:
         spec = BinomialSpec(args.p, args.depth)
         series = gen_binomial(spec)
         write_series_csv(out, {"binomial": series.values})
-        meta = {"kind": "binomial", "multiplier": spec.multiplier,
-                "depth": spec.depth, "seed": None}
-    write_json(out.with_suffix(out.suffix + ".json"), meta)
+    write_json(out.with_suffix(out.suffix + ".json"),
+               {"kind": args.kind, **dataclasses.asdict(spec)})
     print(f"wrote {out}")
     return 0
 
@@ -195,8 +190,10 @@ def _cmd_analyze(args) -> int:
                         with_intercept=not args.no_intercept)
     fit_range = None
     if args.fit_min is not None or args.fit_max is not None:
-        fit_range = (args.fit_min or int(scales.scales.min()),
-                     args.fit_max or int(scales.scales.max()))
+        fit_range = (
+            int(scales.scales.min()) if args.fit_min is None else args.fit_min,
+            int(scales.scales.max()) if args.fit_max is None else args.fit_max,
+        )
 
     prefix = Path(args.out)
     echo = {
@@ -261,27 +258,45 @@ def _cmd_analyze(args) -> int:
 # --------------------------------------------------------------------------- #
 # experiment
 
-def _beta_from_dict(raw, issues: list[str], key: str) -> ContaminationSpec:
-    if not isinstance(raw, dict) or set(raw) != {"intercept", "slope"}:
-        issues.append(f"{key}: expected {{'intercept': .., 'slope': ..}}")
-        return ContaminationSpec(0.0, 0.0)
-    return ContaminationSpec(float(raw["intercept"]), float(raw["slope"]))
+_SPEC_TYPES = {"sweep": experiments.SweepSpec, "rho": experiments.RhoSpec,
+               "mf": experiments.MfSpec}
+# keys a spec file may leave out, beyond the dataclass defaults
+_SPEC_DEFAULTS = {"sweep": {"corr": 0.5, "seed_base": 0},
+                  "rho": {"seed_base": 0}, "mf": {}}
 
 
-def _require(raw: dict, key: str, kind, issues: list[str], default=None):
-    if key not in raw:
-        if default is not None:
-            return default
-        issues.append(f"missing required key {key!r}")
-        return None
-    try:
-        return kind(raw[key])
-    except (TypeError, ValueError):
-        issues.append(f"key {key!r}: cannot interpret {raw[key]!r}")
-        return None
+def _number(value, kind):
+    if isinstance(value, (bool, str)) or kind(value) != value:
+        raise ValueError(value)
+    return kind(value)
+
+
+def _as_beta(value) -> ContaminationSpec:
+    if not isinstance(value, dict) or set(value) != {"intercept", "slope"}:
+        raise ValueError(value)
+    return ContaminationSpec(*(_number(value[k], float)
+                               for k in ("intercept", "slope")))
+
+
+def _as_grid(value) -> tuple:
+    if not value or any(len(t) != 3 for t in value):
+        raise ValueError(value)
+    return tuple(tuple(_number(v, float) for v in t) for t in value)
+
+
+# spec field annotation -> (converter of its JSON value, what it expects)
+_CONVERTERS = {
+    "int": (lambda v: _number(v, int), "an integer"),
+    "float": (lambda v: _number(v, float), "a number"),
+    "ContaminationSpec": (_as_beta, "{'intercept': .., 'slope': ..}"),
+    "tuple[tuple[float, float, float], ...]":
+        (_as_grid, "a non-empty list of [H_rx, H_ry, H_z] triples"),
+}
 
 
 def _parse_spec_file(name: str, path: str):
+    """Build the experiment spec from a JSON object whose keys are the
+    spec's fields; every problem found is listed in one ConfigError."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -289,50 +304,30 @@ def _parse_spec_file(name: str, path: str):
     except json.JSONDecodeError as exc:
         raise IngestionError(f"spec file {path} is not valid JSON: {exc}") \
             from exc
-    issues: list[str] = []
-    try:
-        if name == "sweep":
-            grid = raw.get("hurst_grid")
-            if not isinstance(grid, list) or not grid:
-                issues.append("hurst_grid: expected a non-empty list of "
-                              "[H_rx, H_ry, H_z] triples")
-                grid = [[0.5, 0.5, 0.5]]
-            spec = experiments.SweepSpec(
-                tuple(tuple(float(v) for v in t) for t in grid),
-                realizations=_require(raw, "realizations", int, issues) or 1,
-                length=_require(raw, "length", int, issues) or 1024,
-                corr=_require(raw, "corr", float, issues, default=0.5),
-                beta_x=_beta_from_dict(raw.get("beta_x"), issues, "beta_x"),
-                beta_y=_beta_from_dict(raw.get("beta_y"), issues, "beta_y"),
-                seed_base=_require(raw, "seed_base", int, issues, default=0),
-            )
-        elif name == "rho":
-            spec = experiments.RhoSpec(
-                corr=_require(raw, "corr", float, issues) or 0.0,
-                hurst_x=_require(raw, "hurst_x", float, issues) or 0.5,
-                hurst_y=_require(raw, "hurst_y", float, issues) or 0.5,
-                hurst_z=_require(raw, "hurst_z", float, issues) or 0.5,
-                length=_require(raw, "length", int, issues) or 1024,
-                seeds=_require(raw, "seeds", int, issues) or 1,
-                beta_x=_beta_from_dict(raw.get("beta_x"), issues, "beta_x"),
-                beta_y=_beta_from_dict(raw.get("beta_y"), issues, "beta_y"),
-                seed_base=_require(raw, "seed_base", int, issues, default=0),
-            )
-        else:
-            spec = experiments.MfSpec(
-                p_x=_require(raw, "p_x", float, issues) or 0.3,
-                p_y=_require(raw, "p_y", float, issues) or 0.4,
-                depth=_require(raw, "depth", int, issues) or 10,
-                seeds=_require(raw, "seeds", int, issues) or 1,
-                beta_x=_beta_from_dict(raw.get("beta_x"), issues, "beta_x"),
-                beta_y=_beta_from_dict(raw.get("beta_y"), issues, "beta_y"),
-                noise_hurst=_require(raw, "noise_hurst", float, issues,
-                                     default=0.5),
-                seed_base=_require(raw, "seed_base", int, issues, default=0),
-            )
-    except (DpxaError, TypeError, ValueError) as exc:
-        issues.append(str(exc))
-        spec = None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"spec file {path} must hold a JSON object")
+    cls = _SPEC_TYPES[name]
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    values = dict(_SPEC_DEFAULTS[name])
+    issues = [f"unknown key {key!r}; expected one of {sorted(fields)}"
+              for key in raw if key not in fields]
+    for key, field in fields.items():
+        if key not in raw:
+            if key not in values and field.default is dataclasses.MISSING:
+                issues.append(f"missing required key {key!r}")
+            continue
+        convert, expected = _CONVERTERS[field.type]
+        try:
+            values[key] = convert(raw[key])
+        except (DpxaError, TypeError, ValueError, OverflowError):
+            issues.append(f"key {key!r}: cannot interpret {raw[key]!r} as "
+                          f"{expected}")
+    spec = None
+    if not issues:
+        try:
+            spec = cls(**values)
+        except DpxaError as exc:
+            issues.append(str(exc))
     if issues:
         raise ConfigError("invalid experiment spec:\n  "
                           + "\n  ".join(issues))

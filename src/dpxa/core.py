@@ -60,13 +60,8 @@ def as_series(data, label: str | None = None) -> TimeSeries:
     return TimeSeries(np.asarray(data, dtype=float), label=label)
 
 
-def validate_series(ts) -> TimeSeries:
-    """Return the series unchanged if all invariants hold, else raise.
-
-    Accepts a TimeSeries or any array-like; validation runs at construction,
-    so an existing TimeSeries is returned as-is.
-    """
-    return as_series(ts)
+# validation runs at construction, so coercion is validation
+validate_series = as_series
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,7 +15,7 @@ degree, so rerunning a spec reproduces its result files byte for byte.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +23,10 @@ import numpy as np
 from .core import QGrid, ScaleGrid
 from .detrend import DetrendConfig, ForceMatrix
 from .errors import ConfigError, DpxaError
-from .fluctuation import fluctuation_dcca, fluctuation_dfa, fluctuation_dpxa, \
-    rho_curve, rho_dcca
+from .fluctuation import KIND_DCCA, KIND_DFA, KIND_DPXA, fluctuation_dcca, \
+    rho_values, surface, window_covariances
 from .generators import (
+    MAX_BINOMIAL_DEPTH,
     BfbmSpec,
     BinomialSpec,
     ContaminationSpec,
@@ -60,6 +61,18 @@ MF_CENTER_TOL = 0.1
 # --------------------------------------------------------------------------- #
 # specs
 
+def _check_fields(spec, unit=(), positive=()) -> None:
+    """Named fields must lie in (0, 1) or be >= 1."""
+    for name in unit:
+        value = getattr(spec, name)
+        if not 0.0 < value < 1.0:
+            raise ConfigError(f"{name} must lie in (0, 1), got {value}")
+    for name in positive:
+        if getattr(spec, name) < 1:
+            raise ConfigError(f"{name} must be >= 1, got "
+                              f"{getattr(spec, name)}")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Exponent-recovery sweep over (H_rx, H_ry, H_z) triples."""
@@ -73,8 +86,9 @@ class SweepSpec:
     seed_base: int
 
     def __post_init__(self):
-        if self.realizations < 1:
-            raise ConfigError("realizations must be >= 1")
+        _check_fields(self, positive=("realizations", "length"))
+        if not -1.0 <= self.corr <= 1.0:
+            raise ConfigError(f"corr must lie in [-1, 1], got {self.corr}")
         for triple in self.hurst_grid:
             hrx, hry, hz = triple
             if hrx > hry:
@@ -103,8 +117,10 @@ class RhoSpec:
     seed_base: int
 
     def __post_init__(self):
-        if self.seeds < 1:
-            raise ConfigError("seeds must be >= 1")
+        _check_fields(self, unit=("hurst_x", "hurst_y", "hurst_z"),
+                      positive=("length", "seeds"))
+        if not -1.0 <= self.corr <= 1.0:
+            raise ConfigError(f"corr must lie in [-1, 1], got {self.corr}")
 
 
 @dataclass(frozen=True)
@@ -121,8 +137,11 @@ class MfSpec:
     seed_base: int = 0
 
     def __post_init__(self):
-        if self.seeds < 1:
-            raise ConfigError("seeds must be >= 1")
+        _check_fields(self, unit=("p_x", "p_y", "noise_hurst"),
+                      positive=("depth", "seeds"))
+        if self.depth > MAX_BINOMIAL_DEPTH:
+            raise ConfigError(f"depth must be <= {MAX_BINOMIAL_DEPTH}, got "
+                              f"{self.depth}")
 
 
 def _desk_sweep_grid() -> tuple[tuple[float, float, float], ...]:
@@ -191,7 +210,7 @@ class SweepResult:
     def to_dict(self) -> dict:
         return {
             "experiment": "sweep",
-            "spec": _spec_dict(self.spec),
+            "spec": asdict(self.spec),
             "triples": self.triples,
             "regression": self.regression,
             "relative_errors": self.relative_errors,
@@ -209,7 +228,7 @@ class RhoComparisonResult:
     def to_dict(self) -> dict:
         return {
             "experiment": "rho",
-            "spec": _spec_dict(self.spec),
+            "spec": asdict(self.spec),
             "scales": self.scales,
             "curves": {
                 "rho_dcca_xy": self.rho_dcca_xy,
@@ -240,7 +259,7 @@ class MfRecoveryResult:
         curves["theory"] = {"tau": self.theory_tau}
         return {
             "experiment": "mf",
-            "spec": _spec_dict(self.spec),
+            "spec": asdict(self.spec),
             "orders": self.orders,
             "scales": self.scales,
             "curves": curves,
@@ -248,25 +267,16 @@ class MfRecoveryResult:
         }
 
 
-def _spec_dict(spec) -> dict:
-    out = {}
-    for name, value in vars(spec).items():
-        if isinstance(value, ContaminationSpec):
-            out[name] = {"intercept": value.intercept, "slope": value.slope}
-        else:
-            out[name] = value
-    return out
-
-
 # --------------------------------------------------------------------------- #
 # sweep
 
 _EXPONENT_KEYS = ("h_rx", "h_ry", "h_z", "h_x", "h_y", "h_xy", "h_rxry",
                   "h_xyz")
-
-
-def _h2(surface) -> float:
-    return float(fit_exponent(surface).h[0])
+# window-covariance pairs of the stack (rx, ry, z, x, y, x|z, y|z), one per
+# exponent key
+_SWEEP_PAIRS = ((0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (3, 4), (0, 1),
+                (5, 6))
+_SWEEP_KINDS = (KIND_DFA,) * 5 + (KIND_DCCA, KIND_DCCA, KIND_DPXA)
 
 
 def _sweep_realization(args) -> tuple[float, ...]:
@@ -283,17 +293,12 @@ def _sweep_realization(args) -> tuple[float, ...]:
 
         grid = ScaleGrid.default(spec.length)
         q2 = QGrid.second_order()
-        cfg = DetrendConfig()
-        forces = ForceMatrix.from_series([z])
-        return (
-            _h2(fluctuation_dfa(rx, grid, q2, cfg)),
-            _h2(fluctuation_dfa(ry, grid, q2, cfg)),
-            _h2(fluctuation_dfa(z, grid, q2, cfg)),
-            _h2(fluctuation_dfa(x, grid, q2, cfg)),
-            _h2(fluctuation_dfa(y, grid, q2, cfg)),
-            _h2(fluctuation_dcca(x, y, grid, q2, cfg)),
-            _h2(fluctuation_dcca(rx, ry, grid, q2, cfg)),
-            _h2(fluctuation_dpxa(x, y, forces, grid, q2, cfg)),
+        covs = window_covariances((rx, ry, z, x, y, x, y),
+                                  ForceMatrix.from_series([z]), grid,
+                                  DetrendConfig(), _SWEEP_PAIRS, regressed=2)
+        return tuple(
+            float(fit_exponent(surface(covs, i, grid, q2, kind)).h[0])
+            for i, kind in enumerate(_SWEEP_KINDS)
         )
     except DpxaError as exc:
         raise type(exc)(
@@ -355,6 +360,10 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
 # --------------------------------------------------------------------------- #
 # coefficient comparison
 
+_RHO_PAIRS = tuple((a + i, a + j) for a in (0, 2, 4)
+                   for i, j in ((0, 1), (0, 0), (1, 1)))
+
+
 def _rho_realization(args) -> np.ndarray:
     spec, seed_idx, scales = args
     z = gen_fgn(FgnSpec(spec.hurst_z, spec.length,
@@ -364,13 +373,13 @@ def _rho_realization(args) -> np.ndarray:
                  derive_seed(spec.seed_base, seed_idx, 1)))
     x = contaminate(rx, z, spec.beta_x)
     y = contaminate(ry, z, spec.beta_y)
-    cfg = DetrendConfig()
-    forces = ForceMatrix.from_series([z])
-    return np.stack([
-        rho_dcca(x, y, scales, cfg).rho,
-        rho_dcca(rx, ry, scales, cfg).rho,
-        rho_curve(x, y, forces, scales, cfg).rho,
-    ])
+    # stack (x, y, rx, ry, x|z, y|z): rho_dcca(x, y), rho_dcca(rx, ry) and
+    # the partial rho_curve(x, y | z)
+    covs = window_covariances((x, y, rx, ry, x, y),
+                              ForceMatrix.from_series([z]), scales,
+                              DetrendConfig(), _RHO_PAIRS, regressed=2)
+    return np.stack([rho_values(covs, (3 * k, 3 * k + 1, 3 * k + 2), scales)
+                     for k in range(3)])
 
 
 def run_rho_comparison(spec: RhoSpec, scales: ScaleGrid | None = None,
@@ -404,10 +413,12 @@ def _mf_realization(args) -> tuple[ScalingFit, ScalingFit, float]:
                         derive_seed(spec.seed_base, seed_idx, 0)))
     x = contaminate(rx, z, spec.beta_x)
     y = contaminate(ry, z, spec.beta_y)
-    cfg = DetrendConfig()
-    forces = ForceMatrix.from_series([z])
-    fit_xy = fit_exponent(fluctuation_dcca(x, y, scales, orders, cfg))
-    fit_xyz = fit_exponent(fluctuation_dpxa(x, y, forces, scales, orders, cfg))
+    # stack (x, y, x|z, y|z): MF-DCCA of (x, y) and MF-DPXA of (x, y | z)
+    covs = window_covariances((x, y, x, y), ForceMatrix.from_series([z]),
+                              scales, DetrendConfig(), ((0, 1), (2, 3)),
+                              regressed=2)
+    fit_xy = fit_exponent(surface(covs, 0, scales, orders, KIND_DCCA))
+    fit_xyz = fit_exponent(surface(covs, 1, scales, orders, KIND_DPXA))
     noise_std = float(np.std(spec.beta_x.slope * z.values))
     snr = float(np.std(rx.values) / noise_std) if noise_std > 0 else float("inf")
     return fit_xy, fit_xyz, snr

@@ -1,9 +1,11 @@
 """Detrended covariances per window and their aggregation over scales.
 
-For every scale s the two input series are cut into floor(T/s) windows,
-regressed window-by-window on the external forces, profiled, and locally
-detrended; the signed mean product of the two detrended profiles is the
-window covariance F_v^2. Aggregation keeps two views of it:
+Every estimator is a pick of row pairs from one pass of the window kernel
+``detrend.window_products`` per scale: DFA of x is the pair (x, x), DCCA
+the pair (x, y), DPXA the pair (x|z, y|z) of force-regressed rows, and
+rho(s) the pairs (x, y), (x, x) and (y, y) of one family. The signed mean
+product of two detrended profiles in window v is its covariance F_v^2.
+Aggregation keeps two views of it:
 
 * the exponent pipeline uses |F_v^2|, giving F(q, s) = [mean_v
   |F_v^2|^(q/2)]^(1/q) for q != 0 and the logarithmic average
@@ -18,18 +20,14 @@ fluctuation analysis; both reductions are bitwise, not statistical.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QGrid, ScaleGrid, TimeSeries, _frozen_array, validate_series
-from .detrend import (
-    DetrendConfig,
-    ForceMatrix,
-    series_pair,
-    window_residual_profiles,
-)
-from .errors import DegenerateInputError, ShapeError
+from .core import QGrid, ScaleGrid, _frozen_array, as_series, validate_series
+from .detrend import DetrendConfig, ForceMatrix, series_pair, window_products
+from .errors import DegenerateInputError, RankDeficiencyWarning, ShapeError
 
 KIND_DFA = "DFA"
 KIND_DCCA = "DCCA"
@@ -70,15 +68,6 @@ class RhoCurve:
         object.__setattr__(self, "rho", _frozen_array(self.rho))
 
 
-def window_cov(rx, ry) -> float:
-    """Signed mean product of two already-detrended window profiles."""
-    a = np.asarray(rx, dtype=float)
-    b = np.asarray(ry, dtype=float)
-    if a.shape != b.shape:
-        raise ShapeError(f"window shapes differ: {a.shape} != {b.shape}")
-    return float(np.mean(a * b))
-
-
 def _force_data(forces: ForceMatrix | None, length: int) -> np.ndarray | None:
     if forces is None:
         return None
@@ -89,12 +78,30 @@ def _force_data(forces: ForceMatrix | None, length: int) -> np.ndarray | None:
     return forces.data if forces.p > 0 else None
 
 
-def _pair_profiles(x: TimeSeries, y: TimeSeries, fdata, s: int,
-                   cfg: DetrendConfig):
-    dx = window_residual_profiles(x.values, fdata, s, cfg)
-    if y is x:
-        return dx, dx
-    return dx, window_residual_profiles(y.values, fdata, s, cfg)
+def window_covariances(series, forces: ForceMatrix | None, scales: ScaleGrid,
+                       cfg: DetrendConfig, pairs,
+                       regressed: int = 0) -> list[np.ndarray]:
+    """Per-scale (len(pairs), M) window covariances of row pairs of the
+    equal-length ``series``; the last ``regressed`` series are regressed
+    on the forces (see ``detrend.window_products``). Rank-deficient
+    windows raise one RankDeficiencyWarning for the whole call."""
+    rows = np.stack([as_series(s).values for s in series])
+    scales.check_series_length(rows.shape[1])
+    fdata = _force_data(forces, rows.shape[1])
+    out, deficient, windows = [], 0, 0
+    for s in scales.scales:
+        f2, bad = window_products(rows, fdata, int(s), cfg, pairs, regressed)
+        out.append(f2)
+        deficient += bad
+        windows += f2.shape[1]
+    if deficient:
+        warnings.warn(
+            f"rank-deficient design in {deficient} of {windows} windows; "
+            "minimum-norm solution used",
+            RankDeficiencyWarning,
+            stacklevel=3,
+        )
+    return out
 
 
 def _aggregate(f2: np.ndarray, q: float) -> float:
@@ -107,30 +114,15 @@ def _aggregate(f2: np.ndarray, q: float) -> float:
     return float(np.mean(moments) ** (1.0 / q))
 
 
-def fluctuation_dpxa(x, y, forces: ForceMatrix | None, scales: ScaleGrid,
-                     orders: QGrid, cfg: DetrendConfig = DetrendConfig(),
-                     kind: str | None = None) -> FluctuationSurface:
-    """Full fluctuation surface F(q, s) of two series given external forces.
-
-    ``forces=None`` (or an empty ForceMatrix) computes DCCA; passing the
-    same object for x and y computes DFA.
-    """
-    xs, ys = series_pair(x, y)
-    if y is x or y is xs:
-        ys = xs
-    scales.check_series_length(len(xs))
-    fdata = _force_data(forces, len(xs))
-    if kind is None:
-        kind = KIND_DPXA if fdata is not None else (
-            KIND_DFA if ys is xs else KIND_DCCA)
-
+def surface(covs: list[np.ndarray], pair: int, scales: ScaleGrid,
+            orders: QGrid, kind: str) -> FluctuationSurface:
+    """F(q, s) of one pair of ``window_covariances`` output."""
     qs = orders.orders
     F = np.empty((qs.size, len(scales)))
     cov2 = np.empty(len(scales))
     zeros = np.empty(len(scales), dtype=int)
     for j, s in enumerate(scales.scales):
-        dx, dy = _pair_profiles(xs, ys, fdata, int(s), cfg)
-        f2 = np.mean(dx * dy, axis=1)
+        f2 = covs[j][pair]
         if np.all(f2 == 0.0):
             raise DegenerateInputError(
                 f"all {f2.size} windows are exactly degenerate at scale {s}"
@@ -140,6 +132,47 @@ def fluctuation_dpxa(x, y, forces: ForceMatrix | None, scales: ScaleGrid,
         for i, q in enumerate(qs):
             F[i, j] = _aggregate(f2, float(q))
     return FluctuationSurface(scales, orders, F, cov2, kind, zeros)
+
+
+def rho_values(covs: list[np.ndarray], which, scales: ScaleGrid) -> np.ndarray:
+    """rho(s) from the ``window_covariances`` pairs (x, y), (x, x), (y, y),
+    given by their three indices ``which``."""
+    i_xy, i_xx, i_yy = which
+    rho = np.empty(len(scales))
+    for j, s in enumerate(scales.scales):
+        cov_xy, var_x, var_y = (float(np.mean(covs[j][i]))
+                                for i in (i_xy, i_xx, i_yy))
+        denom = np.sqrt(var_x * var_y)
+        if denom == 0.0:
+            raise DegenerateInputError(
+                f"constant residuals give a zero denominator at scale {s}"
+            )
+        value = cov_xy / denom
+        if abs(value) > 1.0 + 1e-9:
+            raise DegenerateInputError(
+                f"correlation {value} outside [-1, 1] at scale {s}"
+            )
+        rho[j] = min(1.0, max(-1.0, value))
+    return rho
+
+
+def fluctuation_dpxa(x, y, forces: ForceMatrix | None, scales: ScaleGrid,
+                     orders: QGrid, cfg: DetrendConfig = DetrendConfig(),
+                     kind: str | None = None) -> FluctuationSurface:
+    """Full fluctuation surface F(q, s) of two series given external forces.
+
+    ``forces=None`` (or an empty ForceMatrix) computes DCCA; passing the
+    same object for x and y computes DFA.
+    """
+    xs, ys = series_pair(x, y)
+    same = y is x or y is xs
+    partial = _force_data(forces, len(xs)) is not None
+    if kind is None:
+        kind = KIND_DPXA if partial else (KIND_DFA if same else KIND_DCCA)
+    series, pair = ((xs,), (0, 0)) if same else ((xs, ys), (0, 1))
+    covs = window_covariances(series, forces, scales, cfg, (pair,),
+                              regressed=len(series) if partial else 0)
+    return surface(covs, 0, scales, orders, kind)
 
 
 def fluctuation_dcca(x, y, scales: ScaleGrid, orders: QGrid,
@@ -165,28 +198,12 @@ def rho_curve(x, y, forces: ForceMatrix | None, scales: ScaleGrid,
     to [-1, 1].
     """
     xs, ys = series_pair(x, y)
-    scales.check_series_length(len(xs))
-    fdata = _force_data(forces, len(xs))
-    kind = KIND_DPXA if fdata is not None else KIND_DCCA
-
-    rho = np.empty(len(scales))
-    for j, s in enumerate(scales.scales):
-        dx, dy = _pair_profiles(xs, ys, fdata, int(s), cfg)
-        cov_xy = float(np.mean(dx * dy))
-        var_x = float(np.mean(dx * dx))
-        var_y = float(np.mean(dy * dy))
-        denom = np.sqrt(var_x * var_y)
-        if denom == 0.0:
-            raise DegenerateInputError(
-                f"constant residuals give a zero denominator at scale {s}"
-            )
-        value = cov_xy / denom
-        if abs(value) > 1.0 + 1e-9:
-            raise DegenerateInputError(
-                f"correlation {value} outside [-1, 1] at scale {s}"
-            )
-        rho[j] = min(1.0, max(-1.0, value))
-    return RhoCurve(scales, rho, kind)
+    partial = _force_data(forces, len(xs)) is not None
+    covs = window_covariances((xs, ys), forces, scales, cfg,
+                              ((0, 1), (0, 0), (1, 1)),
+                              regressed=2 if partial else 0)
+    return RhoCurve(scales, rho_values(covs, (0, 1, 2), scales),
+                    KIND_DPXA if partial else KIND_DCCA)
 
 
 def rho_dcca(x, y, scales: ScaleGrid,

@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
 
 from .core import QGrid, _frozen_array
 from .errors import (
@@ -73,29 +72,33 @@ def fit_exponent(surface: FluctuationSurface,
         )
 
     qs = surface.orders.orders
-    h = np.empty(qs.size)
-    stderr = np.empty(qs.size)
-    r2 = np.empty(qs.size)
-    log_s = np.log(scales.astype(float))
-    for i in range(qs.size):
-        row = surface.F[i]
-        usable = in_range & np.isfinite(row) & (row > 0.0)
-        dropped = int(in_range.sum()) - int(usable.sum())
+    usable = in_range & np.isfinite(surface.F) & (surface.F > 0.0)
+    counts = usable.sum(axis=1)
+    for q, n in zip(qs, counts):
+        dropped = int(in_range.sum()) - int(n)
         if dropped:
             warnings.warn(
-                f"excluded {dropped} non-positive F(q={qs[i]:g}, s) points "
+                f"excluded {dropped} non-positive F(q={q:g}, s) points "
                 "from the fit",
                 ExcludedScaleWarning,
                 stacklevel=2,
             )
-        if int(usable.sum()) < MIN_FIT_SCALES:
+        if n < MIN_FIT_SCALES:
             raise InsufficientScalesError(
-                f"only {int(usable.sum())} usable scales for q={qs[i]:g}"
+                f"only {int(n)} usable scales for q={q:g}"
             )
-        res = stats.linregress(log_s[usable], np.log(row[usable]))
-        h[i] = res.slope
-        stderr[i] = res.stderr
-        r2[i] = res.rvalue ** 2
+    # ordinary least squares of ln F on ln s for every q at once, each row
+    # over its own usable scales; same estimates as a per-q linregress
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_f = np.where(usable, np.log(surface.F), 0.0)
+    log_s = np.where(usable, np.log(scales.astype(float)), 0.0)
+    dx = np.where(usable, log_s - (log_s.sum(1) / counts)[:, None], 0.0)
+    dy = np.where(usable, log_f - (log_f.sum(1) / counts)[:, None], 0.0)
+    sxx, sxy, syy = (dx * dx).sum(1), (dx * dy).sum(1), (dy * dy).sum(1)
+    h = sxy / sxx
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r2 = np.clip(sxy / np.sqrt(sxx * syy), -1.0, 1.0) ** 2
+    stderr = np.sqrt((1.0 - r2) * syy / sxx / (counts - 2))
     return ScalingFit(surface.orders, h, stderr, r2, (lo, hi))
 
 

@@ -197,3 +197,57 @@ def test_experiment_spec_file_lists_all_violations(tmp_path, capsys):
     err = capsys.readouterr().err
     for key in ("hurst_x", "hurst_y", "hurst_z", "length", "seeds", "beta_x"):
         assert key in err
+
+
+RHO_SPEC = {"corr": 0.7, "hurst_x": 0.1, "hurst_y": 0.1, "hurst_z": 0.95,
+            "length": 4096, "seeds": 2,
+            "beta_x": {"intercept": 2, "slope": 3},
+            "beta_y": {"intercept": 2, "slope": 3}, "seed_base": 5}
+SWEEP_SPEC = {"hurst_grid": [[0.5, 0.5, 0.5]], "realizations": 1,
+              "length": 4096, "beta_x": {"intercept": 2, "slope": 3},
+              "beta_y": {"intercept": 2, "slope": 3}}
+MF_SPEC = {"p_x": 0.3, "p_y": 0.4, "depth": 10, "seeds": 1,
+           "beta_x": {"intercept": 2, "slope": 3},
+           "beta_y": {"intercept": 2, "slope": 3}}
+
+
+@pytest.mark.parametrize("name, base, key, value, message", [
+    ("rho", RHO_SPEC, "seeds", 0, "seeds must be >= 1, got 0"),
+    ("rho", RHO_SPEC, "length", 0, "length must be >= 1, got 0"),
+    ("rho", RHO_SPEC, "hurst_x", 0, "hurst_x must lie in (0, 1), got 0.0"),
+    ("rho", RHO_SPEC, "hurst_z", 1, "hurst_z must lie in (0, 1), got 1.0"),
+    ("rho", RHO_SPEC, "corr", 2, "corr must lie in [-1, 1], got 2.0"),
+    ("rho", RHO_SPEC, "seeds", 1.5, "key 'seeds': cannot interpret 1.5"),
+    ("rho", RHO_SPEC, "typo_key", 1, "unknown key 'typo_key'"),
+    ("sweep", SWEEP_SPEC, "realizations", 0,
+     "realizations must be >= 1, got 0"),
+    ("sweep", SWEEP_SPEC, "length", 0, "length must be >= 1, got 0"),
+    ("sweep", SWEEP_SPEC, "hurst_grid", [], "key 'hurst_grid': cannot "
+     "interpret [] as a non-empty list of [H_rx, H_ry, H_z] triples"),
+    ("mf", MF_SPEC, "depth", 0, "depth must be >= 1, got 0"),
+    ("mf", MF_SPEC, "p_x", 0, "p_x must lie in (0, 1), got 0.0"),
+    ("mf", MF_SPEC, "noise_hurst", 0, "noise_hurst must lie in (0, 1)"),
+    ("mf", MF_SPEC, "beta_y", {"intercept": 1}, "key 'beta_y': cannot "
+     "interpret"),
+])
+def test_bad_spec_field_is_config_error(tmp_path, capsys, name, base, key,
+                                        value, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**base, key: value}))
+    assert run(["experiment", name, "--spec", path,
+                "--out", tmp_path / "out"]) == 4
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_fit_bounds_of_zero_are_used_as_given(tmp_path, capsys):
+    src = tmp_path / "fgn.csv"
+    run(["gen", "fgn", "--hurst", 0.5, "--length", 4096, "--seed", 1,
+         "--out", src])
+    assert run(["analyze", "dfa", src, "--col", "fgn", "--fit-min", 0,
+                "--out", tmp_path / "run"]) == 0
+    payload = json.loads((tmp_path / "run_fit.json").read_text())
+    assert payload["fit"]["fit_range"] == [0, 1024]
+    assert run(["analyze", "dfa", src, "--col", "fgn", "--fit-max", 0,
+                "--out", tmp_path / "run"]) == 4
+    assert "empty fit range [10, 0]" in capsys.readouterr().err

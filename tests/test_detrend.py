@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpxa import (
     ConfigError,
@@ -7,12 +10,10 @@ from dpxa import (
     ForceMatrix,
     ShapeError,
     WindowTooSmallError,
-    local_trend,
-    profile,
-    window_ols,
 )
-from dpxa.detrend import window_residual_profiles
+from dpxa.detrend import window_products
 from dpxa.errors import RankDeficiencyWarning
+from oracle import local_trend, oracle_products, profile, window_ols
 
 
 def ols_line(k, y):
@@ -183,13 +184,53 @@ def test_force_matrix():
 def test_batched_engine_matches_single_window_ops(seed):
     rng = np.random.default_rng(seed)
     T, s = 240, 24
-    x = rng.standard_normal(T)
+    rows = rng.standard_normal((2, T))
     Z = rng.standard_normal((T, 2))
     cfg = DetrendConfig(poly_order=1)
-    batched = window_residual_profiles(x, Z, s, cfg)
-    for v in range(T // s):
-        sl = slice(v * s, (v + 1) * s)
-        _, res = window_ols(x[sl], Z[sl], with_intercept=True)
-        expected = profile(res)
-        expected = expected - local_trend(expected, cfg)
-        assert np.allclose(batched[v], expected, atol=1e-10)
+    pairs = ((0, 0), (0, 1), (1, 1))
+    batched, deficient = window_products(rows, Z, s, cfg, pairs, regressed=2)
+    assert deficient == 0
+    expected = oracle_products(rows, Z, s, cfg, pairs, regressed=2)
+    assert np.allclose(batched, expected, atol=1e-10)
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), s=st.integers(4, 40),
+       windows=st.integers(1, 6), extra=st.integers(0, 3),
+       p=st.sampled_from([0, 1, 2]),
+       method=st.sampled_from(["polynomial", "moving_average"]),
+       poly_order=st.integers(0, 2), with_intercept=st.booleans(),
+       deficient=st.sampled_from([None, "duplicate", "constant"]))
+def test_kernel_matches_single_window_oracle(seed, s, windows, extra, p,
+                                             method, poly_order,
+                                             with_intercept, deficient):
+    rng = np.random.default_rng(seed)
+    T = s * windows + extra
+    rows = rng.standard_normal((4, T)) * rng.uniform(0.1, 10.0)
+    Z = rng.standard_normal((T, p)) if p else None
+    if p and deficient == "duplicate":
+        Z[:, -1] = 2.0 * Z[:, 0]
+    elif p and deficient == "constant":
+        Z[:, -1] = 0.7
+    cfg = DetrendConfig(method=method, poly_order=min(poly_order, s - 2),
+                        with_intercept=with_intercept)
+    pairs = ((0, 0), (0, 1), (1, 3), (2, 3), (3, 3))
+    got, bad = window_products(rows, Z, s, cfg, pairs, regressed=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankDeficiencyWarning)
+        expected = oracle_products(rows, Z, s, cfg, pairs, regressed=2)
+    assert np.allclose(got, expected, rtol=0, atol=1e-10)
+    rank_deficient = (deficient == "duplicate" and p == 2
+                      or deficient == "constant" and p and with_intercept)
+    assert bad == (windows if rank_deficient else 0)
+
+
+def test_kernel_plain_rows_ignore_forces():
+    rng = np.random.default_rng(21)
+    rows = rng.standard_normal((3, 300))
+    Z = rng.standard_normal((300, 1))
+    cfg = DetrendConfig()
+    pairs = ((0, 0), (0, 1))
+    with_forces, _ = window_products(rows, Z, 30, cfg, pairs, regressed=1)
+    without, _ = window_products(rows, None, 30, cfg, pairs)
+    assert np.array_equal(with_forces, without)

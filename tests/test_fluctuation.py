@@ -14,9 +14,8 @@ from dpxa import (
     fluctuation_dpxa,
     rho_curve,
     rho_dcca,
-    window_cov,
 )
-from dpxa.detrend import window_residual_profiles
+from oracle import oracle_products, window_cov
 
 
 def test_window_cov_examples():
@@ -99,9 +98,8 @@ def test_q2_column_equals_window_cov_aggregation():
     cfg = DetrendConfig()
     surface = fluctuation_dcca(x, y, grid, QGrid.second_order(), cfg)
     for j, s in enumerate(grid.scales):
-        dx = window_residual_profiles(x, None, int(s), cfg)
-        dy = window_residual_profiles(y, None, int(s), cfg)
-        covs = [window_cov(a, b) for a, b in zip(dx, dy)]
+        covs = oracle_products(np.stack([x, y]), None, int(s), cfg,
+                               ((0, 1),))[0]
         expected = np.sqrt(np.mean(np.abs(covs)))
         assert surface.F[0, j] == pytest.approx(expected, rel=1e-12)
 
@@ -235,3 +233,87 @@ def test_dpxa_slope_ignores_strong_driver():
     assert abs(mean_dpxa - mean_oracle) <= 0.03
     assert abs(mean_dpxa - 0.5) <= 0.05
     assert mean_dpxa < 0.7  # nowhere near the driver's exponent
+
+
+def _longdouble_dpxa_products(x, y, z, s):
+    """Residual-first reference in extended precision: per window, regress
+    the centred increments on the centred force, cumulate, remove the
+    linear trend, average the products."""
+    L = np.longdouble
+    M = x.size // s
+    Zc = z[: M * s].reshape(M, s).astype(L)
+    Zc = Zc - Zc.mean(axis=1, keepdims=True)
+    t = np.arange(s, dtype=L)
+    t = t - t.mean()
+    detrended = []
+    for series in (x, y):
+        A = series[: M * s].reshape(M, s).astype(L)
+        A = A - A.mean(axis=1, keepdims=True)
+        b = (A * Zc).sum(axis=1) / (Zc * Zc).sum(axis=1)
+        P = np.cumsum(A - b[:, None] * Zc, axis=1)
+        slope = (P * t).sum(axis=1) / (t * t).sum()
+        detrended.append(P - P.mean(axis=1, keepdims=True)
+                         - slope[:, None] * t)
+    return (detrended[0] * detrended[1]).mean(axis=1)
+
+
+def test_dpxa_on_masked_binomial_matches_extended_precision():
+    # the residual is ~1e-4 of the force it is recovered from; removing
+    # the force after the cumsum instead loses up to 8% here at s = 16
+    from dpxa import BinomialSpec, FgnSpec, gen_binomial, gen_fgn
+    from dpxa.detrend import window_products
+
+    depth = 14
+    z = gen_fgn(FgnSpec(0.5, 2 ** depth, 3)).values
+    x = 2.0 + 3.0 * z + gen_binomial(BinomialSpec(0.3, depth)).values
+    y = 2.0 + 3.0 * z + gen_binomial(BinomialSpec(0.4, depth)).values
+    for s in (16, 256, 4096):
+        f2, _ = window_products(np.stack([x, y]), z[:, None], s,
+                                DetrendConfig(), ((0, 1),), regressed=2)
+        ref = _longdouble_dpxa_products(x, y, z, s)
+        rel = np.abs(f2[0] - ref) / np.abs(ref)
+        assert float(np.max(rel)) <= 2e-8, s
+
+
+@pytest.mark.parametrize("offset, tol", [(1e6, 1e-7), (1e8, 1e-5)])
+def test_dpxa_under_large_common_offset(offset, tol):
+    from dpxa import (BfbmSpec, ContaminationSpec, FgnSpec, contaminate,
+                      gen_bfbm_increments, gen_fgn)
+
+    n = 2 ** 12
+    z = gen_fgn(FgnSpec(0.9, n, 5))
+    rx, ry = gen_bfbm_increments(BfbmSpec(0.4, 0.6, 0.5, n, 6))
+    betas = ContaminationSpec(2.0, 3.0)
+    x = contaminate(rx, z, betas).values
+    y = contaminate(ry, z, betas).values
+    grid, orders = ScaleGrid.default(n), QGrid.default()
+    base = fluctuation_dpxa(x, y, ForceMatrix.from_series([z.values]), grid,
+                            orders).F
+    shifted = fluctuation_dpxa(
+        x + offset, y + offset, ForceMatrix.from_series([z.values + offset]),
+        grid, orders).F
+    assert np.max(np.abs(shifted - base) / base) <= tol
+
+
+def test_rank_deficiency_warns_once_per_call():
+    import re
+    import warnings
+
+    from dpxa.errors import RankDeficiencyWarning
+
+    rng = np.random.default_rng(13)
+    n = 4000
+    x, y = rng.standard_normal(n), rng.standard_normal(n)
+    grid = ScaleGrid.default(n)
+    forces = ForceMatrix.from_series([np.full(n, 1.5)])
+    windows = sum(n // int(s) for s in grid.scales)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fluctuation_dpxa(x, y, forces, grid, QGrid.second_order())
+        rho_curve(x, y, forces, grid)
+    found = [w for w in caught if w.category is RankDeficiencyWarning]
+    assert len(found) == 2
+    for w in found:
+        match = re.search(r"rank-deficient design in (\d+) of (\d+) windows",
+                          str(w.message))
+        assert match and int(match[1]) == int(match[2]) == windows

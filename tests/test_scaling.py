@@ -226,3 +226,25 @@ def test_monofractal_fgn_h_spread():
                                            QGrid.default()))
         spreads.append(fit.h.max() - fit.h.min())
     assert np.mean(spreads) <= 0.08
+
+
+def test_fit_matches_linregress_per_q():
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(17)
+    s = ScaleGrid.default(2 ** 14).scales
+    orders = np.linspace(-4.0, 4.0, 9)
+    F = np.exp(np.outer(0.3 + 0.1 * orders, np.log(s))
+               + 0.05 * rng.standard_normal((orders.size, s.size)))
+    F[1, [0, 5]] = 0.0      # each q keeps its own usable scales
+    F[4, 7] = np.inf
+    surface = synthetic_surface(s, orders, F)
+    with pytest.warns(ExcludedScaleWarning):
+        fit = fit_exponent(surface, fit_range=(int(s[1]), int(s[-2])))
+    in_range = (s >= s[1]) & (s <= s[-2])
+    for i in range(orders.size):
+        usable = in_range & np.isfinite(F[i]) & (F[i] > 0)
+        res = stats.linregress(np.log(s[usable]), np.log(F[i, usable]))
+        assert fit.h[i] == pytest.approx(res.slope, rel=1e-12, abs=0)
+        assert fit.h_stderr[i] == pytest.approx(res.stderr, rel=1e-12, abs=0)
+        assert fit.r_squared[i] == pytest.approx(res.rvalue ** 2, rel=1e-12,
+                                                 abs=0)
