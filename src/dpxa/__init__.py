@@ -14,7 +14,6 @@ from .core import (
     WindowPartition,
     as_series,
     partition_windows,
-    validate_series,
 )
 from .detrend import DetrendConfig, ForceMatrix
 from .errors import (

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments
-from .core import QGrid, ScaleGrid, validate_series
+from .core import QGrid, ScaleGrid, as_series
 from .detrend import DetrendConfig, ForceMatrix, MOVING_AVERAGE, POLYNOMIAL
 from .errors import ConfigError, DpxaError, IngestionError
 from .fluctuation import fluctuation_dcca, fluctuation_dfa, fluctuation_dpxa, \
@@ -184,7 +184,7 @@ def _grids(args, length: int) -> tuple[ScaleGrid, QGrid]:
 def _cmd_analyze(args) -> int:
     columns = read_series_csv(args.input)
     x, y, forces = _analysis_inputs(args, columns)
-    series_x = validate_series(x)
+    series_x = as_series(x)
     scales, orders = _grids(args, len(series_x))
     cfg = DetrendConfig(method=args.detrend, poly_order=args.poly_order,
                         with_intercept=not args.no_intercept)

@@ -60,10 +60,6 @@ def as_series(data, label: str | None = None) -> TimeSeries:
     return TimeSeries(np.asarray(data, dtype=float), label=label)
 
 
-# validation runs at construction, so coercion is validation
-validate_series = as_series
-
-
 @dataclass(frozen=True, eq=False)
 class WindowPartition:
     """Non-overlapping size-s index boxes covering the first box_count*s points.

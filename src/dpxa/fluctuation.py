@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QGrid, ScaleGrid, _frozen_array, as_series, validate_series
+from .core import QGrid, ScaleGrid, _frozen_array, as_series
 from .detrend import DetrendConfig, ForceMatrix, series_pair, window_products
 from .errors import DegenerateInputError, RankDeficiencyWarning, ShapeError
 
@@ -184,7 +184,7 @@ def fluctuation_dcca(x, y, scales: ScaleGrid, orders: QGrid,
 def fluctuation_dfa(x, scales: ScaleGrid, orders: QGrid,
                     cfg: DetrendConfig = DetrendConfig()) -> FluctuationSurface:
     """Detrended fluctuation analysis of a single series."""
-    xs = validate_series(x)
+    xs = as_series(x)
     return fluctuation_dpxa(xs, xs, None, scales, orders, cfg, kind=KIND_DFA)
 
 

@@ -139,13 +139,19 @@ def fgn_autocovariance(hurst: float, max_lag: int) -> np.ndarray:
                   + np.abs(k - 1) ** h2)
 
 
-def _embedding_row(gamma: np.ndarray) -> np.ndarray:
-    # first row of the length-2N circulant wrapping gamma(0..N)
-    return np.concatenate([gamma, gamma[-2:0:-1]])
+def _mirror(half: np.ndarray) -> np.ndarray:
+    """v(0..N) -> v(0), ..., v(N), v(N-1), ..., v(1): the first row of the
+    length-2N circulant wrapping gamma(0..N), and equally its spectrum."""
+    return np.concatenate([half, half[-2:0:-1]])
 
 
 def _spectrum(gamma: np.ndarray) -> np.ndarray:
-    return np.fft.fft(_embedding_row(gamma)).real
+    """Eigenvalues lambda(0..N) of the circulant embedding of gamma(0..N).
+
+    The row is real and symmetric, so its spectrum is real and symmetric:
+    the real-input FFT gives the first half, ``_mirror`` the rest.
+    """
+    return np.fft.rfft(_mirror(gamma)).real
 
 
 def _complex_noise(rng: np.random.Generator, shape) -> np.ndarray:
@@ -166,8 +172,8 @@ def gen_fgn(spec: FgnSpec) -> TimeSeries:
         )
     lam = np.maximum(lam, 0.0)
     rng = np.random.default_rng(spec.seed)
-    w = np.sqrt(lam) * _complex_noise(rng, lam.size)
-    sample = np.sqrt(2.0) * (np.fft.fft(w) / np.sqrt(lam.size)).real[:n]
+    w = _mirror(np.sqrt(lam)) * _complex_noise(rng, 2 * n)
+    sample = np.sqrt(2.0) * (np.fft.fft(w) / np.sqrt(w.size)).real[:n]
     return TimeSeries(sample, label=f"fgn_h{spec.hurst:g}")
 
 
@@ -184,7 +190,8 @@ def gen_bfbm_increments(spec: BfbmSpec) -> tuple[TimeSeries, TimeSeries]:
     g_yy = _spectrum(fgn_autocovariance(spec.hurst_y, n))
     g_xy = spec.corr * _spectrum(fgn_autocovariance(h_cross, n))
 
-    # eigenvalues of the per-frequency 2x2 spectral matrices
+    # eigenvalues of the per-frequency 2x2 spectral matrices, frequencies
+    # 0..N; the rest mirror them
     mean = 0.5 * (g_xx + g_yy)
     radius = np.hypot(0.5 * (g_xx - g_yy), g_xy)
     lam_hi = mean + radius
@@ -209,9 +216,10 @@ def gen_bfbm_increments(spec: BfbmSpec) -> tuple[TimeSeries, TimeSeries]:
     b11 = sq_hi * p11 + sq_lo * (1.0 - p11)
     b22 = sq_hi * p22 + sq_lo * (1.0 - p22)
     b12 = (sq_hi - sq_lo) * p12
+    b11, b22, b12 = _mirror(b11), _mirror(b22), _mirror(b12)
 
     rng = np.random.default_rng(spec.seed)
-    eps = _complex_noise(rng, (g_xx.size, 2))
+    eps = _complex_noise(rng, (2 * n, 2))
     w = np.empty_like(eps)
     w[:, 0] = b11 * eps[:, 0] + b12 * eps[:, 1]
     w[:, 1] = b12 * eps[:, 0] + b22 * eps[:, 1]

@@ -136,6 +136,37 @@ def test_headerless_csv_rejected(tmp_path, capsys):
                 "--out", tmp_path / "x"]) == 3
 
 
+def test_byte_order_mark_is_not_part_of_first_column(tmp_path, monkeypatch):
+    src = tmp_path / "fgn.csv"
+    run(["gen", "fgn", "--hurst", 0.5, "--length", 1024, "--seed", 4,
+         "--out", src])
+    outputs = {}
+    for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        # same relative paths, so the config echo in the outputs matches too
+        workdir = tmp_path / name
+        workdir.mkdir()
+        (workdir / "in.csv").write_bytes(prefix + src.read_bytes())
+        monkeypatch.chdir(workdir)
+        assert run(["analyze", "dfa", "in.csv", "--col", "fgn",
+                    "--out", "run"]) == 0
+        outputs[name] = {path.name: path.read_bytes()
+                         for path in sorted(workdir.glob("run_*"))}
+    assert outputs["plain"] and outputs["bom"] == outputs["plain"]
+
+
+@pytest.mark.parametrize("data", [
+    "x,y\n1,2\n3,\xe9\n".encode("latin-1"),
+    "x,y\n1,2\n3,4\n".encode("utf-16"),
+], ids=["latin-1", "utf-16"])
+def test_non_utf8_csv_is_ingestion_error(tmp_path, capsys, data):
+    src = tmp_path / "encoded.csv"
+    src.write_bytes(data)
+    assert run(["analyze", "dfa", src, "--col", "x",
+                "--out", tmp_path / "x"]) == 3
+    err = capsys.readouterr().err
+    assert str(src) in err and "not UTF-8" in err
+
+
 def test_scale_out_of_range_is_config_error(tmp_path, capsys):
     src = tmp_path / "fgn.csv"
     run(["gen", "fgn", "--hurst", 0.5, "--length", 400, "--seed", 0,

@@ -9,8 +9,8 @@ from dpxa import (
     QGrid,
     ScaleGrid,
     TimeSeries,
+    as_series,
     partition_windows,
-    validate_series,
 )
 
 
@@ -44,23 +44,23 @@ def test_partition_properties(T, data):
 
 
 def test_validate_series_ok():
-    ts = validate_series([1.0, 2.0, 3.0])
+    ts = as_series([1.0, 2.0, 3.0])
     assert isinstance(ts, TimeSeries)
     assert ts.values.tolist() == [1.0, 2.0, 3.0]
     # idempotent on TimeSeries
-    assert validate_series(ts) is ts
+    assert as_series(ts) is ts
 
 
 def test_validate_series_nan_names_position():
     with pytest.raises(DataError, match="element 2"):
-        validate_series([1.0, np.nan])
+        as_series([1.0, np.nan])
     with pytest.raises(DataError, match="element 3"):
-        validate_series([0.0, 1.0, np.inf, 2.0])
+        as_series([0.0, 1.0, np.inf, 2.0])
 
 
 def test_validate_series_empty():
     with pytest.raises(EmptyInputError):
-        validate_series([])
+        as_series([])
 
 
 def test_series_is_immutable():

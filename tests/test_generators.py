@@ -16,7 +16,7 @@ from dpxa import (
     gen_binomial,
     gen_fgn,
 )
-from dpxa.generators import fgn_autocovariance
+from dpxa.generators import _mirror, _spectrum, fgn_autocovariance
 
 
 def lag1_autocov(x):
@@ -45,6 +45,17 @@ def test_fgn_autocovariance_values():
     g = fgn_autocovariance(0.9, 2)
     assert g[0] == pytest.approx(1.0)
     assert g[1] == pytest.approx(2 ** 0.8 - 1)
+
+
+@pytest.mark.parametrize("hurst", [0.1, 0.5, 0.75, 0.95])
+@pytest.mark.parametrize("n", [1, 2, 7, 4096])
+def test_half_spectrum_mirrors_full_fft(n, hurst):
+    gamma = fgn_autocovariance(hurst, n)
+    full = np.fft.fft(_mirror(gamma)).real
+    half = _spectrum(gamma)
+    assert half.size == n + 1
+    err = np.max(np.abs(_mirror(half) - full))
+    assert err <= 1e-13 * np.max(np.abs(full))
 
 
 @pytest.mark.parametrize("hurst", [0.3, 0.5])
