@@ -11,9 +11,7 @@ from .core import (
     QGrid,
     ScaleGrid,
     TimeSeries,
-    WindowPartition,
     as_series,
-    partition_windows,
 )
 from .detrend import DetrendConfig, ForceMatrix
 from .errors import (

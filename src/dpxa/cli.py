@@ -3,7 +3,8 @@
 Inputs and outputs are headered CSV (one series per column) plus JSON
 sidecars that embed the complete effective configuration and seed, so any
 output file is reproducible from its own metadata. Exit codes: 0 success,
-2 usage, 3 ingestion, 4 configuration, 5 numerical degeneracy.
+2 usage, 3 ingestion, 4 configuration (a bad flag or spec value, or an
+--out path that cannot be written), 5 numerical degeneracy.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments
-from .core import QGrid, ScaleGrid, as_series
+from .core import DEFAULT_MIN_SCALE, DEFAULT_SCALE_COUNT, QGrid, ScaleGrid, \
+    as_series
 from .detrend import DetrendConfig, ForceMatrix, MOVING_AVERAGE, POLYNOMIAL
 from .errors import ConfigError, DpxaError, IngestionError
 from .fluctuation import fluctuation_dcca, fluctuation_dfa, fluctuation_dpxa, \
@@ -34,7 +36,7 @@ from .generators import (
     gen_fgn,
 )
 from .io import read_series_csv, write_json, write_series_csv, write_table_csv
-from .scaling import fit_exponent, legendre, mass_exponents
+from .scaling import full_fit
 
 ANALYZE_METHODS = ("dfa", "dcca", "dpxa", "mfdfa", "mfdcca", "mfdpxa",
                    "rho-dcca", "rho-dpxa")
@@ -79,9 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--y", help="second series column")
     ana.add_argument("--z", action="append", default=[],
                      help="external force column (repeatable)")
-    ana.add_argument("--s-min", type=int, default=None)
+    ana.add_argument("--s-min", type=int, default=DEFAULT_MIN_SCALE)
     ana.add_argument("--s-max", type=int, default=None)
-    ana.add_argument("--s-count", type=int, default=20)
+    ana.add_argument("--s-count", type=int, default=DEFAULT_SCALE_COUNT)
     ana.add_argument("--dyadic", action="store_true",
                      help="use a powers-of-two scale grid")
     ana.add_argument("--q-min", type=float, default=-4.0)
@@ -98,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--out", required=True, help="output path prefix")
 
     exp = sub.add_parser("experiment", help="run a validation experiment")
-    exp.add_argument("name", choices=("sweep", "rho", "mf"))
+    exp.add_argument("name", choices=list(experiments.EXPERIMENTS))
     group = exp.add_mutually_exclusive_group(required=True)
     group.add_argument("--preset", help="named preset configuration")
     group.add_argument("--spec", help="JSON spec file")
@@ -165,15 +167,11 @@ def _analysis_inputs(args, columns):
 
 
 def _grids(args, length: int) -> tuple[ScaleGrid, QGrid]:
-    s_min = args.s_min if args.s_min is not None else 10
-    s_max = args.s_max if args.s_max is not None else length // 4
     if args.dyadic:
-        scales = ScaleGrid.dyadic(length, s_min=max(s_min, 4), s_max=s_max)
-    elif args.s_min is None and args.s_max is None:
-        scales = ScaleGrid.default(length, count=args.s_count)
+        scales = ScaleGrid.dyadic(length, s_min=args.s_min, s_max=args.s_max)
     else:
-        raw = np.logspace(np.log10(s_min), np.log10(s_max), args.s_count)
-        scales = ScaleGrid(np.unique(np.rint(raw).astype(int)))
+        scales = ScaleGrid.default(length, count=args.s_count,
+                                   s_min=args.s_min, s_max=args.s_max)
     if args.method.startswith("mf"):
         orders = QGrid(np.linspace(args.q_min, args.q_max, args.q_count))
     else:
@@ -226,9 +224,7 @@ def _cmd_analyze(args) -> int:
     else:
         surface = fluctuation_dpxa(series_x, y, forces, scales, orders, cfg)
 
-    fit = mass_exponents(fit_exponent(surface, fit_range))
-    if len(orders) >= 3:
-        fit = legendre(fit)
+    fit = full_fit(surface, fit_range)
 
     header = ["scale", "cov2"] + [f"F_q{q:g}" for q in orders.orders]
     rows = [[int(s), surface.cov2[j]] + [surface.F[i, j]
@@ -257,13 +253,6 @@ def _cmd_analyze(args) -> int:
 
 # --------------------------------------------------------------------------- #
 # experiment
-
-_SPEC_TYPES = {"sweep": experiments.SweepSpec, "rho": experiments.RhoSpec,
-               "mf": experiments.MfSpec}
-# keys a spec file may leave out, beyond the dataclass defaults
-_SPEC_DEFAULTS = {"sweep": {"corr": 0.5, "seed_base": 0},
-                  "rho": {"seed_base": 0}, "mf": {}}
-
 
 def _number(value, kind):
     if isinstance(value, (bool, str)) or kind(value) != value:
@@ -294,9 +283,9 @@ _CONVERTERS = {
 }
 
 
-def _parse_spec_file(name: str, path: str):
-    """Build the experiment spec from a JSON object whose keys are the
-    spec's fields; every problem found is listed in one ConfigError."""
+def _parse_spec_file(cls: type, path: str):
+    """Build a ``cls`` spec from a JSON object whose keys are the spec's
+    fields; every problem found is listed in one ConfigError."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -306,14 +295,13 @@ def _parse_spec_file(name: str, path: str):
             from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"spec file {path} must hold a JSON object")
-    cls = _SPEC_TYPES[name]
     fields = {f.name: f for f in dataclasses.fields(cls)}
-    values = dict(_SPEC_DEFAULTS[name])
+    values = {}
     issues = [f"unknown key {key!r}; expected one of {sorted(fields)}"
               for key in raw if key not in fields]
     for key, field in fields.items():
         if key not in raw:
-            if key not in values and field.default is dataclasses.MISSING:
+            if field.default is dataclasses.MISSING:
                 issues.append(f"missing required key {key!r}")
             continue
         convert, expected = _CONVERTERS[field.type]
@@ -335,9 +323,10 @@ def _parse_spec_file(name: str, path: str):
 
 
 def _cmd_experiment(args) -> int:
-    presets = {"sweep": experiments.SWEEP_PRESETS,
-               "rho": experiments.RHO_PRESETS,
-               "mf": experiments.MF_PRESETS}[args.name]
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    spec_type, presets, run, write, summarize = \
+        experiments.EXPERIMENTS[args.name]
     if args.preset is not None:
         if args.preset not in presets:
             raise ConfigError(
@@ -345,23 +334,14 @@ def _cmd_experiment(args) -> int:
             )
         spec = presets[args.preset]
     else:
-        spec = _parse_spec_file(args.name, args.spec)
+        spec = _parse_spec_file(spec_type, args.spec)
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    if args.name == "sweep":
-        result = experiments.run_sweep(spec, jobs=args.jobs)
-        experiments.write_sweep_outputs(result, outdir)
-        summary = experiments.summarize_sweep(result)
-    elif args.name == "rho":
-        result = experiments.run_rho_comparison(spec, jobs=args.jobs)
-        experiments.write_rho_outputs(result, outdir)
-        summary = experiments.summarize_rho(result)
-    else:
-        result = experiments.run_mf_recovery(spec, jobs=args.jobs)
-        experiments.write_mf_outputs(result, outdir)
-        summary = experiments.summarize_mf(result)
+    result = run(spec, jobs=args.jobs)
+    write(result, outdir)
+    summary = summarize(result)
     elapsed = time.perf_counter() - started
     summary = f"{summary}\nelapsed: {elapsed:.1f} s (jobs={args.jobs})"
     (outdir / "summary.txt").write_text(summary + "\n", encoding="utf-8")
@@ -382,6 +362,14 @@ def main(argv=None) -> int:
     except DpxaError as exc:
         print(f"dpxa: error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except OSError as exc:
+        # inputs map their own read errors, so a file error here is a
+        # write under --out: a missing or non-directory parent, no access
+        if exc.filename is None:
+            raise
+        print(f"dpxa: error: cannot write {exc.filename}: {exc.strerror}",
+              file=sys.stderr)
+        return ConfigError.exit_code
 
 
 if __name__ == "__main__":

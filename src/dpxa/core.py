@@ -1,4 +1,4 @@
-"""Shared value types: series, window partitions, and the scale/q grids.
+"""Shared value types: series and the scale/q grids.
 
 All types are immutable after construction and safe to share across
 concurrent workers. Window and element indices are 1-based in
@@ -7,7 +7,7 @@ documentation and error messages; arrays are regular 0-based numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,33 +60,16 @@ def as_series(data, label: str | None = None) -> TimeSeries:
     return TimeSeries(np.asarray(data, dtype=float), label=label)
 
 
-@dataclass(frozen=True, eq=False)
-class WindowPartition:
-    """Non-overlapping size-s index boxes covering the first box_count*s points.
-
-    ``boxes`` holds 1-based inclusive [start, end] bounds; the trailing
-    T - box_count*s points are excluded.
-    """
-
-    series_length: int
-    size: int
-    box_count: int
-    boxes: np.ndarray
-
-    def slices(self):
-        """0-based python slices, one per box."""
-        return [slice(a - 1, b) for a, b in self.boxes]
-
-
-def partition_windows(series_length: int, size: int) -> WindowPartition:
-    """Split 1..T into floor(T/s) boxes of exact length s."""
-    T, s = int(series_length), int(size)
-    if s < 1 or s > T:
-        raise InvalidScaleError(f"window size {s} not in [1, {T}]")
-    count = T // s
-    starts = np.arange(count, dtype=int) * s + 1
-    boxes = np.column_stack([starts, starts + s - 1])
-    return WindowPartition(T, s, count, _frozen_array(boxes, dtype=int))
+def _check_bounds(series_length: int, s_min: int, s_max: int | None) -> int:
+    """s_max, defaulting to floor(T/4), once 2 <= s_min <= s_max holds."""
+    if s_max is None:
+        s_max = series_length // 4
+    if not 2 <= s_min <= s_max:
+        raise InvalidScaleError(
+            f"no scales in [s_min, s_max] = [{s_min}, {s_max}] for series "
+            f"length {series_length}; need 2 <= s_min <= s_max"
+        )
+    return s_max
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,14 +103,11 @@ class ScaleGrid:
 
     @classmethod
     def default(cls, series_length: int, count: int = DEFAULT_SCALE_COUNT,
-                s_min: int = DEFAULT_MIN_SCALE) -> "ScaleGrid":
-        """~count log-spaced integers from s_min to floor(T/4), deduplicated."""
-        s_max = series_length // 4
-        if s_max < s_min:
-            raise InvalidScaleError(
-                f"series length {series_length} too short for scales in "
-                f"[{s_min}, T/4]"
-            )
+                s_min: int = DEFAULT_MIN_SCALE,
+                s_max: int | None = None) -> "ScaleGrid":
+        """~count log-spaced integers from s_min to s_max (default
+        floor(T/4)), deduplicated."""
+        s_max = _check_bounds(series_length, s_min, s_max)
         raw = np.logspace(np.log10(s_min), np.log10(s_max), count)
         return cls(np.unique(np.rint(raw).astype(int)))
 
@@ -135,8 +115,7 @@ class ScaleGrid:
     def dyadic(cls, series_length: int, s_min: int = 16,
                s_max: int | None = None) -> "ScaleGrid":
         """Powers of two in [s_min, s_max]; the natural grid for cascade data."""
-        if s_max is None:
-            s_max = series_length // 4
+        s_max = _check_bounds(series_length, s_min, s_max)
         exps = np.arange(int(np.ceil(np.log2(s_min))),
                          int(np.floor(np.log2(s_max))) + 1)
         if exps.size == 0:
@@ -150,7 +129,7 @@ class ScaleGrid:
 class QGrid:
     """Strictly increasing real moment orders; q = 0 is allowed."""
 
-    orders: np.ndarray = field(default_factory=lambda: np.linspace(-4.0, 4.0, 17))
+    orders: np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.orders, dtype=float)

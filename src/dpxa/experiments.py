@@ -15,7 +15,7 @@ degree, so rerunning a spec reproduces its result files byte for byte.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -80,10 +80,10 @@ class SweepSpec:
     hurst_grid: tuple[tuple[float, float, float], ...]
     realizations: int
     length: int
-    corr: float
+    corr: float = field(default=0.5, kw_only=True)
     beta_x: ContaminationSpec
     beta_y: ContaminationSpec
-    seed_base: int
+    seed_base: int = 0
 
     def __post_init__(self):
         _check_fields(self, positive=("realizations", "length"))
@@ -114,7 +114,7 @@ class RhoSpec:
     seeds: int
     beta_x: ContaminationSpec
     beta_y: ContaminationSpec
-    seed_base: int
+    seed_base: int = 0
 
     def __post_init__(self):
         _check_fields(self, unit=("hurst_x", "hurst_y", "hurst_z"),
@@ -585,3 +585,18 @@ def write_mf_outputs(result: MfRecoveryResult, outdir) -> None:
         rows.append([q, "theory", "", result.theory_tau[i], "", ""])
     write_table_csv(outdir / "mass_exponents.csv",
                     ["q", "curve", "h", "tau", "alpha", "f_alpha"], rows)
+
+
+# --------------------------------------------------------------------------- #
+# the experiments by name
+
+# name -> (spec type, presets, run, write outputs, summarize): the one
+# table through which the CLI reaches an experiment
+EXPERIMENTS = {
+    "sweep": (SweepSpec, SWEEP_PRESETS, run_sweep, write_sweep_outputs,
+              summarize_sweep),
+    "rho": (RhoSpec, RHO_PRESETS, run_rho_comparison, write_rho_outputs,
+            summarize_rho),
+    "mf": (MfSpec, MF_PRESETS, run_mf_recovery, write_mf_outputs,
+           summarize_mf),
+}

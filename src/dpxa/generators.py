@@ -89,14 +89,10 @@ class BfbmSpec:
 @dataclass(frozen=True)
 class BinomialSpec:
     """Binomial measure from the p-model: multiplier and cascade depth.
-
-    The cascade is deterministic; ``seed`` is accepted only for interface
-    uniformity and is ignored.
-    """
+    The cascade is deterministic, so it takes no seed."""
 
     multiplier: float
     depth: int
-    seed: int | None = None
 
     def __post_init__(self):
         if not (0.0 < self.multiplier < 1.0):

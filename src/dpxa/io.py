@@ -67,10 +67,21 @@ def read_series_csv(path) -> dict[str, np.ndarray]:
     return dict(zip(header, np.ascontiguousarray(table.T)))
 
 
+def _csv_rows(path: Path, lines, first: int):
+    """``csv`` rows of ``lines``, whose first line is line ``first`` of the
+    file; a ``csv`` error (a field over its size limit) names the line."""
+    reader = csv.reader(lines)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise IngestionError(
+            f"{path} line {first + reader.line_num - 1}: {exc}") from None
+
+
 def _read_header(path: Path, handle) -> list[str]:
     # readline, not the handle's iterator, so that tell() still works
     try:
-        header = next(csv.reader(iter(handle.readline, "")))
+        header = next(_csv_rows(path, iter(handle.readline, ""), 1))
     except StopIteration:
         raise IngestionError(f"{path} is empty") from None
     header = [name.strip() for name in header]
@@ -103,7 +114,7 @@ def _load_table(handle, width: int) -> np.ndarray | None:
 
 def _read_rows(path: Path, handle, header: list[str]) -> dict[str, np.ndarray]:
     columns: list[list[float]] = [[] for _ in header]
-    for line_no, row in enumerate(csv.reader(handle), start=2):
+    for line_no, row in enumerate(_csv_rows(path, handle, 2), start=2):
         if not row:
             continue
         if len(row) != len(header):

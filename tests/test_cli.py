@@ -49,6 +49,8 @@ def test_gen_binomial_mass(tmp_path):
     cols = read_series_csv(out)
     assert cols["binomial"].size == 4096
     assert abs(cols["binomial"].sum() - 1.0) <= 1e-9
+    meta = json.loads((tmp_path / "bin.csv.json").read_text())
+    assert meta == {"depth": 12, "kind": "binomial", "multiplier": 0.3}
 
 
 def test_analyze_dfa_on_generated_noise(tmp_path):
@@ -282,3 +284,81 @@ def test_fit_bounds_of_zero_are_used_as_given(tmp_path, capsys):
     assert run(["analyze", "dfa", src, "--col", "fgn", "--fit-max", 0,
                 "--out", tmp_path / "run"]) == 4
     assert "empty fit range [10, 0]" in capsys.readouterr().err
+
+
+def test_s_min_above_s_max_is_config_error(tmp_path, capsys):
+    src = tmp_path / "fgn.csv"
+    run(["gen", "fgn", "--hurst", 0.5, "--length", 4096, "--seed", 1,
+         "--out", src])
+    assert run(["analyze", "dfa", src, "--col", "fgn", "--s-min", 200,
+                "--s-max", 50, "--out", tmp_path / "run"]) == 4
+    assert "[200, 50]" in capsys.readouterr().err
+    assert not list(tmp_path.glob("run_*"))
+
+
+def test_explicit_default_scale_bounds_change_nothing(tmp_path, monkeypatch):
+    run(["gen", "fgn", "--hurst", 0.6, "--length", 4096, "--seed", 3,
+         "--out", tmp_path / "in.csv"])
+    monkeypatch.chdir(tmp_path)
+    for prefix, bounds in (("plain", []),
+                           ("bounded", ["--s-min", 10, "--s-max", 1024])):
+        assert run(["analyze", "dfa", "in.csv", "--col", "fgn", *bounds,
+                    "--out", prefix]) == 0
+    for suffix in ("_fluct.csv", "_fit.json"):
+        assert (tmp_path / f"bounded{suffix}").read_bytes() == \
+            (tmp_path / f"plain{suffix}").read_bytes()
+
+
+def test_dyadic_scale_two_is_config_error(tmp_path, capsys):
+    src = tmp_path / "fgn.csv"
+    run(["gen", "fgn", "--hurst", 0.5, "--length", 1024, "--seed", 1,
+         "--out", src])
+    assert run(["analyze", "dfa", src, "--col", "fgn", "--dyadic",
+                "--s-min", 2, "--out", tmp_path / "run"]) == 4
+    assert "too large for scale 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_is_config_error(tmp_path, capsys, jobs):
+    assert run(["experiment", "rho", "--preset", "smoke", "--jobs", jobs,
+                "--out", tmp_path / "out"]) == 4
+    assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+GEN = ["gen", "fgn", "--hurst", 0.5, "--length", 256]
+ANALYZE = ["analyze", "dfa", "{input}", "--col", "fgn"]
+EXPERIMENT = ["experiment", "rho", "--preset", "smoke"]
+
+
+# an experiment creates its output directory with its parents, so only a
+# regular file on the way stops it
+@pytest.mark.parametrize("command, parent", [
+    (GEN, "missing"), (ANALYZE, "missing"),
+    (GEN, "in.csv"), (ANALYZE, "in.csv"), (EXPERIMENT, "in.csv"),
+], ids=["gen-missing-parent", "analyze-missing-parent", "gen-under-a-file",
+        "analyze-under-a-file", "experiment-under-a-file"])
+def test_unwritable_out_is_config_error(tmp_path, capsys, command, parent):
+    src = tmp_path / "in.csv"
+    run(["gen", "fgn", "--hurst", 0.5, "--length", 256, "--out", src])
+    parent = tmp_path / parent
+    out = parent / "sub" / "out"
+    argv = [str(src) if a == "{input}" else a for a in command]
+    assert run([*argv, "--out", out]) == 4
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("dpxa: error: cannot write ")
+    assert str(parent) in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("text, line", [
+    ('x,y\n"1",2\n1.' + "5" * 140_000 + ",3\n", 3),
+    ("x" * 140_000 + ",y\n1,2\n", 1),
+], ids=["long-cell-and-quoted-cell", "long-header-name"])
+def test_field_over_csv_limit_is_ingestion_error(tmp_path, capsys, text,
+                                                 line):
+    src = tmp_path / "long.csv"
+    src.write_text(text)
+    assert run(["analyze", "dfa", src, "--col", "x",
+                "--out", tmp_path / "run"]) == 3
+    err = capsys.readouterr().err
+    assert f"{src} line {line}: field larger than field limit" in err

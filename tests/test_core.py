@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from dpxa import (
     DataError,
@@ -10,37 +9,7 @@ from dpxa import (
     ScaleGrid,
     TimeSeries,
     as_series,
-    partition_windows,
 )
-
-
-def test_partition_examples():
-    part = partition_windows(100, 30)
-    assert part.box_count == 3
-    assert part.boxes.tolist() == [[1, 30], [31, 60], [61, 90]]
-
-    part = partition_windows(64, 64)
-    assert part.box_count == 1
-    assert part.boxes.tolist() == [[1, 64]]
-
-    assert partition_windows(65536, 16).box_count == 4096
-
-
-@pytest.mark.parametrize("T,s", [(10, 11), (10, 0), (5, -1)])
-def test_partition_invalid_scale(T, s):
-    with pytest.raises(InvalidScaleError):
-        partition_windows(T, s)
-
-
-@given(st.integers(min_value=1, max_value=5000), st.data())
-def test_partition_properties(T, data):
-    s = data.draw(st.integers(min_value=1, max_value=T))
-    part = partition_windows(T, s)
-    assert part.box_count * s <= T < (part.box_count + 1) * s
-    # boxes cover the prefix 1..M*s exactly once
-    covered = np.concatenate([np.arange(a, b + 1) for a, b in part.boxes])
-    assert covered.tolist() == list(range(1, part.box_count * s + 1))
-    assert all(b - a + 1 == s for a, b in part.boxes)
 
 
 def test_validate_series_ok():
@@ -80,6 +49,21 @@ def test_default_scale_grid_bounds():
 def test_default_scale_grid_too_short():
     with pytest.raises(InvalidScaleError):
         ScaleGrid.default(30)
+
+
+def test_default_scale_grid_explicit_bounds():
+    n = 65536
+    explicit = ScaleGrid.default(n, s_min=10, s_max=n // 4)
+    assert explicit.scales.tolist() == ScaleGrid.default(n).scales.tolist()
+    narrow = ScaleGrid.default(n, count=5, s_min=16, s_max=256)
+    assert narrow.scales.tolist() == [16, 32, 64, 128, 256]
+
+
+@pytest.mark.parametrize("make", [ScaleGrid.default, ScaleGrid.dyadic])
+@pytest.mark.parametrize("s_min, s_max", [(200, 50), (0, 64), (-3, 64)])
+def test_scale_bounds_rejected(make, s_min, s_max):
+    with pytest.raises(InvalidScaleError, match=rf"\[{s_min}, {s_max}\]"):
+        make(4096, s_min=s_min, s_max=s_max)
 
 
 def test_scale_grid_validation():

@@ -51,6 +51,13 @@ def test_sweep_spec_validation():
                   beta_x=BETAS, beta_y=BETAS, seed_base=0)
 
 
+def test_sweep_spec_defaults():
+    spec = SweepSpec(((0.5, 0.5, 0.5),), 2, 1024, BETAS, BETAS)
+    assert spec.corr == 0.5 and spec.seed_base == 0
+    assert SweepSpec(((0.5, 0.5, 0.5),), 2, 1024, BETAS, BETAS,
+                     corr=0.25).corr == 0.25
+
+
 def test_sweep_determinism_across_jobs():
     spec = SWEEP_PRESETS["smoke"]
     a = run_sweep(spec, jobs=1)
