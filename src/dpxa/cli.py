@@ -173,7 +173,7 @@ def _grids(args, length: int) -> tuple[ScaleGrid, QGrid]:
         scales = ScaleGrid.default(length, count=args.s_count,
                                    s_min=args.s_min, s_max=args.s_max)
     if args.method.startswith("mf"):
-        orders = QGrid(np.linspace(args.q_min, args.q_max, args.q_count))
+        orders = QGrid.default(args.q_min, args.q_max, args.q_count)
     else:
         orders = QGrid.second_order()
     return scales, orders

@@ -60,6 +60,11 @@ def as_series(data, label: str | None = None) -> TimeSeries:
     return TimeSeries(np.asarray(data, dtype=float), label=label)
 
 
+def _check_count(count: int, name: str) -> None:
+    if count < 1:
+        raise InvalidScaleError(f"{name} must be >= 1, got {count}")
+
+
 def _check_bounds(series_length: int, s_min: int, s_max: int | None) -> int:
     """s_max, defaulting to floor(T/4), once 2 <= s_min <= s_max holds."""
     if s_max is None:
@@ -107,6 +112,7 @@ class ScaleGrid:
                 s_max: int | None = None) -> "ScaleGrid":
         """~count log-spaced integers from s_min to s_max (default
         floor(T/4)), deduplicated."""
+        _check_count(count, "s_count")
         s_max = _check_bounds(series_length, s_min, s_max)
         raw = np.logspace(np.log10(s_min), np.log10(s_max), count)
         return cls(np.unique(np.rint(raw).astype(int)))
@@ -145,8 +151,11 @@ class QGrid:
         return self.orders.size
 
     @classmethod
-    def default(cls) -> "QGrid":
-        return cls(np.linspace(-4.0, 4.0, 17))
+    def default(cls, q_min: float = -4.0, q_max: float = 4.0,
+                count: int = 17) -> "QGrid":
+        """count evenly spaced orders from q_min to q_max."""
+        _check_count(count, "q_count")
+        return cls(np.linspace(q_min, q_max, count))
 
     @classmethod
     def second_order(cls) -> "QGrid":

@@ -191,7 +191,8 @@ def _remove_forces(A: np.ndarray, Zw: np.ndarray, with_intercept: bool) -> int:
 
 
 def window_products(rows: np.ndarray, forces: np.ndarray | None, size: int,
-                    cfg: DetrendConfig, pairs, regressed: int = 0
+                    cfg: DetrendConfig, pairs, regressed: int = 0,
+                    work: np.ndarray | None = None
                     ) -> tuple[np.ndarray, int]:
     """Window covariances of several profile sets at one scale.
 
@@ -202,14 +203,19 @@ def window_products(rows: np.ndarray, forces: np.ndarray | None, size: int,
     detrended in one pass. Returns the (len(pairs), M) signed mean
     products of the detrended profiles of each row pair (i, j), and the
     number of windows whose force design is rank deficient. Trailing
-    points beyond M*s are excluded.
+    points beyond M*s are excluded. The windows are worked on in
+    ``work``, a float buffer of k*T elements, when one is given: a caller
+    looping over scales passes the same buffer to every call.
     """
     k, T = rows.shape
     M = T // size
     cfg.check_scale(size)
     X = rows[:, : M * size].reshape(k, M, size)
-    A = X - X.mean(axis=2, keepdims=True) if cfg.with_intercept \
-        else X.copy()
+    A = (np.empty(X.size) if work is None else work[: X.size]).reshape(X.shape)
+    if cfg.with_intercept:
+        np.subtract(X, X.mean(axis=2, keepdims=True), out=A)
+    else:
+        A[...] = X
     deficient = 0
     if regressed and forces is not None and forces.shape[1] > 0:
         Zw = forces[: M * size].reshape(M, size, forces.shape[1])

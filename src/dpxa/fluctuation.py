@@ -89,8 +89,13 @@ def window_covariances(series, forces: ForceMatrix | None, scales: ScaleGrid,
     scales.check_series_length(rows.shape[1])
     fdata = _force_data(forces, rows.shape[1])
     out, deficient, windows = [], 0, 0
+    # one buffer for the windows of every scale: fresh multi-MB arrays go
+    # back to the system whenever glibc trims its heap and are faulted in
+    # again, up to 32,000 minor faults per 7-row call at N = 2^16
+    work = np.empty(rows.size)
     for s in scales.scales:
-        f2, bad = window_products(rows, fdata, int(s), cfg, pairs, regressed)
+        f2, bad = window_products(rows, fdata, int(s), cfg, pairs, regressed,
+                                  work)
         out.append(f2)
         deficient += bad
         windows += f2.shape[1]

@@ -13,6 +13,17 @@ cross-Hurst index of the pair equals the mean of the component indices.
 Sampling is exact in distribution, O(N log N), and deterministic given
 the spec's seed.
 
+The circulant of length 2N that wraps gamma(0..N) has a real spectrum
+with lambda(t) = lambda(2N - t), so its square-root factor a(t) (a 2x2
+matrix per frequency in the bivariate case) is mirror-symmetric too. The
+sample is the real part of the first N outputs of the length-2N FFT of
+a * (re + i im), over sqrt(2N), where re and im are two standard normal
+draws of shape (2N,) or (2N, 2), real part first. Those outputs see the
+noise only through the folded pairs re(t) + re(2N - t) and
+im(t) - im(2N - t), t = 0..N, indices mod 2N. So the synthesis weights
+the N+1 distinct frequencies and takes one inverse real FFT of length 2N
+per component, from the same draws.
+
 Binomial measures come from the deterministic multiplicative cascade:
 at each of k refinement steps every interval splits its mass into
 fractions p (left) and 1-p (right).
@@ -128,11 +139,12 @@ def derive_seed(master: int, *path: int) -> int:
 
 
 def fgn_autocovariance(hurst: float, max_lag: int) -> np.ndarray:
-    """gamma(0..max_lag) of unit-variance FGN with the given Hurst index."""
-    k = np.arange(max_lag + 1, dtype=float)
-    h2 = 2.0 * hurst
-    return 0.5 * (np.abs(k + 1) ** h2 - 2.0 * np.abs(k) ** h2
-                  + np.abs(k - 1) ** h2)
+    """gamma(0..max_lag) of unit-variance FGN with the given Hurst index:
+    half the second difference of k^(2H), k = 0..max_lag+1, where the
+    |k-1| of lag 0 is 1."""
+    power = np.arange(max_lag + 2, dtype=float) ** (2.0 * hurst)
+    below = np.concatenate((power[1:2], power[:-2]))
+    return 0.5 * (power[1:] - 2.0 * power[:-1] + below)
 
 
 def _mirror(half: np.ndarray) -> np.ndarray:
@@ -150,10 +162,25 @@ def _spectrum(gamma: np.ndarray) -> np.ndarray:
     return np.fft.rfft(_mirror(gamma)).real
 
 
-def _complex_noise(rng: np.random.Generator, shape) -> np.ndarray:
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) / np.sqrt(2.0)
+def _fold(draw: np.ndarray, combine: np.ufunc) -> np.ndarray:
+    """combine(draw(t), draw(-t)) for t = 0..N along axis 0, indices mod 2N."""
+    n = draw.shape[0] // 2
+    return combine(draw[:n + 1], np.concatenate((draw[:1], draw[:n - 1:-1])))
+
+
+def _folded_noise(rng: np.random.Generator, n: int, width=()) -> np.ndarray:
+    """Fold of the complex noise re + i im, both standard normal of shape
+    (2N, *width) and drawn in that order: re(t) + re(-t) - i (im(t) - im(-t))
+    for t = 0..N. Mirror-symmetric factors see the noise only through it."""
+    folded_re = _fold(rng.standard_normal((2 * n, *width)), np.add)
+    folded_im = _fold(rng.standard_normal((2 * n, *width)), np.subtract)
+    return folded_re - 1j * folded_im
+
+
+def _synthesize(w: np.ndarray, n: int) -> np.ndarray:
+    """sqrt(2N) * irfft(w / 2, 2N)[:N] along the last axis: the sample from
+    the folded noise w(0..N) weighted by the square-root factor."""
+    return math.sqrt(0.5 * n) * np.fft.irfft(w, 2 * n)[..., :n]
 
 
 def gen_fgn(spec: FgnSpec) -> TimeSeries:
@@ -168,8 +195,7 @@ def gen_fgn(spec: FgnSpec) -> TimeSeries:
         )
     lam = np.maximum(lam, 0.0)
     rng = np.random.default_rng(spec.seed)
-    w = _mirror(np.sqrt(lam)) * _complex_noise(rng, 2 * n)
-    sample = np.sqrt(2.0) * (np.fft.fft(w) / np.sqrt(w.size)).real[:n]
+    sample = _synthesize(np.sqrt(lam) * _folded_noise(rng, n), n)
     return TimeSeries(sample, label=f"fgn_h{spec.hurst:g}")
 
 
@@ -212,16 +238,15 @@ def gen_bfbm_increments(spec: BfbmSpec) -> tuple[TimeSeries, TimeSeries]:
     b11 = sq_hi * p11 + sq_lo * (1.0 - p11)
     b22 = sq_hi * p22 + sq_lo * (1.0 - p22)
     b12 = (sq_hi - sq_lo) * p12
-    b11, b22, b12 = _mirror(b11), _mirror(b22), _mirror(b12)
 
     rng = np.random.default_rng(spec.seed)
-    eps = _complex_noise(rng, (2 * n, 2))
-    w = np.empty_like(eps)
-    w[:, 0] = b11 * eps[:, 0] + b12 * eps[:, 1]
-    w[:, 1] = b12 * eps[:, 0] + b22 * eps[:, 1]
-    sample = np.sqrt(2.0) * (np.fft.fft(w, axis=0) / np.sqrt(w.shape[0])).real
-    return (TimeSeries(sample[:n, 0], label=f"rx_h{spec.hurst_x:g}"),
-            TimeSeries(sample[:n, 1], label=f"ry_h{spec.hurst_y:g}"))
+    eps = _folded_noise(rng, n, (2,))
+    w = np.empty((2, n + 1), dtype=complex)
+    w[0] = b11 * eps[:, 0] + b12 * eps[:, 1]
+    w[1] = b12 * eps[:, 0] + b22 * eps[:, 1]
+    sample = _synthesize(w, n)
+    return (TimeSeries(sample[0], label=f"rx_h{spec.hurst_x:g}"),
+            TimeSeries(sample[1], label=f"ry_h{spec.hurst_y:g}"))
 
 
 def gen_binomial(spec: BinomialSpec) -> TimeSeries:

@@ -3,10 +3,11 @@
 A series CSV is read as UTF-8, with or without a leading byte-order mark.
 The header line goes through ``csv`` and the body is parsed in one C pass
 by ``np.loadtxt``. A row-by-row ``csv`` loop runs only where that pass
-fails or finds the wrong shape: it accepts the few cells ``float`` takes
-and the one-pass parser refuses (quoted or ``1_000`` cells) and words every
-error with its line number, so both paths accept the same files with the
-same values.
+fails or finds the wrong shape, and on files that may hold a field over
+the ``csv`` field limit, which only the loop refuses: it accepts the few
+cells ``float`` takes and the one-pass parser refuses (quoted or ``1_000``
+cells) and words every error with its line number, so both paths accept
+the same files with the same values.
 
 All numeric output uses 12 significant digits; JSON keys are sorted so
 identical results serialize to identical bytes.
@@ -42,6 +43,17 @@ def _looks_numeric(cell: str) -> bool:
     return True
 
 
+def _may_exceed_field_limit(data: bytes) -> bool:
+    """Whether some aligned block of half the ``csv`` field limit holds no
+    line break. A field over the limit spans such a block, and a clean body
+    has a break near the start of every block, so the check reads little
+    more than one line per block."""
+    step = max(1, csv.field_size_limit() // 2)
+    return any(data.find(b"\n", i, i + step) < 0
+               and data.find(b"\r", i, i + step) < 0
+               for i in range(0, len(data) - step + 1, step))
+
+
 def read_series_csv(path) -> dict[str, np.ndarray]:
     """Parse a headered numeric CSV into an ordered {column: array} map."""
     path = Path(path)
@@ -49,7 +61,8 @@ def read_series_csv(path) -> dict[str, np.ndarray]:
         data = path.read_bytes()
     except OSError as exc:
         raise IngestionError(f"cannot read {path}: {exc}") from exc
-    one_pass = not any(sep in data for sep in _SEPARATORS)
+    one_pass = not (any(sep in data for sep in _SEPARATORS)
+                    or _may_exceed_field_limit(data))
     # read once into memory, so a pipe works too and the body can be re-read
     handle = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig",
                               newline="")

@@ -1,7 +1,13 @@
-"""Single-window reference forms of the window kernel's steps: force
-regression, profile, local trend and mean product, one window at a time.
-They share no code with ``dpxa.detrend.window_products`` and serve as its
-test oracle."""
+"""Reference forms the package is tested against.
+
+Single-window forms of the window kernel's steps: force regression,
+profile, local trend and mean product, one window at a time. They share no
+code with ``dpxa.detrend.window_products`` and serve as its test oracle.
+
+The unfolded circulant-embedding synthesis: complex noise over all 2N
+frequencies and one complex FFT of length 2N, keeping the real part of the
+first N outputs. It shares no code with ``dpxa.generators``, draws the same
+noise in the same order, and serves as the generators' test oracle."""
 
 import warnings
 
@@ -94,3 +100,64 @@ def oracle_products(rows, Z, s, cfg, pairs, regressed=0):
         for n, (i, j) in enumerate(pairs):
             out[n, v] = window_cov(det[i], det[j])
     return out
+
+
+def three_power_autocovariance(hurst: float, max_lag: int) -> np.ndarray:
+    """gamma(0..max_lag) of unit-variance FGN, three powers per lag."""
+    k = np.arange(max_lag + 1, dtype=float)
+    h2 = 2.0 * hurst
+    return 0.5 * (np.abs(k + 1) ** h2 - 2.0 * np.abs(k) ** h2
+                  + np.abs(k - 1) ** h2)
+
+
+def _mirror(half):
+    return np.concatenate([half, half[-2:0:-1]])
+
+
+def _spectrum(hurst: float, n: int) -> np.ndarray:
+    """Eigenvalues lambda(0..N) of the length-2N circulant wrapping
+    gamma(0..N)."""
+    return np.fft.rfft(_mirror(three_power_autocovariance(hurst, n))).real
+
+
+def _complex_noise(rng, shape):
+    re = rng.standard_normal(shape)
+    im = rng.standard_normal(shape)
+    return (re + 1j * im) / np.sqrt(2.0)
+
+
+def unfolded_fgn(spec) -> np.ndarray:
+    n = spec.length
+    lam = np.maximum(_spectrum(spec.hurst, n), 0.0)
+    rng = np.random.default_rng(spec.seed)
+    w = _mirror(np.sqrt(lam)) * _complex_noise(rng, 2 * n)
+    return np.sqrt(2.0) * (np.fft.fft(w) / np.sqrt(w.size)).real[:n]
+
+
+def unfolded_bfbm(spec) -> tuple[np.ndarray, np.ndarray]:
+    """Both increment series; the per-frequency symmetric square root by
+    spectral projectors, as in the package."""
+    n = spec.length
+    g_xx = _spectrum(spec.hurst_x, n)
+    g_yy = _spectrum(spec.hurst_y, n)
+    g_xy = spec.corr * _spectrum(0.5 * (spec.hurst_x + spec.hurst_y), n)
+    mean = 0.5 * (g_xx + g_yy)
+    radius = np.hypot(0.5 * (g_xx - g_yy), g_xy)
+    lam_hi = np.maximum(mean + radius, 0.0)
+    lam_lo = np.maximum(mean - radius, 0.0)
+    sq_hi, sq_lo = np.sqrt(lam_hi), np.sqrt(lam_lo)
+    iso = radius <= 1e-15 * (lam_hi.max() + 1e-300)
+    denom = np.where(iso, 1.0, lam_hi - lam_lo)
+    p11 = np.where(iso, 0.5, (g_xx - lam_lo) / denom)
+    p22 = np.where(iso, 0.5, (g_yy - lam_lo) / denom)
+    p12 = np.where(iso, 0.0, g_xy / denom)
+    b11 = _mirror(sq_hi * p11 + sq_lo * (1.0 - p11))
+    b22 = _mirror(sq_hi * p22 + sq_lo * (1.0 - p22))
+    b12 = _mirror((sq_hi - sq_lo) * p12)
+    rng = np.random.default_rng(spec.seed)
+    eps = _complex_noise(rng, (2 * n, 2))
+    w = np.empty_like(eps)
+    w[:, 0] = b11 * eps[:, 0] + b12 * eps[:, 1]
+    w[:, 1] = b12 * eps[:, 0] + b22 * eps[:, 1]
+    sample = np.sqrt(2.0) * (np.fft.fft(w, axis=0) / np.sqrt(2 * n)).real
+    return sample[:n, 0], sample[:n, 1]

@@ -318,6 +318,23 @@ def test_dyadic_scale_two_is_config_error(tmp_path, capsys):
     assert "too large for scale 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method,flag,count", [
+    ("dfa", "--s-count", -1), ("mfdfa", "--q-count", -2),
+    ("dfa", "--s-count", 0), ("mfdfa", "--q-count", 0)])
+def test_count_below_one_is_config_error(tmp_path, capsys, method, flag,
+                                         count):
+    src = tmp_path / "fgn.csv"
+    run(["gen", "fgn", "--hurst", 0.5, "--length", 1024, "--seed", 1,
+         "--out", src])
+    capsys.readouterr()
+    assert run(["analyze", method, src, "--col", "fgn", flag, count,
+                "--out", tmp_path / "run"]) == 4
+    name = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err == \
+        f"dpxa: error: {name} must be >= 1, got {count}\n"
+    assert not list(tmp_path.glob("run_*"))
+
+
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_jobs_below_one_is_config_error(tmp_path, capsys, jobs):
     assert run(["experiment", "rho", "--preset", "smoke", "--jobs", jobs,
@@ -352,8 +369,9 @@ def test_unwritable_out_is_config_error(tmp_path, capsys, command, parent):
 
 @pytest.mark.parametrize("text, line", [
     ('x,y\n"1",2\n1.' + "5" * 140_000 + ",3\n", 3),
+    ("x,y\n1,2\n1." + "5" * 140_000 + ",3\n", 3),
     ("x" * 140_000 + ",y\n1,2\n", 1),
-], ids=["long-cell-and-quoted-cell", "long-header-name"])
+], ids=["long-cell-and-quoted-cell", "long-cell", "long-header-name"])
 def test_field_over_csv_limit_is_ingestion_error(tmp_path, capsys, text,
                                                  line):
     src = tmp_path / "long.csv"

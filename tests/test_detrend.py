@@ -216,6 +216,10 @@ def test_kernel_matches_single_window_oracle(seed, s, windows, extra, p,
                         with_intercept=with_intercept)
     pairs = ((0, 0), (0, 1), (1, 3), (2, 3), (3, 3))
     got, bad = window_products(rows, Z, s, cfg, pairs, regressed=2)
+    # a work buffer left dirty by another call changes nothing
+    work = np.full(rows.size, np.nan)
+    again, _ = window_products(rows, Z, s, cfg, pairs, regressed=2, work=work)
+    assert np.array_equal(again, got)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RankDeficiencyWarning)
         expected = oracle_products(rows, Z, s, cfg, pairs, regressed=2)

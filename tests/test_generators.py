@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,10 @@ from dpxa import (
     gen_fgn,
 )
 from dpxa.generators import _mirror, _spectrum, fgn_autocovariance
+from oracle import three_power_autocovariance, unfolded_bfbm, unfolded_fgn
+
+SIZES = [1, 2, 3, 7, 4096, 2 ** 16]
+HURSTS = [0.1, 0.5, 0.95]
 
 
 def lag1_autocov(x):
@@ -56,6 +62,56 @@ def test_half_spectrum_mirrors_full_fft(n, hurst):
     assert half.size == n + 1
     err = np.max(np.abs(_mirror(half) - full))
     assert err <= 1e-13 * np.max(np.abs(full))
+
+
+@pytest.mark.parametrize("hurst", HURSTS + [0.3, 0.75])
+@pytest.mark.parametrize("n", SIZES + [5, 1000])
+def test_autocovariance_equals_three_power_form(n, hurst):
+    assert np.array_equal(fgn_autocovariance(hurst, n),
+                          three_power_autocovariance(hurst, n))
+
+
+def _assert_matches(got, want):
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("hurst", HURSTS)
+@pytest.mark.parametrize("n", SIZES)
+def test_fgn_matches_unfolded_synthesis(n, hurst):
+    spec = FgnSpec(hurst, n, 17)
+    _assert_matches(gen_fgn(spec).values, unfolded_fgn(spec))
+
+
+# isotropic (equal indices, corr 0), perfectly coherent and anticoherent,
+# and a general triple
+@pytest.mark.parametrize("partner,corr", [("same", 0.0), ("same", 1.0),
+                                          ("same", -1.0), (0.5, 0.3)])
+@pytest.mark.parametrize("hurst", HURSTS)
+@pytest.mark.parametrize("n", SIZES)
+def test_bfbm_matches_unfolded_synthesis(n, hurst, partner, corr):
+    spec = BfbmSpec(hurst, hurst if partner == "same" else partner, corr, n,
+                    23)
+    for got, want in zip(gen_bfbm_increments(spec), unfolded_bfbm(spec)):
+        _assert_matches(got.values, want)
+
+
+def _traced_peak_mib(make) -> float:
+    make()  # first-call allocations are not the generator's own
+    tracemalloc.start()
+    try:
+        make()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+# the unfolded synthesis peaked at 5.6 MiB (fgn) and 24.6 MiB (bfbm)
+@pytest.mark.parametrize("make,bound_mib", [
+    (lambda: gen_fgn(FgnSpec(0.7, 2 ** 16, 0)), 4.8),
+    (lambda: gen_bfbm_increments(BfbmSpec(0.3, 0.8, 0.5, 2 ** 16, 0)), 20.0),
+], ids=["fgn", "bfbm"])
+def test_generator_peak_memory(make, bound_mib):
+    assert _traced_peak_mib(make) <= bound_mib
 
 
 @pytest.mark.parametrize("hurst", [0.3, 0.5])

@@ -57,6 +57,11 @@ PINNED = [
     # float() keeps an ASCII unit separator, np.loadtxt strips it
     ("unit_separator", "x,y\n1\x1f,2\n",
      "line 2: non-numeric value '1\\x1f' in column 'x'"),
+    # a cell over the csv field limit, alone and beside a quoted cell
+    ("long_cell", "x\n1\n1." + "5" * 140_000 + "\n2\n",
+     "line 3: field larger than field limit (131072)"),
+    ("long_cell_and_quoted_cell", 'x\n"1"\n1.' + "5" * 140_000 + "\n2\n",
+     "line 3: field larger than field limit (131072)"),
 ]
 
 
