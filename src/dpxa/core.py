@@ -29,10 +29,9 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
-    """A finite real-valued sequence with an optional label."""
+    """A finite real-valued sequence."""
 
     values: np.ndarray
-    label: str | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=float)
@@ -45,7 +44,6 @@ class TimeSeries:
             first = int(np.argmax(bad))
             raise DataError(
                 f"non-finite value {arr[first]!r} at element {first + 1} (1-based)"
-                + (f" of series {self.label!r}" if self.label else "")
             )
         object.__setattr__(self, "values", _frozen_array(arr))
 
@@ -53,11 +51,11 @@ class TimeSeries:
         return self.values.size
 
 
-def as_series(data, label: str | None = None) -> TimeSeries:
+def as_series(data) -> TimeSeries:
     """Coerce an array-like (or pass through a TimeSeries) with validation."""
     if isinstance(data, TimeSeries):
         return data
-    return TimeSeries(np.asarray(data, dtype=float), label=label)
+    return TimeSeries(np.asarray(data, dtype=float))
 
 
 def _check_count(count: int, name: str) -> None:

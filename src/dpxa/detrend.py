@@ -12,7 +12,19 @@ centred force moments (Cholesky; a division for one force). Removing b z
 after the cumsum, from Gram products of detrended profiles, subtracts
 nearly equal large numbers: on a binomial measure masked by 3 z it is off
 by 8% at s = 16. Rank-deficient windows fall back to a least-squares
-solve, whose residual is unique even where b is not.
+solve, whose residual is unique even where b is not. A series that enters
+the stack twice (x and x|z) is centred once; its second row copies the
+centred windows of the first.
+
+The polynomial trend is never formed. With Q an orthonormal basis of the
+polynomials of the fit order on the box and c = Q'P the projection
+coefficients of a profile P, the products of detrended profiles are
+<P_i, P_j> - <c_i, c_j>. That difference loses up to about
+1.2e-15 <P, P> / F^2 of F^2, so it is used only where the trend carries at
+most 99% of every profile of the window. The other windows (profiles ruled
+by a trend of the fit order, as without an intercept on offset data) are
+detrended explicitly. The moving average is not a projection, so that
+method subtracts its trend from the profiles explicitly.
 """
 
 from __future__ import annotations
@@ -34,6 +46,9 @@ _COLLINEAR = 1e-6
 # a centred force column whose sum of squares is below this share of the
 # raw one is constant within the window up to rounding
 _VANISHING = 1e-24
+# largest <P, P> / F^2 of a window whose F^2 is taken from the projection
+# coefficients: above it the window is detrended explicitly
+_CANCELLATION = 1e2
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,21 +132,32 @@ def _poly_basis(s: int, order: int) -> np.ndarray:
     return np.vander(t, order + 1, increasing=True)
 
 
-def _moving_average(profiles: np.ndarray, span: int) -> np.ndarray:
-    """Centered moving average of length ``span`` along axis 1, with shrunken
-    one-sided averages at the box edges."""
-    M, s = profiles.shape
-    left = (span - 1) // 2
-    right = span - 1 - left
-    csum = np.zeros((M, s + 1))
-    np.cumsum(profiles, axis=1, out=csum[:, 1:])
+def _subtract_moving_average(flat: np.ndarray, csum: np.ndarray) -> None:
+    """Subtract from each row of ``flat`` (n, s) its centred moving average
+    of length s, with shrunken one-sided averages at the box edges, in
+    place; ``csum`` is an (n, s) scratch buffer.
+
+    The average at k covers [lo, hi) = [max(k - left, 0), min(k + right +
+    1, s)], so it is a prefix mean for k <= left and a suffix mean for
+    k >= left. Both come from the running sum C of the row, C[j] = sum of
+    row[:j + 1]: the prefix sums sit in C[right:s-1] and the suffix
+    differences C[s-1] - C[k-left-1] are formed in C[:right], slots no
+    prefix mean reads, so no array of the box's size is allocated."""
+    s = flat.shape[1]
+    left = (s - 1) // 2
+    right = s - 1 - left
+    np.cumsum(flat, axis=1, out=csum)
     k = np.arange(s)
-    lo = np.maximum(k - left, 0)
-    hi = np.minimum(k + right + 1, s)
-    trend = csum[:, hi]
-    trend -= csum[:, lo]
-    trend /= hi - lo
-    return trend
+    count = np.minimum(k + right + 1, s) - np.maximum(k - left, 0)
+    total = csum[:, s - 1:]
+    suffix = csum[:, :right]
+    np.subtract(total, suffix, out=suffix)
+    suffix /= count[left + 1:]
+    prefix = csum[:, right:s - 1]
+    prefix /= count[:left]
+    flat[:, :left] -= prefix
+    flat[:, left] -= total[:, 0] / s
+    flat[:, left + 1:] -= suffix
 
 
 def _solve_moments(C: np.ndarray, B: np.ndarray) -> tuple[np.ndarray,
@@ -158,79 +184,117 @@ def _solve_moments(C: np.ndarray, B: np.ndarray) -> tuple[np.ndarray,
     return b, ok
 
 
-def _remove_forces(A: np.ndarray, Zw: np.ndarray, with_intercept: bool) -> int:
+def _remove_forces(A: np.ndarray, Z: np.ndarray, with_intercept: bool) -> int:
     """Replace the increments A (r, M, s) by their OLS residuals on the
-    force block Zw (M, s, p) of each window, in place; A is already
-    centred when ``with_intercept``. Returns the number of rank-deficient
+    force block Z (p, M, s) of each window, in place; A is already centred
+    when ``with_intercept``. Returns the number of rank-deficient
     windows."""
     r, M, s = A.shape
-    p = Zw.shape[2]
+    p = Z.shape[0]
     d = p + int(with_intercept)
     if s <= d:
         raise WindowTooSmallError(
             f"window of size {s} cannot fit {d} regression columns"
         )
-    Zc = Zw - Zw.mean(axis=1, keepdims=True) if with_intercept else Zw
-    C = np.einsum("msi,msj->mij", Zc, Zc)
-    b, ok = _solve_moments(C, np.einsum("msi,rms->mir", Zc, A))
+    Zc = Z - Z.mean(axis=2, keepdims=True) if with_intercept else Z
+    C = np.einsum("ims,jms->mij", Zc, Zc)
+    b, ok = _solve_moments(C, np.einsum("ims,rms->mir", Zc, A))
     # a force that is constant within a window (up to rounding) vanishes
     # once centred: that column duplicates the intercept
     diag = np.diagonal(C, axis1=1, axis2=2)
-    raw = np.einsum("msi,msi->mi", Zw, Zw) if with_intercept else diag
+    raw = np.einsum("ims,ims->mi", Z, Z) if with_intercept else diag
     ok &= np.all(diag > _VANISHING * raw, axis=1)
-    A -= np.einsum("msi,mir->rms", Zc, np.where(ok[:, None, None], b, 0.0))
+    A -= np.einsum("ims,mir->rms", Zc, np.where(ok[:, None, None], b, 0.0))
     deficient = 0
     for m in np.flatnonzero(~ok):
         # the residual is unique even where b is not
-        design = np.column_stack([np.ones(s), Zw[m]]) if with_intercept \
-            else Zw[m]
+        design = np.column_stack([np.ones(s), Z[:, m].T]) if with_intercept \
+            else Z[:, m].T
         beta, _, rank, _ = np.linalg.lstsq(design, A[:, m].T, rcond=None)
         A[:, m] -= (design @ beta).T
         deficient += int(rank < d)
     return deficient
 
 
-def window_products(rows: np.ndarray, forces: np.ndarray | None, size: int,
+def _products(P: np.ndarray, pairs, norms: np.ndarray | None = None
+              ) -> np.ndarray:
+    """sum_s P[i, m, s] P[j, m, s] for each pair (i, j) and window m; the
+    diagonal pairs are taken from the (k, M) ``norms`` when given."""
+    return np.stack([norms[i] if norms is not None and i == j
+                     else np.einsum("ms,ms->m", P[i], P[j])
+                     for i, j in pairs])
+
+
+def work_buffer(k: int, length: int, cfg: DetrendConfig) -> np.ndarray:
+    """A ``work`` buffer that serves ``window_products`` at every scale of
+    a stack of k series of the given length."""
+    return np.empty(k * length * (2 if cfg.method == MOVING_AVERAGE else 1))
+
+
+def window_products(rows, forces: np.ndarray | None, size: int,
                     cfg: DetrendConfig, pairs, regressed: int = 0,
                     work: np.ndarray | None = None
                     ) -> tuple[np.ndarray, int]:
     """Window covariances of several profile sets at one scale.
 
-    ``rows`` is a (k, T) stack of series; each row is one profile set. In
-    every size-s window the increments are centred (with an intercept),
-    the last ``regressed`` rows are replaced by their residuals on the
-    force columns ``forces`` (T, p), and the whole stack is cumulated and
-    detrended in one pass. Returns the (len(pairs), M) signed mean
+    ``rows`` holds k equal-length series (a (k, T) array or a sequence of
+    1-d arrays); each row is one profile set. In every size-s window the
+    increments are centred (with an intercept), the last ``regressed``
+    rows are replaced by their residuals on the force columns ``forces``
+    (T, p), and the whole stack is cumulated and detrended in one pass.
+    A row given as the same array object as an earlier row copies that
+    row's centred windows. Returns the (len(pairs), M) signed mean
     products of the detrended profiles of each row pair (i, j), and the
     number of windows whose force design is rank deficient. Trailing
-    points beyond M*s are excluded. The windows are worked on in
-    ``work``, a float buffer of k*T elements, when one is given: a caller
-    looping over scales passes the same buffer to every call.
+    points beyond M*s are excluded. The arrays are taken from ``work``
+    (see ``work_buffer``), and allocated where it is missing or too
+    small: a caller looping over scales passes the same buffer to every
+    call.
     """
-    k, T = rows.shape
+    rows = list(rows)
+    k, T = len(rows), len(rows[0])
     M = T // size
+    n = k * M * size
     cfg.check_scale(size)
-    X = rows[:, : M * size].reshape(k, M, size)
-    A = (np.empty(X.size) if work is None else work[: X.size]).reshape(X.shape)
-    if cfg.with_intercept:
-        np.subtract(X, X.mean(axis=2, keepdims=True), out=A)
-    else:
-        A[...] = X
+    moving = cfg.method == MOVING_AVERAGE
+    need = (2 if moving else 1) * n
+    if work is None or work.size < need:
+        work = np.empty(need)
+    A = work[:n].reshape(k, M, size)
+    for i, row in enumerate(rows):
+        first = next(j for j in range(i + 1) if rows[j] is row)
+        X = row[: M * size].reshape(M, size)
+        if first < i:
+            A[i] = A[first]
+        elif cfg.with_intercept:
+            np.subtract(X, X.mean(axis=1, keepdims=True), out=A[i])
+        else:
+            A[i] = X
     deficient = 0
     if regressed and forces is not None and forces.shape[1] > 0:
-        Zw = forces[: M * size].reshape(M, size, forces.shape[1])
-        deficient = _remove_forces(A[k - regressed:], Zw, cfg.with_intercept)
+        Z = np.ascontiguousarray(forces[: M * size].T).reshape(
+            forces.shape[1], M, size)
+        deficient = _remove_forces(A[k - regressed:], Z, cfg.with_intercept)
     np.cumsum(A, axis=2, out=A)
     flat = A.reshape(k * M, size)
-    if cfg.method == POLYNOMIAL:
-        Qb, _ = np.linalg.qr(_poly_basis(size, cfg.poly_order))
-        flat -= (flat @ Qb) @ Qb.T
-    else:
-        flat -= _moving_average(flat, size)
-    f2 = np.empty((len(pairs), M))
-    for n, (i, j) in enumerate(pairs):
-        f2[n] = np.einsum("ms,ms->m", A[i], A[j]) / size
-    return f2, deficient
+    if moving:
+        _subtract_moving_average(flat, work[n: 2 * n].reshape(k * M, size))
+        return _products(A, pairs) / size, deficient
+    # sum (P - QQ'P)_i (P - QQ'P)_j = <P_i, P_j> - <c_i, c_j>, c = Q'P
+    Q, _ = np.linalg.qr(_poly_basis(size, cfg.poly_order))
+    c = (flat @ Q).reshape(k, M, Q.shape[1])
+    norms = np.einsum("kms,kms->km", A, A)
+    trends = np.einsum("kmd,kmd->km", c, c)
+    f2 = _products(A, pairs, norms) - _products(c, pairs, trends)
+    # the difference loses up to 1.2e-15 * <P, P> / F^2 of F^2: windows
+    # where a trend carries most of a profile are detrended explicitly
+    bad = np.flatnonzero(np.any(norms > _CANCELLATION * (norms - trends),
+                                axis=0))
+    if bad.size:
+        R = A[:, bad]
+        R -= (R @ Q) @ Q.T
+        f2[:, bad] = _products(R, pairs)
+    return f2 / size, deficient
 
 
 def series_pair(x, y) -> tuple[TimeSeries, TimeSeries]:

@@ -31,8 +31,12 @@ from .generators import (
     BinomialSpec,
     ContaminationSpec,
     FgnSpec,
+    bfbm_factor,
     contaminate,
     derive_seed,
+    draw_bfbm,
+    draw_fgn,
+    fgn_factor,
     gen_bfbm_increments,
     gen_binomial,
     gen_fgn,
@@ -279,27 +283,30 @@ _SWEEP_PAIRS = ((0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (3, 4), (0, 1),
 _SWEEP_KINDS = (KIND_DFA,) * 5 + (KIND_DCCA, KIND_DCCA, KIND_DPXA)
 
 
-def _sweep_realization(args) -> tuple[float, ...]:
-    spec, triple_idx, real_idx = args
-    hrx, hry, hz = spec.hurst_grid[triple_idx]
+def _sweep_task(task) -> list[tuple[float, ...]]:
+    """Exponents of the realizations ``reals`` (a range) of triple ``t``.
+    The generator factors are built once for all of them."""
+    t, (hrx, hry, hz), reals, corr, length, beta_x, beta_y, seed_base = task
+    real_idx = reals.start
     try:
-        z = gen_fgn(FgnSpec(hz, spec.length,
-                            derive_seed(spec.seed_base, triple_idx, real_idx, 0)))
-        rx, ry = gen_bfbm_increments(
-            BfbmSpec(hrx, hry, spec.corr, spec.length,
-                     derive_seed(spec.seed_base, triple_idx, real_idx, 1)))
-        x = contaminate(rx, z, spec.beta_x)
-        y = contaminate(ry, z, spec.beta_y)
-
-        grid = ScaleGrid.default(spec.length)
+        z_factor = fgn_factor(hz, length)
+        r_factor = bfbm_factor(hrx, hry, corr, length)
+        grid = ScaleGrid.default(length)
         q2 = QGrid.second_order()
-        covs = window_covariances((rx, ry, z, x, y, x, y),
-                                  ForceMatrix.from_series([z]), grid,
-                                  DetrendConfig(), _SWEEP_PAIRS, regressed=2)
-        return tuple(
-            float(fit_exponent(surface(covs, i, grid, q2, kind)).h[0])
-            for i, kind in enumerate(_SWEEP_KINDS)
-        )
+        out = []
+        for real_idx in reals:
+            z = draw_fgn(z_factor, derive_seed(seed_base, t, real_idx, 0))
+            rx, ry = draw_bfbm(r_factor,
+                               derive_seed(seed_base, t, real_idx, 1))
+            x = contaminate(rx, z, beta_x)
+            y = contaminate(ry, z, beta_y)
+            covs = window_covariances((rx, ry, z, x, y, x, y),
+                                      ForceMatrix.from_series([z]), grid,
+                                      DetrendConfig(), _SWEEP_PAIRS,
+                                      regressed=2)
+            out.append(tuple(float(fit_exponent(sf).h[0]) for sf in
+                             surface(covs, grid, q2, _SWEEP_KINDS)))
+        return out
     except DpxaError as exc:
         raise type(exc)(
             f"triple ({hrx:g}, {hry:g}, {hz:g}) realization {real_idx}: {exc}"
@@ -316,10 +323,16 @@ def _map_tasks(fn, tasks, jobs: int):
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     """Run the exponent-recovery sweep and fit the recovery regression."""
-    tasks = [(spec, t, r)
-             for t in range(len(spec.hurst_grid))
-             for r in range(spec.realizations)]
-    raw = np.asarray(_map_tasks(_sweep_realization, tasks, jobs))
+    # each task runs a range of one triple's realizations: as long as
+    # possible, while leaving about 4 tasks per worker to balance the pool
+    reals = spec.realizations
+    span = max(1, min(reals, len(spec.hurst_grid) * reals // (4 * jobs)))
+    tasks = [(t, triple, range(first, min(first + span, reals)), spec.corr,
+              spec.length, spec.beta_x, spec.beta_y, spec.seed_base)
+             for t, triple in enumerate(spec.hurst_grid)
+             for first in range(0, reals, span)]
+    raw = np.asarray([row for rows in _map_tasks(_sweep_task, tasks, jobs)
+                      for row in rows])
     per_triple = raw.reshape(len(spec.hurst_grid), spec.realizations,
                              len(_EXPONENT_KEYS)).mean(axis=1)
 
@@ -417,8 +430,8 @@ def _mf_realization(args) -> tuple[ScalingFit, ScalingFit, float]:
     covs = window_covariances((x, y, x, y), ForceMatrix.from_series([z]),
                               scales, DetrendConfig(), ((0, 1), (2, 3)),
                               regressed=2)
-    fit_xy = fit_exponent(surface(covs, 0, scales, orders, KIND_DCCA))
-    fit_xyz = fit_exponent(surface(covs, 1, scales, orders, KIND_DPXA))
+    fit_xy, fit_xyz = (fit_exponent(sf) for sf in
+                       surface(covs, scales, orders, (KIND_DCCA, KIND_DPXA)))
     noise_std = float(np.std(spec.beta_x.slope * z.values))
     snr = float(np.std(rx.values) / noise_std) if noise_std > 0 else float("inf")
     return fit_xy, fit_xyz, snr

@@ -3,9 +3,13 @@
 Every estimator is a pick of row pairs from one pass of the window kernel
 ``detrend.window_products`` per scale: DFA of x is the pair (x, x), DCCA
 the pair (x, y), DPXA the pair (x|z, y|z) of force-regressed rows, and
-rho(s) the pairs (x, y), (x, x) and (y, y) of one family. The signed mean
-product of two detrended profiles in window v is its covariance F_v^2.
-Aggregation keeps two views of it:
+rho(s) the pairs (x, y), (x, x) and (y, y) of one family. A caller that
+needs x both plain and regressed passes the same series object twice, and
+the kernel centres its windows once. The signed mean product of two
+detrended profiles in window v is its covariance F_v^2. ``surface`` turns
+every pair of one ``window_covariances`` result into its F(q, s) surface,
+with one pass over the windows of all pairs and scales per order q.
+Aggregation keeps two views of F_v^2:
 
 * the exponent pipeline uses |F_v^2|, giving F(q, s) = [mean_v
   |F_v^2|^(q/2)]^(1/q) for q != 0 and the logarithmic average
@@ -26,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import QGrid, ScaleGrid, _frozen_array, as_series
-from .detrend import DetrendConfig, ForceMatrix, series_pair, window_products
+from .detrend import DetrendConfig, ForceMatrix, series_pair, window_products, \
+    work_buffer
 from .errors import DegenerateInputError, RankDeficiencyWarning, ShapeError
 
 KIND_DFA = "DFA"
@@ -83,16 +88,21 @@ def window_covariances(series, forces: ForceMatrix | None, scales: ScaleGrid,
                        regressed: int = 0) -> list[np.ndarray]:
     """Per-scale (len(pairs), M) window covariances of row pairs of the
     equal-length ``series``; the last ``regressed`` series are regressed
-    on the forces (see ``detrend.window_products``). Rank-deficient
+    on the forces (see ``detrend.window_products``). A series object that
+    appears twice, as x and x|z do, is centred once. Rank-deficient
     windows raise one RankDeficiencyWarning for the whole call."""
-    rows = np.stack([as_series(s).values for s in series])
-    scales.check_series_length(rows.shape[1])
-    fdata = _force_data(forces, rows.shape[1])
+    rows = [as_series(s).values for s in series]
+    lengths = {row.size for row in rows}
+    if len(lengths) > 1:
+        raise ShapeError(f"series lengths differ: {sorted(lengths)}")
+    length = rows[0].size
+    scales.check_series_length(length)
+    fdata = _force_data(forces, length)
     out, deficient, windows = [], 0, 0
     # one buffer for the windows of every scale: fresh multi-MB arrays go
     # back to the system whenever glibc trims its heap and are faulted in
     # again, up to 32,000 minor faults per 7-row call at N = 2^16
-    work = np.empty(rows.size)
+    work = work_buffer(len(rows), length, cfg)
     for s in scales.scales:
         f2, bad = window_products(rows, fdata, int(s), cfg, pairs, regressed,
                                   work)
@@ -109,34 +119,38 @@ def window_covariances(series, forces: ForceMatrix | None, scales: ScaleGrid,
     return out
 
 
-def _aggregate(f2: np.ndarray, q: float) -> float:
+def surface(covs: list[np.ndarray], scales: ScaleGrid, orders: QGrid,
+            kinds) -> list[FluctuationSurface]:
+    """F(q, s) of every pair of ``window_covariances`` output, one surface
+    per pair, labelled by ``kinds``."""
+    windows = np.array([f2.shape[1] for f2 in covs])
+    starts = np.cumsum(windows) - windows
+    f2 = np.concatenate(covs, axis=1)
     absf2 = np.abs(f2)
-    if abs(q) <= Q_ZERO_TOL:
-        mask = absf2 > 0.0
-        return float(np.exp(0.5 * np.mean(np.log(absf2[mask]))))
-    with np.errstate(divide="ignore"):
-        moments = absf2 ** (q / 2.0)
-    return float(np.mean(moments) ** (1.0 / q))
-
-
-def surface(covs: list[np.ndarray], pair: int, scales: ScaleGrid,
-            orders: QGrid, kind: str) -> FluctuationSurface:
-    """F(q, s) of one pair of ``window_covariances`` output."""
-    qs = orders.orders
-    F = np.empty((qs.size, len(scales)))
-    cov2 = np.empty(len(scales))
-    zeros = np.empty(len(scales), dtype=int)
-    for j, s in enumerate(scales.scales):
-        f2 = covs[j][pair]
-        if np.all(f2 == 0.0):
-            raise DegenerateInputError(
-                f"all {f2.size} windows are exactly degenerate at scale {s}"
-            )
-        cov2[j] = f2.mean()
-        zeros[j] = int(np.count_nonzero(f2 == 0.0))
-        for i, q in enumerate(qs):
-            F[i, j] = _aggregate(f2, float(q))
-    return FluctuationSurface(scales, orders, F, cov2, kind, zeros)
+    nonzero = absf2 > 0.0
+    live = np.add.reduceat(nonzero, starts, axis=1, dtype=int)
+    if not live.all():
+        j = int(np.flatnonzero(~live.all(axis=0))[0])
+        raise DegenerateInputError(
+            f"all {windows[j]} windows are exactly degenerate at scale "
+            f"{scales.scales[j]}"
+        )
+    qs = orders.orders.tolist()
+    F = np.empty((len(kinds), len(qs), len(scales)))
+    for i, q in enumerate(qs):
+        with np.errstate(divide="ignore"):
+            if abs(q) <= Q_ZERO_TOL:
+                # the logarithmic average skips exactly degenerate windows
+                logs = np.where(nonzero, np.log(absf2), 0.0)
+                F[:, i] = np.exp(0.5 * np.add.reduceat(logs, starts, axis=1)
+                                 / live)
+            else:
+                moments = np.add.reduceat(absf2 ** (q / 2.0), starts, axis=1)
+                F[:, i] = (moments / windows) ** (1.0 / q)
+    cov2 = np.add.reduceat(f2, starts, axis=1) / windows
+    return [FluctuationSurface(scales, orders, F[n], cov2[n], kind,
+                               windows - live[n])
+            for n, kind in enumerate(kinds)]
 
 
 def rho_values(covs: list[np.ndarray], which, scales: ScaleGrid) -> np.ndarray:
@@ -177,7 +191,7 @@ def fluctuation_dpxa(x, y, forces: ForceMatrix | None, scales: ScaleGrid,
     series, pair = ((xs,), (0, 0)) if same else ((xs, ys), (0, 1))
     covs = window_covariances(series, forces, scales, cfg, (pair,),
                               regressed=len(series) if partial else 0)
-    return surface(covs, 0, scales, orders, kind)
+    return surface(covs, scales, orders, (kind,))[0]
 
 
 def fluctuation_dcca(x, y, scales: ScaleGrid, orders: QGrid,

@@ -24,6 +24,14 @@ im(t) - im(2N - t), t = 0..N, indices mod 2N. So the synthesis weights
 the N+1 distinct frequencies and takes one inverse real FFT of length 2N
 per component, from the same draws.
 
+Each generator is a seed-independent factor and a draw. The factor
+(``fgn_factor``, ``bfbm_factor``) computes the spectrum once per distinct
+Hurst index, checks it is positive semidefinite and holds the square-root
+weights a(0..N); the draw (``draw_fgn``, ``draw_bfbm``) is the noise, its
+fold, the weighting and the inverse FFT. ``gen_fgn`` and
+``gen_bfbm_increments`` compose the two, and a Monte-Carlo loop over
+seeds builds the factor once.
+
 Binomial measures come from the deterministic multiplicative cascade:
 at each of k refinement steps every interval splits its mass into
 fractions p (left) and 1-p (right).
@@ -183,34 +191,45 @@ def _synthesize(w: np.ndarray, n: int) -> np.ndarray:
     return math.sqrt(0.5 * n) * np.fft.irfft(w, 2 * n)[..., :n]
 
 
-def gen_fgn(spec: FgnSpec) -> TimeSeries:
-    """Sample unit-variance fractional Gaussian noise, exactly distributed."""
-    n = spec.length
-    lam = _spectrum(fgn_autocovariance(spec.hurst, n))
+def fgn_factor(hurst: float, length: int) -> np.ndarray:
+    """The seed-independent part of ``gen_fgn``: the square-root weights
+    sqrt(lambda(0..N)) of the circulant embedding, once its spectrum has
+    passed the positive-semidefinite check."""
+    lam = _spectrum(fgn_autocovariance(hurst, length))
     lam_max = lam.max()
     if lam.min() < -EIGENVALUE_CLAMP * lam_max:
         raise GenerationError(
             f"circulant spectrum has negative value {lam.min():.3e} "
-            f"for hurst={spec.hurst}, length={n}"
+            f"for hurst={hurst}, length={length}"
         )
-    lam = np.maximum(lam, 0.0)
-    rng = np.random.default_rng(spec.seed)
-    sample = _synthesize(np.sqrt(lam) * _folded_noise(rng, n), n)
-    return TimeSeries(sample, label=f"fgn_h{spec.hurst:g}")
+    return np.sqrt(np.maximum(lam, 0.0))
 
 
-def gen_bfbm_increments(spec: BfbmSpec) -> tuple[TimeSeries, TimeSeries]:
-    """Sample the two increment series of a bivariate FBM.
+def draw_fgn(factor: np.ndarray, seed: int) -> TimeSeries:
+    """One FGN sample from the weights of ``fgn_factor`` and a seed."""
+    n = factor.size - 1
+    rng = np.random.default_rng(seed)
+    return TimeSeries(_synthesize(factor * _folded_noise(rng, n), n))
 
-    Each component is marginally FGN with its own Hurst index, the zero-lag
-    cross-correlation equals ``spec.corr``, and the cross-covariance decays
-    with the cross-Hurst index (hurst_x + hurst_y) / 2.
-    """
-    n = spec.length
-    h_cross = 0.5 * (spec.hurst_x + spec.hurst_y)
-    g_xx = _spectrum(fgn_autocovariance(spec.hurst_x, n))
-    g_yy = _spectrum(fgn_autocovariance(spec.hurst_y, n))
-    g_xy = spec.corr * _spectrum(fgn_autocovariance(h_cross, n))
+
+def gen_fgn(spec: FgnSpec) -> TimeSeries:
+    """Sample unit-variance fractional Gaussian noise, exactly distributed."""
+    return draw_fgn(fgn_factor(spec.hurst, spec.length), spec.seed)
+
+
+def bfbm_factor(hurst_x: float, hurst_y: float, corr: float,
+                length: int) -> np.ndarray:
+    """The seed-independent part of ``gen_bfbm_increments``: the entries
+    (b11, b12, b22) of the symmetric square root of the 2x2 spectral
+    matrix at each of the N+1 frequencies, a (3, N+1) array. Raises
+    CoherenceError when the triple admits no positive semidefinite
+    covariance."""
+    h_cross = 0.5 * (hurst_x + hurst_y)
+    spectra = {h: _spectrum(fgn_autocovariance(h, length))
+               for h in {hurst_x, hurst_y, h_cross}}
+    g_xx = spectra[hurst_x]
+    g_yy = spectra[hurst_y]
+    g_xy = corr * spectra[h_cross]
 
     # eigenvalues of the per-frequency 2x2 spectral matrices, frequencies
     # 0..N; the rest mirror them
@@ -221,9 +240,9 @@ def gen_bfbm_increments(spec: BfbmSpec) -> tuple[TimeSeries, TimeSeries]:
     lam_max = lam_hi.max()
     if lam_lo.min() < -EIGENVALUE_CLAMP * lam_max:
         raise CoherenceError(
-            f"(hurst_x={spec.hurst_x}, hurst_y={spec.hurst_y}, "
-            f"corr={spec.corr}) does not admit a positive semidefinite "
-            f"covariance (min eigenvalue {lam_lo.min():.3e})"
+            f"(hurst_x={hurst_x}, hurst_y={hurst_y}, corr={corr}) does not "
+            f"admit a positive semidefinite covariance (min eigenvalue "
+            f"{lam_lo.min():.3e})"
         )
     lam_hi = np.maximum(lam_hi, 0.0)
     lam_lo = np.maximum(lam_lo, 0.0)
@@ -235,18 +254,34 @@ def gen_bfbm_increments(spec: BfbmSpec) -> tuple[TimeSeries, TimeSeries]:
     p11 = np.where(iso, 0.5, (g_xx - lam_lo) / denom)
     p22 = np.where(iso, 0.5, (g_yy - lam_lo) / denom)
     p12 = np.where(iso, 0.0, g_xy / denom)
-    b11 = sq_hi * p11 + sq_lo * (1.0 - p11)
-    b22 = sq_hi * p22 + sq_lo * (1.0 - p22)
-    b12 = (sq_hi - sq_lo) * p12
+    return np.stack([sq_hi * p11 + sq_lo * (1.0 - p11),
+                     (sq_hi - sq_lo) * p12,
+                     sq_hi * p22 + sq_lo * (1.0 - p22)])
 
-    rng = np.random.default_rng(spec.seed)
+
+def draw_bfbm(factor: np.ndarray, seed: int) -> tuple[TimeSeries, TimeSeries]:
+    """One pair of increment series from the square root of
+    ``bfbm_factor`` and a seed."""
+    b11, b12, b22 = factor
+    n = factor.shape[1] - 1
+    rng = np.random.default_rng(seed)
     eps = _folded_noise(rng, n, (2,))
     w = np.empty((2, n + 1), dtype=complex)
     w[0] = b11 * eps[:, 0] + b12 * eps[:, 1]
     w[1] = b12 * eps[:, 0] + b22 * eps[:, 1]
     sample = _synthesize(w, n)
-    return (TimeSeries(sample[0], label=f"rx_h{spec.hurst_x:g}"),
-            TimeSeries(sample[1], label=f"ry_h{spec.hurst_y:g}"))
+    return TimeSeries(sample[0]), TimeSeries(sample[1])
+
+
+def gen_bfbm_increments(spec: BfbmSpec) -> tuple[TimeSeries, TimeSeries]:
+    """Sample the two increment series of a bivariate FBM.
+
+    Each component is marginally FGN with its own Hurst index, the zero-lag
+    cross-correlation equals ``spec.corr``, and the cross-covariance decays
+    with the cross-Hurst index (hurst_x + hurst_y) / 2.
+    """
+    return draw_bfbm(bfbm_factor(spec.hurst_x, spec.hurst_y, spec.corr,
+                                 spec.length), spec.seed)
 
 
 def gen_binomial(spec: BinomialSpec) -> TimeSeries:
@@ -256,7 +291,7 @@ def gen_binomial(spec: BinomialSpec) -> TimeSeries:
     split = np.array([spec.multiplier, 1.0 - spec.multiplier])
     for _ in range(spec.depth):
         measure = np.kron(measure, split)
-    return TimeSeries(measure, label=f"binomial_p{spec.multiplier:g}")
+    return TimeSeries(measure)
 
 
 def contaminate(r, z, spec: ContaminationSpec) -> TimeSeries:
@@ -266,5 +301,4 @@ def contaminate(r, z, spec: ContaminationSpec) -> TimeSeries:
         raise ShapeError(
             f"residual length {len(rs)} != driver length {len(zs)}"
         )
-    return TimeSeries(spec.intercept + spec.slope * zs.values + rs.values,
-                      label=rs.label)
+    return TimeSeries(spec.intercept + spec.slope * zs.values + rs.values)

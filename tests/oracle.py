@@ -3,6 +3,8 @@
 Single-window forms of the window kernel's steps: force regression,
 profile, local trend and mean product, one window at a time. They share no
 code with ``dpxa.detrend.window_products`` and serve as its test oracle.
+``longdouble_products`` detrends every window explicitly in extended
+precision, the reference for the kernel's rounding error.
 
 The unfolded circulant-embedding synthesis: complex noise over all 2N
 frequencies and one complex FFT of length 2N, keeping the real part of the
@@ -100,6 +102,29 @@ def oracle_products(rows, Z, s, cfg, pairs, regressed=0):
         for n, (i, j) in enumerate(pairs):
             out[n, v] = window_cov(det[i], det[j])
     return out
+
+
+def longdouble_products(rows, s, order, pairs):
+    """Mean products of the explicitly detrended profiles of each row pair
+    in every size-s window, in np.longdouble: the increments are centred
+    per window, cumulated, and projected off a polynomial basis of the
+    given order orthonormalised by twice-repeated Gram-Schmidt. Returns
+    the (len(pairs), M) products and each row's (k, M) own products."""
+    L = np.longdouble
+    k, T = rows.shape
+    M = T // s
+    X = rows[:, : M * s].reshape(k, M, s).astype(L)
+    P = np.cumsum(X - X.mean(axis=2, keepdims=True), axis=2)
+    t = np.arange(s, dtype=L) - L(s - 1) / 2
+    Q = np.zeros((s, order + 1), dtype=L)
+    for j in range(order + 1):
+        v = t ** j
+        for _ in range(2):
+            v = v - Q[:, :j] @ (Q[:, :j].T @ v)
+        Q[:, j] = v / np.sqrt(v @ v)
+    R = P - (P @ Q) @ Q.T
+    products = np.stack([(R[i] * R[j]).mean(axis=1) for i, j in pairs])
+    return products, (R * R).mean(axis=2)
 
 
 def three_power_autocovariance(hurst: float, max_lag: int) -> np.ndarray:

@@ -13,7 +13,8 @@ from dpxa import (
 )
 from dpxa.detrend import window_products
 from dpxa.errors import RankDeficiencyWarning
-from oracle import local_trend, oracle_products, profile, window_ols
+from oracle import (longdouble_products, local_trend, oracle_products, profile,
+                    window_ols)
 
 
 def ols_line(k, y):
@@ -238,3 +239,35 @@ def test_kernel_plain_rows_ignore_forces():
     with_forces, _ = window_products(rows, Z, 30, cfg, pairs, regressed=1)
     without, _ = window_products(rows, None, 30, cfg, pairs)
     assert np.array_equal(with_forces, without)
+
+
+def _accuracy_rows(n):
+    from dpxa import BinomialSpec, FgnSpec, gen_binomial, gen_fgn
+
+    fgn = [gen_fgn(FgnSpec(h, n, seed)).values
+           for h, seed in ((0.1, 1), (0.95, 2), (0.5, 3))]
+    return np.stack([
+        fgn[0] + 2.0,
+        fgn[1] + 2.0,
+        gen_binomial(BinomialSpec(0.3, 16)).values,
+        fgn[2] + 1e8,
+        # a trend that DFA-2 removes carries almost all of the profiles of
+        # the largest windows
+        fgn[2] + 1e-4 * np.arange(n),
+    ])
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_projection_products_match_extended_precision(order):
+    # error normalised by sqrt(F2_ii F2_jj), so that cross pairs near zero
+    # are judged on the scale of their rows
+    rows = _accuracy_rows(2 ** 16)
+    k = rows.shape[0]
+    pairs = [(i, j) for i in range(k) for j in range(i, k)]
+    for s in (10, 104, 1000, 16384):
+        got, _ = window_products(rows, None, s, DetrendConfig(poly_order=order),
+                                 pairs)
+        want, own = longdouble_products(rows, s, order, pairs)
+        scale = np.sqrt(np.stack([own[i] * own[j] for i, j in pairs]))
+        err = (np.abs(got - want) / scale).astype(float)
+        assert float(err.max()) <= 1e-12, (s, pairs[int(err.max(1).argmax())])

@@ -65,6 +65,20 @@ def test_sweep_determinism_across_jobs():
     assert result_bytes(a) == result_bytes(b)
 
 
+def test_sweep_files_byte_identical_across_jobs(tmp_path):
+    # 2 triples x 8 realizations run as tasks of 4 realizations at
+    # --jobs 1 and of 2 at --jobs 2; each task builds its own factors
+    spec = SweepSpec(((0.3, 0.6, 0.5), (0.5, 0.5, 0.5)), realizations=8,
+                     length=2 ** 10, corr=0.5, beta_x=BETAS, beta_y=BETAS,
+                     seed_base=4)
+    for jobs in (1, 2):
+        (tmp_path / str(jobs)).mkdir()
+        write_sweep_outputs(run_sweep(spec, jobs=jobs), tmp_path / str(jobs))
+    for name in ("results.json", "sweep.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == \
+            (tmp_path / "2" / name).read_bytes()
+
+
 def test_rho_perfect_coherence_gives_unit_coefficient():
     spec = RhoSpec(corr=1.0, hurst_x=0.3, hurst_y=0.3, hurst_z=0.8,
                    length=2 ** 12, seeds=2, beta_x=BETAS, beta_y=BETAS,

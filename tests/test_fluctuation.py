@@ -317,3 +317,62 @@ def test_rank_deficiency_warns_once_per_call():
         match = re.search(r"rank-deficient design in (\d+) of (\d+) windows",
                           str(w.message))
         assert match and int(match[1]) == int(match[2]) == windows
+
+
+@pytest.mark.parametrize("cfg", [
+    DetrendConfig(), DetrendConfig(poly_order=2),
+    DetrendConfig(method="moving_average"),
+    DetrendConfig(with_intercept=False)], ids=["p1", "p2", "ma", "nocept"])
+def test_repeated_series_matches_copies_bitwise(cfg):
+    # x and y enter plain and regressed; the regressed rows copy the plain
+    # rows' centred windows instead of centring them again
+    from dpxa import TimeSeries
+    from dpxa.fluctuation import window_covariances
+
+    rng = np.random.default_rng(14)
+    n = 3000
+    z = rng.standard_normal(n)
+    x = TimeSeries(5.0 + 2.0 * z + rng.standard_normal(n))
+    y = TimeSeries(-1.0 + z + rng.standard_normal(n))
+    forces = ForceMatrix.from_series([z])
+    grid = ScaleGrid.default(n)
+    pairs = ((0, 0), (0, 1), (1, 1), (2, 3), (2, 2), (0, 3))
+    shared = window_covariances((x, y, x, y), forces, grid, cfg, pairs,
+                                regressed=2)
+    copies = window_covariances(
+        (x, y, TimeSeries(x.values.copy()), TimeSeries(y.values.copy())),
+        forces, grid, cfg, pairs, regressed=2)
+    for a, b in zip(shared, copies):
+        assert np.array_equal(a, b)
+
+
+def test_surfaces_of_several_pairs_equal_each_alone():
+    from dpxa.fluctuation import surface, window_covariances
+
+    rng = np.random.default_rng(15)
+    n = 2400
+    x, y = rng.standard_normal(n), rng.standard_normal(n)
+    x[:100] = 0.5  # a degenerate window at s = 100 for q = 0
+    grid = ScaleGrid(np.array([20, 50, 100, 300, 600]))
+    orders = QGrid(np.array([-2.0, 0.0, 1.0, 2.0]))
+    pairs = ((0, 0), (0, 1), (1, 1))
+    kinds = ("DFA", "DCCA", "DFA")
+    covs = window_covariances((x, y), None, grid, DetrendConfig(), pairs)
+    together = surface(covs, grid, orders, kinds)
+    for n_, (kind, got) in enumerate(zip(kinds, together)):
+        alone = surface([c[n_:n_ + 1] for c in covs], grid, orders,
+                        (kind,))[0]
+        assert got.kind == kind
+        assert np.array_equal(got.F, alone.F)
+        assert np.array_equal(got.cov2, alone.cov2)
+        assert np.array_equal(got.zero_windows, alone.zero_windows)
+    assert together[0].zero_windows.tolist() == [5, 2, 1, 0, 0]
+    assert together[2].zero_windows.tolist() == [0, 0, 0, 0, 0]
+
+
+def test_window_covariances_rejects_unequal_lengths():
+    from dpxa.fluctuation import window_covariances
+
+    with pytest.raises(ShapeError, match=r"\[400, 401\]"):
+        window_covariances((np.ones(400), np.ones(401)), None,
+                           ScaleGrid([10, 20]), DetrendConfig(), ((0, 1),))

@@ -18,7 +18,15 @@ from dpxa import (
     gen_binomial,
     gen_fgn,
 )
-from dpxa.generators import _mirror, _spectrum, fgn_autocovariance
+from dpxa.generators import (
+    _mirror,
+    _spectrum,
+    bfbm_factor,
+    draw_bfbm,
+    draw_fgn,
+    fgn_autocovariance,
+    fgn_factor,
+)
 from oracle import three_power_autocovariance, unfolded_bfbm, unfolded_fgn
 
 SIZES = [1, 2, 3, 7, 4096, 2 ** 16]
@@ -93,6 +101,28 @@ def test_bfbm_matches_unfolded_synthesis(n, hurst, partner, corr):
                     23)
     for got, want in zip(gen_bfbm_increments(spec), unfolded_bfbm(spec)):
         _assert_matches(got.values, want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 4096])
+def test_one_factor_serves_every_seed(n):
+    # the draws of one factor equal the generators' samples bitwise and the
+    # unfolded synthesis to rounding, seed by seed
+    for hurst in HURSTS:
+        factor = fgn_factor(hurst, n)
+        for seed in (3, 4):
+            spec = FgnSpec(hurst, n, seed)
+            got = draw_fgn(factor, seed).values
+            assert np.array_equal(got, gen_fgn(spec).values)
+            _assert_matches(got, unfolded_fgn(spec))
+    for hx, hy, corr in ((0.3, 0.3, 0.5), (0.5, 0.5, 0.0), (0.2, 0.7, 0.4)):
+        factor = bfbm_factor(hx, hy, corr, n)
+        for seed in (3, 4):
+            spec = BfbmSpec(hx, hy, corr, n, seed)
+            got = draw_bfbm(factor, seed)
+            for a, b, c in zip(got, gen_bfbm_increments(spec),
+                               unfolded_bfbm(spec)):
+                assert np.array_equal(a.values, b.values)
+                _assert_matches(a.values, c)
 
 
 def _traced_peak_mib(make) -> float:
