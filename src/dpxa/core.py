@@ -7,6 +7,7 @@ documentation and error messages; arrays are regular 0-based numpy.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,17 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype, copy=True)
     arr.setflags(write=False)
     return arr
+
+
+def _resident_array(values: np.ndarray) -> np.ndarray:
+    """A read-only C-ordered float copy of ``values`` in a memory mapping
+    of its own, for the arrays a cache keeps for the life of the process.
+    Kept in the heap, they split the free space that each call's
+    temporaries reuse, and the peak resident set grows."""
+    out = np.ndarray(values.shape, buffer=mmap.mmap(-1, values.nbytes))
+    out[...] = values
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,10 +30,11 @@ method subtracts its trend from the profiles explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .core import TimeSeries, as_series, _frozen_array
+from .core import TimeSeries, as_series, _frozen_array, _resident_array
 from .errors import ConfigError, DataError, ShapeError, WindowTooSmallError
 
 POLYNOMIAL = "polynomial"
@@ -53,7 +54,8 @@ _CANCELLATION = 1e2
 
 @dataclass(frozen=True, eq=False)
 class ForceMatrix:
-    """The p external-force series as a (T, p) column matrix; p may be 0."""
+    """The p >= 1 external-force series as a (T, p) column matrix; no
+    forces is ``None``."""
 
     data: np.ndarray
 
@@ -63,6 +65,9 @@ class ForceMatrix:
             raise ShapeError(f"force matrix must be 2-d, got shape {arr.shape}")
         if arr.shape[0] == 0:
             raise ShapeError("force matrix has no rows")
+        if arr.shape[1] == 0:
+            raise ShapeError("force matrix has no columns; pass None for "
+                             "no forces")
         if not np.all(np.isfinite(arr)):
             raise DataError("force matrix contains non-finite values")
         object.__setattr__(self, "data", _frozen_array(arr))
@@ -71,16 +76,12 @@ class ForceMatrix:
     def from_series(cls, columns) -> "ForceMatrix":
         series = [as_series(c) for c in columns]
         if not series:
-            raise ShapeError("from_series needs at least one column; use "
-                             "ForceMatrix.empty for p = 0")
+            raise ShapeError("from_series needs at least one column; pass "
+                             "None for no forces")
         lengths = {len(s) for s in series}
         if len(lengths) > 1:
             raise ShapeError(f"force columns differ in length: {sorted(lengths)}")
         return cls(np.column_stack([s.values for s in series]))
-
-    @classmethod
-    def empty(cls, length: int) -> "ForceMatrix":
-        return cls(np.empty((length, 0)))
 
     @property
     def length(self) -> int:
@@ -124,12 +125,18 @@ class DetrendConfig:
 # --------------------------------------------------------------------------- #
 # window kernel: all windows of a stack of series at one scale
 
-def _poly_basis(s: int, order: int) -> np.ndarray:
+# bases kept per process: a few scale grids of 20 scales; at N = 2^16 the
+# largest default scale's basis takes 0.25 MB
+@lru_cache(maxsize=64)
+def _projection_basis(s: int, order: int) -> np.ndarray:
+    """Orthonormal basis Q (s, order + 1) of the polynomials of the given
+    order on a box of s points, read-only: every call at scale s reuses
+    it."""
     # abscissa scaled to [-1, 1] so high orders stay well conditioned
-    t = np.arange(s, dtype=float)
     half = max((s - 1) / 2.0, 1.0)
-    t = (t - (s - 1) / 2.0) / half
-    return np.vander(t, order + 1, increasing=True)
+    t = (np.arange(s, dtype=float) - (s - 1) / 2.0) / half
+    Q, _ = np.linalg.qr(np.vander(t, order + 1, increasing=True))
+    return _resident_array(Q)
 
 
 def _subtract_moving_average(flat: np.ndarray, csum: np.ndarray) -> None:
@@ -271,7 +278,7 @@ def window_products(rows, forces: np.ndarray | None, size: int,
         else:
             A[i] = X
     deficient = 0
-    if regressed and forces is not None and forces.shape[1] > 0:
+    if regressed and forces is not None:
         Z = np.ascontiguousarray(forces[: M * size].T).reshape(
             forces.shape[1], M, size)
         deficient = _remove_forces(A[k - regressed:], Z, cfg.with_intercept)
@@ -281,7 +288,7 @@ def window_products(rows, forces: np.ndarray | None, size: int,
         _subtract_moving_average(flat, work[n: 2 * n].reshape(k * M, size))
         return _products(A, pairs) / size, deficient
     # sum (P - QQ'P)_i (P - QQ'P)_j = <P_i, P_j> - <c_i, c_j>, c = Q'P
-    Q, _ = np.linalg.qr(_poly_basis(size, cfg.poly_order))
+    Q = _projection_basis(size, cfg.poly_order)
     c = (flat @ Q).reshape(k, M, Q.shape[1])
     norms = np.einsum("kms,kms->km", A, A)
     trends = np.einsum("kmd,kmd->km", c, c)

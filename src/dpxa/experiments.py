@@ -7,14 +7,15 @@ contaminated bivariate FBM increments, and a multifractal recovery run on
 binomial measures masked with strong Gaussian noise.
 
 Every experiment is deterministic given ``seed_base``: sub-seeds are
-derived per (triple, realization, stream), realizations are independent
-tasks, and aggregation order is fixed regardless of the parallelism
-degree, so rerunning a spec reproduces its result files byte for byte.
+derived per (triple, realization, stream), each realization is one task
+that draws its series from the generators (whose cached seed-independent
+factors serve every realization of a configuration in a process), and
+aggregation order is fixed regardless of the parallelism degree, so
+rerunning a spec reproduces its result files byte for byte.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -31,12 +32,8 @@ from .generators import (
     BinomialSpec,
     ContaminationSpec,
     FgnSpec,
-    bfbm_factor,
     contaminate,
     derive_seed,
-    draw_bfbm,
-    draw_fgn,
-    fgn_factor,
     gen_bfbm_increments,
     gen_binomial,
     gen_fgn,
@@ -283,30 +280,22 @@ _SWEEP_PAIRS = ((0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (3, 4), (0, 1),
 _SWEEP_KINDS = (KIND_DFA,) * 5 + (KIND_DCCA, KIND_DCCA, KIND_DPXA)
 
 
-def _sweep_task(task) -> list[tuple[float, ...]]:
-    """Exponents of the realizations ``reals`` (a range) of triple ``t``.
-    The generator factors are built once for all of them."""
-    t, (hrx, hry, hz), reals, corr, length, beta_x, beta_y, seed_base = task
-    real_idx = reals.start
+def _sweep_task(task) -> tuple[float, ...]:
+    """Exponents of realization ``real_idx`` of triple ``t``."""
+    t, (hrx, hry, hz), real_idx, corr, length, beta_x, beta_y, seed_base = task
     try:
-        z_factor = fgn_factor(hz, length)
-        r_factor = bfbm_factor(hrx, hry, corr, length)
+        z = gen_fgn(FgnSpec(hz, length,
+                            derive_seed(seed_base, t, real_idx, 0)))
+        rx, ry = gen_bfbm_increments(BfbmSpec(
+            hrx, hry, corr, length, derive_seed(seed_base, t, real_idx, 1)))
+        x = contaminate(rx, z, beta_x)
+        y = contaminate(ry, z, beta_y)
         grid = ScaleGrid.default(length)
-        q2 = QGrid.second_order()
-        out = []
-        for real_idx in reals:
-            z = draw_fgn(z_factor, derive_seed(seed_base, t, real_idx, 0))
-            rx, ry = draw_bfbm(r_factor,
-                               derive_seed(seed_base, t, real_idx, 1))
-            x = contaminate(rx, z, beta_x)
-            y = contaminate(ry, z, beta_y)
-            covs = window_covariances((rx, ry, z, x, y, x, y),
-                                      ForceMatrix.from_series([z]), grid,
-                                      DetrendConfig(), _SWEEP_PAIRS,
-                                      regressed=2)
-            out.append(tuple(float(fit_exponent(sf).h[0]) for sf in
-                             surface(covs, grid, q2, _SWEEP_KINDS)))
-        return out
+        covs = window_covariances((rx, ry, z, x, y, x, y),
+                                  ForceMatrix.from_series([z]), grid,
+                                  DetrendConfig(), _SWEEP_PAIRS, regressed=2)
+        return tuple(float(fit_exponent(sf).h[0]) for sf in
+                     surface(covs, grid, QGrid.second_order(), _SWEEP_KINDS))
     except DpxaError as exc:
         raise type(exc)(
             f"triple ({hrx:g}, {hry:g}, {hz:g}) realization {real_idx}: {exc}"
@@ -316,6 +305,8 @@ def _sweep_task(task) -> list[tuple[float, ...]]:
 def _map_tasks(fn, tasks, jobs: int):
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    # imported here: the pool's modules would slow every start of the CLI
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         chunk = max(1, len(tasks) // (4 * jobs))
         return list(pool.map(fn, tasks, chunksize=chunk))
@@ -323,16 +314,11 @@ def _map_tasks(fn, tasks, jobs: int):
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     """Run the exponent-recovery sweep and fit the recovery regression."""
-    # each task runs a range of one triple's realizations: as long as
-    # possible, while leaving about 4 tasks per worker to balance the pool
-    reals = spec.realizations
-    span = max(1, min(reals, len(spec.hurst_grid) * reals // (4 * jobs)))
-    tasks = [(t, triple, range(first, min(first + span, reals)), spec.corr,
-              spec.length, spec.beta_x, spec.beta_y, spec.seed_base)
+    tasks = [(t, triple, real_idx, spec.corr, spec.length, spec.beta_x,
+              spec.beta_y, spec.seed_base)
              for t, triple in enumerate(spec.hurst_grid)
-             for first in range(0, reals, span)]
-    raw = np.asarray([row for rows in _map_tasks(_sweep_task, tasks, jobs)
-                      for row in rows])
+             for real_idx in range(spec.realizations)]
+    raw = np.asarray(_map_tasks(_sweep_task, tasks, jobs))
     per_triple = raw.reshape(len(spec.hurst_grid), spec.realizations,
                              len(_EXPONENT_KEYS)).mean(axis=1)
 
@@ -395,11 +381,9 @@ def _rho_realization(args) -> np.ndarray:
                      for k in range(3)])
 
 
-def run_rho_comparison(spec: RhoSpec, scales: ScaleGrid | None = None,
-                       jobs: int = 1) -> RhoComparisonResult:
+def run_rho_comparison(spec: RhoSpec, jobs: int = 1) -> RhoComparisonResult:
     """Seed-averaged DCCA/DPXA coefficient curves for the additive model."""
-    if scales is None:
-        scales = ScaleGrid.default(spec.length)
+    scales = ScaleGrid.default(spec.length)
     tasks = [(spec, k, scales) for k in range(spec.seeds)]
     curves = np.mean(_map_tasks(_rho_realization, tasks, jobs), axis=0)
     return RhoComparisonResult(spec, scales.scales.copy(), curves[0],
@@ -437,21 +421,17 @@ def _mf_realization(args) -> tuple[ScalingFit, ScalingFit, float]:
     return fit_xy, fit_xyz, snr
 
 
-def run_mf_recovery(spec: MfSpec, scales: ScaleGrid | None = None,
-                    orders: QGrid | None = None,
-                    jobs: int = 1) -> MfRecoveryResult:
+def run_mf_recovery(spec: MfSpec, jobs: int = 1) -> MfRecoveryResult:
     """Multifractal recovery: MF-DCCA on the contaminated pair, MF-DPXA
     given the noise, and MF-DCCA on the clean measures, plus the
     closed-form reference mass exponents."""
     length = 2 ** spec.depth
-    if scales is None:
-        # top five octaves: the window-level cascade shape only converges
-        # once several refinement levels fit inside a window, so smaller
-        # scales tilt the log-log fit
-        scales = ScaleGrid.dyadic(length, s_min=max(8, length // 64),
-                                  s_max=length // 4)
-    if orders is None:
-        orders = QGrid.default()
+    # top five octaves: the window-level cascade shape only converges once
+    # several refinement levels fit inside a window, so smaller scales tilt
+    # the log-log fit
+    scales = ScaleGrid.dyadic(length, s_min=max(8, length // 64),
+                              s_max=length // 4)
+    orders = QGrid.default()
     cfg = DetrendConfig()
 
     rx = gen_binomial(BinomialSpec(spec.p_x, spec.depth))

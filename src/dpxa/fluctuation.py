@@ -17,9 +17,9 @@ Aggregation keeps two views of F_v^2:
 * the signed mean of F_v^2 is kept per scale (``cov2``) because the
   correlation coefficient rho(s) needs the sign to be able to go negative.
 
-With zero force columns the pipeline reduces exactly to detrended
-cross-correlation analysis, and with identical inputs to plain detrended
-fluctuation analysis; both reductions are bitwise, not statistical.
+Without forces the pipeline reduces exactly to detrended cross-correlation
+analysis, and with identical inputs to plain detrended fluctuation
+analysis; both reductions are bitwise, not statistical.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def _force_data(forces: ForceMatrix | None, length: int) -> np.ndarray | None:
         raise ShapeError(
             f"force length {forces.length} != series length {length}"
         )
-    return forces.data if forces.p > 0 else None
+    return forces.data
 
 
 def window_covariances(series, forces: ForceMatrix | None, scales: ScaleGrid,
@@ -180,8 +180,8 @@ def fluctuation_dpxa(x, y, forces: ForceMatrix | None, scales: ScaleGrid,
                      kind: str | None = None) -> FluctuationSurface:
     """Full fluctuation surface F(q, s) of two series given external forces.
 
-    ``forces=None`` (or an empty ForceMatrix) computes DCCA; passing the
-    same object for x and y computes DFA.
+    ``forces=None`` computes DCCA; passing the same object for x and y
+    computes DFA.
     """
     xs, ys = series_pair(x, y)
     same = y is x or y is xs

@@ -24,13 +24,11 @@ im(t) - im(2N - t), t = 0..N, indices mod 2N. So the synthesis weights
 the N+1 distinct frequencies and takes one inverse real FFT of length 2N
 per component, from the same draws.
 
-Each generator is a seed-independent factor and a draw. The factor
-(``fgn_factor``, ``bfbm_factor``) computes the spectrum once per distinct
-Hurst index, checks it is positive semidefinite and holds the square-root
-weights a(0..N); the draw (``draw_fgn``, ``draw_bfbm``) is the noise, its
-fold, the weighting and the inverse FFT. ``gen_fgn`` and
-``gen_bfbm_increments`` compose the two, and a Monte-Carlo loop over
-seeds builds the factor once.
+Only the noise and its transform depend on the seed. The square-root
+weights a(0..N) come from the spectrum of each distinct Hurst index, once
+it has passed the positive-semidefinite check; they are cached per
+process for the last few (Hurst indices, corr, N), read-only, so a
+Monte-Carlo loop over seeds computes them once.
 
 Binomial measures come from the deterministic multiplicative cascade:
 at each of k refinement steps every interval splits its mass into
@@ -41,10 +39,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .core import TimeSeries, as_series
+from .core import TimeSeries, _resident_array, as_series
 from .errors import (
     CoherenceError,
     ConfigError,
@@ -188,10 +187,18 @@ def _folded_noise(rng: np.random.Generator, n: int, width=()) -> np.ndarray:
 def _synthesize(w: np.ndarray, n: int) -> np.ndarray:
     """sqrt(2N) * irfft(w / 2, 2N)[:N] along the last axis: the sample from
     the folded noise w(0..N) weighted by the square-root factor."""
-    return math.sqrt(0.5 * n) * np.fft.irfft(w, 2 * n)[..., :n]
+    sample = np.fft.irfft(w, 2 * n)[..., :n]
+    sample *= math.sqrt(0.5 * n)
+    return sample
 
 
-def fgn_factor(hurst: float, length: int) -> np.ndarray:
+# factors kept per process and generator: a sweep task needs one of each
+# kind, and at N = 2^16 an entry takes 0.5 MB (fgn) or 1.5 MB (bfbm)
+_CACHED_FACTORS = 4
+
+
+@lru_cache(maxsize=_CACHED_FACTORS)
+def _fgn_factor(hurst: float, length: int) -> np.ndarray:
     """The seed-independent part of ``gen_fgn``: the square-root weights
     sqrt(lambda(0..N)) of the circulant embedding, once its spectrum has
     passed the positive-semidefinite check."""
@@ -202,23 +209,20 @@ def fgn_factor(hurst: float, length: int) -> np.ndarray:
             f"circulant spectrum has negative value {lam.min():.3e} "
             f"for hurst={hurst}, length={length}"
         )
-    return np.sqrt(np.maximum(lam, 0.0))
-
-
-def draw_fgn(factor: np.ndarray, seed: int) -> TimeSeries:
-    """One FGN sample from the weights of ``fgn_factor`` and a seed."""
-    n = factor.size - 1
-    rng = np.random.default_rng(seed)
-    return TimeSeries(_synthesize(factor * _folded_noise(rng, n), n))
+    return _resident_array(np.sqrt(np.maximum(lam, 0.0)))
 
 
 def gen_fgn(spec: FgnSpec) -> TimeSeries:
     """Sample unit-variance fractional Gaussian noise, exactly distributed."""
-    return draw_fgn(fgn_factor(spec.hurst, spec.length), spec.seed)
+    n = spec.length
+    rng = np.random.default_rng(spec.seed)
+    return TimeSeries(_synthesize(_fgn_factor(spec.hurst, n)
+                                  * _folded_noise(rng, n), n))
 
 
-def bfbm_factor(hurst_x: float, hurst_y: float, corr: float,
-                length: int) -> np.ndarray:
+@lru_cache(maxsize=_CACHED_FACTORS)
+def _bfbm_factor(hurst_x: float, hurst_y: float, corr: float,
+                 length: int) -> np.ndarray:
     """The seed-independent part of ``gen_bfbm_increments``: the entries
     (b11, b12, b22) of the symmetric square root of the 2x2 spectral
     matrix at each of the N+1 frequencies, a (3, N+1) array. Raises
@@ -254,23 +258,9 @@ def bfbm_factor(hurst_x: float, hurst_y: float, corr: float,
     p11 = np.where(iso, 0.5, (g_xx - lam_lo) / denom)
     p22 = np.where(iso, 0.5, (g_yy - lam_lo) / denom)
     p12 = np.where(iso, 0.0, g_xy / denom)
-    return np.stack([sq_hi * p11 + sq_lo * (1.0 - p11),
-                     (sq_hi - sq_lo) * p12,
-                     sq_hi * p22 + sq_lo * (1.0 - p22)])
-
-
-def draw_bfbm(factor: np.ndarray, seed: int) -> tuple[TimeSeries, TimeSeries]:
-    """One pair of increment series from the square root of
-    ``bfbm_factor`` and a seed."""
-    b11, b12, b22 = factor
-    n = factor.shape[1] - 1
-    rng = np.random.default_rng(seed)
-    eps = _folded_noise(rng, n, (2,))
-    w = np.empty((2, n + 1), dtype=complex)
-    w[0] = b11 * eps[:, 0] + b12 * eps[:, 1]
-    w[1] = b12 * eps[:, 0] + b22 * eps[:, 1]
-    sample = _synthesize(w, n)
-    return TimeSeries(sample[0]), TimeSeries(sample[1])
+    return _resident_array(np.stack([sq_hi * p11 + sq_lo * (1.0 - p11),
+                                     (sq_hi - sq_lo) * p12,
+                                     sq_hi * p22 + sq_lo * (1.0 - p22)]))
 
 
 def gen_bfbm_increments(spec: BfbmSpec) -> tuple[TimeSeries, TimeSeries]:
@@ -280,8 +270,16 @@ def gen_bfbm_increments(spec: BfbmSpec) -> tuple[TimeSeries, TimeSeries]:
     cross-correlation equals ``spec.corr``, and the cross-covariance decays
     with the cross-Hurst index (hurst_x + hurst_y) / 2.
     """
-    return draw_bfbm(bfbm_factor(spec.hurst_x, spec.hurst_y, spec.corr,
-                                 spec.length), spec.seed)
+    n = spec.length
+    b11, b12, b22 = _bfbm_factor(spec.hurst_x, spec.hurst_y, spec.corr, n)
+    rng = np.random.default_rng(spec.seed)
+    eps = _folded_noise(rng, n, (2,))
+    w = np.empty((2, n + 1), dtype=complex)
+    w[0] = b11 * eps[:, 0] + b12 * eps[:, 1]
+    w[1] = b12 * eps[:, 0] + b22 * eps[:, 1]
+    del eps  # freed before the inverse FFT, where the memory peaks
+    sample = _synthesize(w, n)
+    return TimeSeries(sample[0]), TimeSeries(sample[1])
 
 
 def gen_binomial(spec: BinomialSpec) -> TimeSeries:

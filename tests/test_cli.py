@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dpxa import ContaminationSpec, FgnSpec, contaminate, gen_bfbm_increments, \
     gen_fgn
+from dpxa import cli
 from dpxa.cli import main
 from dpxa.generators import BfbmSpec
 from dpxa.io import read_series_csv, write_series_csv
@@ -12,6 +17,17 @@ from dpxa.io import read_series_csv, write_series_csv
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def test_import_leaves_out_the_process_pool():
+    # only a run with --jobs > 1 loads the pool's modules, so the other
+    # starts of the CLI do not pay for them
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import sys, dpxa.cli; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.stdout.strip() == "False"
 
 
 def test_gen_fgn_roundtrip(tmp_path):

@@ -11,7 +11,7 @@ from dpxa import (
     ShapeError,
     WindowTooSmallError,
 )
-from dpxa.detrend import window_products
+from dpxa.detrend import _projection_basis, window_products
 from dpxa.errors import RankDeficiencyWarning
 from oracle import (longdouble_products, local_trend, oracle_products, profile,
                     window_ols)
@@ -176,9 +176,17 @@ def test_detrend_config_validation():
 def test_force_matrix():
     fm = ForceMatrix.from_series([[1.0, 2.0], [3.0, 4.0]])
     assert fm.p == 2 and fm.length == 2
-    assert ForceMatrix.empty(5).p == 0
+    with pytest.raises(ShapeError):
+        ForceMatrix(np.empty((5, 0)))
     with pytest.raises(ShapeError):
         ForceMatrix.from_series([[1.0, 2.0], [3.0]])
+
+
+def test_projection_basis_is_cached_read_only():
+    _projection_basis.cache_clear()
+    Q = _projection_basis(50, 2)
+    assert _projection_basis(50, 2) is Q and not Q.flags.writeable
+    assert np.max(np.abs(Q.T @ Q - np.eye(3))) <= 1e-14
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -21,6 +21,7 @@ from dpxa.experiments import (
     write_rho_outputs,
     write_sweep_outputs,
 )
+from dpxa.generators import _bfbm_factor, _fgn_factor
 from dpxa.io import jsonable
 
 BETAS = ContaminationSpec(2.0, 3.0)
@@ -66,8 +67,8 @@ def test_sweep_determinism_across_jobs():
 
 
 def test_sweep_files_byte_identical_across_jobs(tmp_path):
-    # 2 triples x 8 realizations run as tasks of 4 realizations at
-    # --jobs 1 and of 2 at --jobs 2; each task builds its own factors
+    # 2 triples x 8 realizations, one task each, run in this process at
+    # --jobs 1 and in chunks of 2 tasks per pool worker call at --jobs 2
     spec = SweepSpec(((0.3, 0.6, 0.5), (0.5, 0.5, 0.5)), realizations=8,
                      length=2 ** 10, corr=0.5, beta_x=BETAS, beta_y=BETAS,
                      seed_base=4)
@@ -77,6 +78,36 @@ def test_sweep_files_byte_identical_across_jobs(tmp_path):
     for name in ("results.json", "sweep.csv"):
         assert (tmp_path / "1" / name).read_bytes() == \
             (tmp_path / "2" / name).read_bytes()
+
+
+def test_rho_computes_each_factor_once():
+    spec = RhoSpec(corr=0.5, hurst_x=0.3, hurst_y=0.6, hurst_z=0.8,
+                   length=2 ** 10, seeds=4, beta_x=BETAS, beta_y=BETAS,
+                   seed_base=5)
+    _fgn_factor.cache_clear()
+    _bfbm_factor.cache_clear()
+    run_rho_comparison(spec, jobs=1)
+    assert _fgn_factor.cache_info().misses == 1
+    assert _bfbm_factor.cache_info().misses == 1
+
+
+def test_rho_files_survive_a_sweep_in_between(tmp_path):
+    # the sweep's factors (another length, five configurations) push the
+    # rho factors out of the cache; recomputed, they give the same files
+    spec = RHO_PRESETS["smoke"]
+    sweep = SweepSpec(tuple((h, h + 0.1, 0.9 - h) for h in
+                            (0.2, 0.3, 0.4, 0.5, 0.6)),
+                      realizations=1, length=2 ** 10, corr=0.5, beta_x=BETAS,
+                      beta_y=BETAS, seed_base=6)
+    first, second = tmp_path / "a", tmp_path / "b"
+    first.mkdir(), second.mkdir()
+    write_rho_outputs(run_rho_comparison(spec), first)
+    run_sweep(sweep)
+    misses = _fgn_factor.cache_info().misses
+    write_rho_outputs(run_rho_comparison(spec), second)
+    assert _fgn_factor.cache_info().misses == misses + 1
+    for name in ("results.json", "rho.csv"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
 def test_rho_perfect_coherence_gives_unit_coefficient():

@@ -36,10 +36,8 @@ def test_reduction_identities(seed):
     orders = QGrid.default()
 
     dpxa_none = fluctuation_dpxa(x, y, None, grid, orders)
-    dpxa_empty = fluctuation_dpxa(x, y, ForceMatrix.empty(n), grid, orders)
     dcca = fluctuation_dcca(x, y, grid, orders)
     assert np.max(np.abs(dpxa_none.F - dcca.F) / dcca.F) <= 1e-12
-    assert np.max(np.abs(dpxa_empty.F - dcca.F) / dcca.F) <= 1e-12
 
     dcca_xx = fluctuation_dcca(x, x, grid, orders)
     dfa = fluctuation_dfa(x, grid, orders)

@@ -19,13 +19,11 @@ from dpxa import (
     gen_fgn,
 )
 from dpxa.generators import (
+    _bfbm_factor,
+    _fgn_factor,
     _mirror,
     _spectrum,
-    bfbm_factor,
-    draw_bfbm,
-    draw_fgn,
     fgn_autocovariance,
-    fgn_factor,
 )
 from oracle import three_power_autocovariance, unfolded_bfbm, unfolded_fgn
 
@@ -103,32 +101,46 @@ def test_bfbm_matches_unfolded_synthesis(n, hurst, partner, corr):
         _assert_matches(got.values, want)
 
 
+def _components(sample):
+    return [s.values for s in sample] if isinstance(sample, tuple) \
+        else [sample.values]
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 4096])
 def test_one_factor_serves_every_seed(n):
-    # the draws of one factor equal the generators' samples bitwise and the
-    # unfolded synthesis to rounding, seed by seed
-    for hurst in HURSTS:
-        factor = fgn_factor(hurst, n)
-        for seed in (3, 4):
-            spec = FgnSpec(hurst, n, seed)
-            got = draw_fgn(factor, seed).values
-            assert np.array_equal(got, gen_fgn(spec).values)
-            _assert_matches(got, unfolded_fgn(spec))
-    for hx, hy, corr in ((0.3, 0.3, 0.5), (0.5, 0.5, 0.0), (0.2, 0.7, 0.4)):
-        factor = bfbm_factor(hx, hy, corr, n)
-        for seed in (3, 4):
-            spec = BfbmSpec(hx, hy, corr, n, seed)
-            got = draw_bfbm(factor, seed)
-            for a, b, c in zip(got, gen_bfbm_increments(spec),
-                               unfolded_bfbm(spec)):
-                assert np.array_equal(a.values, b.values)
-                _assert_matches(a.values, c)
+    # seed 3 computes the factor on a cold cache and seed 4 reuses it; both
+    # samples equal cold recomputations bitwise and the unfolded synthesis
+    # to rounding
+    cases = [(gen_fgn, _fgn_factor, FgnSpec, unfolded_fgn, (h,))
+             for h in HURSTS]
+    cases += [(gen_bfbm_increments, _bfbm_factor, BfbmSpec, unfolded_bfbm,
+               triple)
+              for triple in ((0.3, 0.3, 0.5), (0.5, 0.5, 0.0),
+                             (0.2, 0.7, 0.4))]
+    for make, factor, spec_type, oracle, params in cases:
+        factor.cache_clear()
+        specs = [spec_type(*params, n, seed) for seed in (3, 4)]
+        samples = [make(spec) for spec in specs]
+        info = factor.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert not factor(*params, n).flags.writeable
+        for spec, sample in zip(specs, samples):
+            factor.cache_clear()
+            cold = _components(make(spec))
+            want = oracle(spec)
+            want = want if isinstance(want, tuple) else (want,)
+            for got, again, exact in zip(_components(sample), cold, want):
+                assert np.array_equal(got, again)
+                _assert_matches(got, exact)
 
 
 def _traced_peak_mib(make) -> float:
     make()  # first-call allocations are not the generator's own
     tracemalloc.start()
     try:
+        # measure the spectrum, not a cache hit
+        _fgn_factor.cache_clear()
+        _bfbm_factor.cache_clear()
         make()
         return tracemalloc.get_traced_memory()[1] / 2 ** 20
     finally:
