@@ -14,7 +14,10 @@ nearly equal large numbers: on a binomial measure masked by 3 z it is off
 by 8% at s = 16. Rank-deficient windows fall back to a least-squares
 solve, whose residual is unique even where b is not. A series that enters
 the stack twice (x and x|z) is centred once; its second row copies the
-centred windows of the first.
+centred windows of the first, and a force that is also a plain row of the
+stack (the sweep's z) takes that row's centred windows. Windows of at most
+32 points are cumulated a column at a time, which adds in np.cumsum's
+order and is faster there.
 
 The polynomial trend is never formed. With Q an orthonormal basis of the
 polynomials of the fit order on the box and c = Q'P the projection
@@ -47,6 +50,8 @@ _COLLINEAR = 1e-6
 # a centred force column whose sum of squares is below this share of the
 # raw one is constant within the window up to rounding
 _VANISHING = 1e-24
+# longest window summed by column adds; they lose to np.cumsum from s ~ 48
+_SHORT_SCAN = 32
 # largest <P, P> / F^2 of a window whose F^2 is taken from the projection
 # coefficients: above it the window is detrended explicitly
 _CANCELLATION = 1e2
@@ -167,6 +172,17 @@ def _subtract_moving_average(flat: np.ndarray, csum: np.ndarray) -> None:
     flat[:, left + 1:] -= suffix
 
 
+def _cumulate(A: np.ndarray) -> None:
+    """Running sums along the last axis of A, in place. Short windows are
+    summed a column at a time, which adds in the order np.cumsum does."""
+    size = A.shape[-1]
+    if size > _SHORT_SCAN:
+        np.cumsum(A, axis=-1, out=A)
+        return
+    for t in range(1, size):
+        np.add(A[..., t - 1], A[..., t], out=A[..., t])
+
+
 def _solve_moments(C: np.ndarray, B: np.ndarray) -> tuple[np.ndarray,
                                                           np.ndarray]:
     """Cholesky solve of C b = B in every window, for C (M, p, p) and B
@@ -175,27 +191,36 @@ def _solve_moments(C: np.ndarray, B: np.ndarray) -> tuple[np.ndarray,
     p = C.shape[1]
     L = np.zeros_like(C)
     ok = np.ones(C.shape[0], dtype=bool)
+    # sums over k < j are empty at j = 0 and those over k > j at j = p - 1;
+    # they are skipped, as x - 0.0 == x
     for j in range(p):
-        pivot = C[:, j, j] - np.einsum("mk,mk->m", L[:, j, :j], L[:, j, :j])
+        pivot, below = C[:, j, j], C[:, j + 1:, j]
+        if j:
+            pivot = pivot - np.einsum("mk,mk->m", L[:, j, :j], L[:, j, :j])
+        if 0 < j < p - 1:
+            below = below - np.einsum("mik,mk->mi", L[:, j + 1:, :j],
+                                      L[:, j, :j])
         ok &= pivot > _COLLINEAR * C[:, j, j]
         L[:, j, j] = np.sqrt(np.where(ok, pivot, 1.0))
-        L[:, j + 1:, j] = (C[:, j + 1:, j] - np.einsum(
-            "mik,mk->mi", L[:, j + 1:, :j], L[:, j, :j])) / L[:, j, j, None]
+        L[:, j + 1:, j] = below / L[:, j, j, None]
     b = B.copy()
     for j in range(p):  # L y = B
-        b[:, j] -= np.einsum("mk,mkr->mr", L[:, j, :j], b[:, :j])
+        if j:
+            b[:, j] -= np.einsum("mk,mkr->mr", L[:, j, :j], b[:, :j])
         b[:, j] /= L[:, j, j, None]
     for j in reversed(range(p)):  # L^T b = y
-        b[:, j] -= np.einsum("mk,mkr->mr", L[:, j + 1:, j], b[:, j + 1:])
+        if j < p - 1:
+            b[:, j] -= np.einsum("mk,mkr->mr", L[:, j + 1:, j], b[:, j + 1:])
         b[:, j] /= L[:, j, j, None]
     return b, ok
 
 
-def _remove_forces(A: np.ndarray, Z: np.ndarray, with_intercept: bool) -> int:
+def _remove_forces(A: np.ndarray, Z: np.ndarray, Zc: np.ndarray,
+                   with_intercept: bool) -> int:
     """Replace the increments A (r, M, s) by their OLS residuals on the
-    force block Z (p, M, s) of each window, in place; A is already centred
-    when ``with_intercept``. Returns the number of rank-deficient
-    windows."""
+    force block Z (p, M, s) of each window, in place; A and Zc, Z's
+    windows, are already centred when ``with_intercept``. Returns the
+    number of rank-deficient windows."""
     r, M, s = A.shape
     p = Z.shape[0]
     d = p + int(with_intercept)
@@ -203,7 +228,6 @@ def _remove_forces(A: np.ndarray, Z: np.ndarray, with_intercept: bool) -> int:
         raise WindowTooSmallError(
             f"window of size {s} cannot fit {d} regression columns"
         )
-    Zc = Z - Z.mean(axis=2, keepdims=True) if with_intercept else Z
     C = np.einsum("ims,jms->mij", Zc, Zc)
     b, ok = _solve_moments(C, np.einsum("ims,rms->mir", Zc, A))
     # a force that is constant within a window (up to rounding) vanishes
@@ -240,7 +264,8 @@ def work_buffer(k: int, length: int, cfg: DetrendConfig) -> np.ndarray:
 
 def window_products(rows, forces: np.ndarray | None, size: int,
                     cfg: DetrendConfig, pairs, regressed: int = 0,
-                    work: np.ndarray | None = None
+                    work: np.ndarray | None = None,
+                    force_rows: int | None = None
                     ) -> tuple[np.ndarray, int]:
     """Window covariances of several profile sets at one scale.
 
@@ -250,7 +275,9 @@ def window_products(rows, forces: np.ndarray | None, size: int,
     rows are replaced by their residuals on the force columns ``forces``
     (T, p), and the whole stack is cumulated and detrended in one pass.
     A row given as the same array object as an earlier row copies that
-    row's centred windows. Returns the (len(pairs), M) signed mean
+    row's centred windows. ``force_rows`` = i says that unregressed rows
+    i..i+p-1 hold the p force columns' values: the force block then takes
+    their centred windows. Returns the (len(pairs), M) signed mean
     products of the detrended profiles of each row pair (i, j), and the
     number of windows whose force design is rank deficient. Trailing
     points beyond M*s are excluded. The arrays are taken from ``work``
@@ -281,8 +308,15 @@ def window_products(rows, forces: np.ndarray | None, size: int,
     if regressed and forces is not None:
         Z = np.ascontiguousarray(forces[: M * size].T).reshape(
             forces.shape[1], M, size)
-        deficient = _remove_forces(A[k - regressed:], Z, cfg.with_intercept)
-    np.cumsum(A, axis=2, out=A)
+        if not cfg.with_intercept:
+            Zc = Z
+        elif force_rows is None:
+            Zc = Z - Z.mean(axis=2, keepdims=True)
+        else:
+            Zc = A[force_rows: force_rows + Z.shape[0]]
+        deficient = _remove_forces(A[k - regressed:], Z, Zc,
+                                   cfg.with_intercept)
+    _cumulate(A)
     flat = A.reshape(k * M, size)
     if moving:
         _subtract_moving_average(flat, work[n: 2 * n].reshape(k * M, size))

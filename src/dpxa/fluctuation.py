@@ -83,14 +83,27 @@ def _force_data(forces: ForceMatrix | None, length: int) -> np.ndarray | None:
     return forces.data
 
 
+def _force_rows(rows, fdata: np.ndarray | None, regressed: int
+                ) -> int | None:
+    """The first of p consecutive unregressed rows that hold the values of
+    the p force columns, as the sweep's plain z row does, or None."""
+    if fdata is None or not regressed:
+        return None
+    p = fdata.shape[1]
+    return next((i for i in range(len(rows) - regressed - p + 1)
+                 if all(np.array_equal(rows[i + c], fdata[:, c])
+                        for c in range(p))), None)
+
+
 def window_covariances(series, forces: ForceMatrix | None, scales: ScaleGrid,
                        cfg: DetrendConfig, pairs,
                        regressed: int = 0) -> list[np.ndarray]:
     """Per-scale (len(pairs), M) window covariances of row pairs of the
     equal-length ``series``; the last ``regressed`` series are regressed
     on the forces (see ``detrend.window_products``). A series object that
-    appears twice, as x and x|z do, is centred once. Rank-deficient
-    windows raise one RankDeficiencyWarning for the whole call."""
+    appears twice, as x and x|z do, is centred once, and so is a force
+    that is also a plain series. Rank-deficient windows raise one
+    RankDeficiencyWarning for the whole call."""
     rows = [as_series(s).values for s in series]
     lengths = {row.size for row in rows}
     if len(lengths) > 1:
@@ -103,9 +116,10 @@ def window_covariances(series, forces: ForceMatrix | None, scales: ScaleGrid,
     # back to the system whenever glibc trims its heap and are faulted in
     # again, up to 32,000 minor faults per 7-row call at N = 2^16
     work = work_buffer(len(rows), length, cfg)
+    force_rows = _force_rows(rows, fdata, regressed)
     for s in scales.scales:
         f2, bad = window_products(rows, fdata, int(s), cfg, pairs, regressed,
-                                  work)
+                                  work, force_rows)
         out.append(f2)
         deficient += bad
         windows += f2.shape[1]

@@ -1,13 +1,19 @@
 """Headered-CSV and JSON readers/writers shared by the CLI and experiments.
 
 A series CSV is read as UTF-8, with or without a leading byte-order mark.
-The header line goes through ``csv`` and the body is parsed in one C pass
-by ``np.loadtxt``. A row-by-row ``csv`` loop runs only where that pass
-fails or finds the wrong shape, and on files that may hold a field over
-the ``csv`` field limit, which only the loop refuses: it accepts the few
-cells ``float`` takes and the one-pass parser refuses (quoted or ``1_000``
-cells) and words every error with its line number, so both paths accept
-the same files with the same values.
+Its bytes are read into memory once. The header goes through ``csv`` and
+the body is parsed in one C pass by ``np.loadtxt``. For a regular file
+``np.loadtxt`` is given the path, which it reads in chunks, skipping the
+physical lines the header took; an open handle it would read line by
+line. A named pipe cannot be read twice, and numpy opens a path ending in
+``.gz``, ``.bz2``, ``.xz`` or ``.lzma`` through a decompressor, so those
+inputs are parsed from the bytes in memory. A row-by-row ``csv`` loop over
+those bytes runs only where the one pass fails or finds the wrong shape,
+and on files that may hold a field over the ``csv`` field limit, which
+only the loop refuses: it accepts the few cells ``float`` takes and the
+one-pass parser refuses (quoted or ``1_000`` cells) and words every error
+with its line number, so both paths accept the same files with the same
+values.
 
 All numeric output uses 12 significant digits; JSON keys are sorted so
 identical results serialize to identical bytes.
@@ -26,6 +32,9 @@ import numpy as np
 
 from .errors import IngestionError
 
+# suffixes of the files numpy opens through a decompressor (the openers of
+# numpy.lib._datasource); such a file is parsed from the bytes read here
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 # ASCII separators that np.loadtxt strips from around a number and float()
 # does not; a file holding one is parsed by the row loop
 _SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
@@ -61,6 +70,7 @@ def read_series_csv(path) -> dict[str, np.ndarray]:
         data = path.read_bytes()
     except OSError as exc:
         raise IngestionError(f"cannot read {path}: {exc}") from exc
+    by_path = path.is_file() and path.suffix not in _COMPRESSED
     one_pass = not (any(sep in data for sep in _SEPARATORS)
                     or _may_exceed_field_limit(data))
     # read once into memory, so a pipe works too and the body can be re-read
@@ -68,9 +78,11 @@ def read_series_csv(path) -> dict[str, np.ndarray]:
                               newline="")
     try:
         with handle:
-            header = _read_header(path, handle)
+            header, lines = _read_header(path, handle)
             body = handle.tell()
-            table = _load_table(handle, len(header)) if one_pass else None
+            source, skip = (str(path), lines) if by_path else (handle, 0)
+            table = _load_table(source, len(header), skip) if one_pass \
+                else None
             if table is None:
                 handle.seek(body)
                 return _read_rows(path, handle, header)
@@ -91,10 +103,21 @@ def _csv_rows(path: Path, lines, first: int):
             f"{path} line {first + reader.line_num - 1}: {exc}") from None
 
 
-def _read_header(path: Path, handle) -> list[str]:
+def _read_header(path: Path, handle) -> tuple[list[str], int]:
+    """The header's names and the number of physical lines they took,
+    counted from the reads: ``tell()`` is an opaque cookie, not an
+    offset."""
+    lines = 0
+
     # readline, not the handle's iterator, so that tell() still works
+    def readline():
+        nonlocal lines
+        line = handle.readline()
+        lines += bool(line)
+        return line
+
     try:
-        header = next(_csv_rows(path, iter(handle.readline, ""), 1))
+        header = next(_csv_rows(path, iter(readline, ""), 1))
     except StopIteration:
         raise IngestionError(f"{path} is empty") from None
     header = [name.strip() for name in header]
@@ -104,19 +127,21 @@ def _read_header(path: Path, handle) -> list[str]:
         )
     if len(set(header)) != len(header):
         raise IngestionError(f"{path} has duplicate column names")
-    return header
+    return header, lines
 
 
-def _load_table(handle, width: int) -> np.ndarray | None:
-    """Every body cell as a (rows, width) array, or None when the row loop
-    must decide (a cell the one-pass parser refuses, a ragged or empty
-    body)."""
+def _load_table(source, width: int, skip: int) -> np.ndarray | None:
+    """Every body cell, after the first ``skip`` lines of ``source`` (a
+    path or an open handle), as a (rows, width) array, or None when the
+    row loop must decide (a cell the one-pass parser refuses, a ragged or
+    empty body)."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data",
                                 UserWarning)
         try:
-            table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2,
-                               dtype=float)
+            table = np.loadtxt(source, delimiter=",", comments=None, ndmin=2,
+                               dtype=float, encoding="utf-8-sig",
+                               skiprows=skip)
         except ValueError:
             # a UnicodeDecodeError too: the row loop meets it again
             return None

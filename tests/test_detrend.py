@@ -11,7 +11,7 @@ from dpxa import (
     ShapeError,
     WindowTooSmallError,
 )
-from dpxa.detrend import _projection_basis, window_products
+from dpxa.detrend import _cumulate, _projection_basis, window_products
 from dpxa.errors import RankDeficiencyWarning
 from oracle import (longdouble_products, local_trend, oracle_products, profile,
                     window_ols)
@@ -279,3 +279,45 @@ def test_projection_products_match_extended_precision(order):
         scale = np.sqrt(np.stack([own[i] * own[j] for i, j in pairs]))
         err = (np.abs(got - want) / scale).astype(float)
         assert float(err.max()) <= 1e-12, (s, pairs[int(err.max(1).argmax())])
+
+
+@pytest.mark.parametrize("s", [2, 10, 31, 32])
+def test_short_window_scan_equals_cumsum_bitwise(s):
+    A = np.random.default_rng(s).standard_normal((3, 50, s)) * 1e3
+    expected = np.cumsum(A, axis=2)
+    _cumulate(A)
+    assert A.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("cfg", [
+    DetrendConfig(), DetrendConfig(poly_order=2),
+    DetrendConfig(method="moving_average"),
+    DetrendConfig(with_intercept=False)], ids=["p1", "p2", "ma", "nocept"])
+@pytest.mark.parametrize("p", [1, 2])
+def test_force_matching_a_row_matches_unshared_bitwise(cfg, p, monkeypatch):
+    # the sweep's stack holds z plain beside x|z and y|z: the force block
+    # takes the plain rows' centred windows instead of centring z again
+    import dpxa.fluctuation
+    from dpxa import ScaleGrid, TimeSeries
+    from dpxa.core import as_series
+    from dpxa.fluctuation import _force_rows, window_covariances
+
+    rng = np.random.default_rng(15)
+    n = 3000
+    z = rng.standard_normal((p, n))
+    r = rng.standard_normal((2, n))
+    x = TimeSeries(5.0 + 2.0 * z.sum(axis=0) + r[0])
+    y = TimeSeries(-1.0 + z[0] + r[1])
+    forces = ForceMatrix.from_series(list(z))
+    grid = ScaleGrid.default(n)
+    stack = (r[0], r[1], *z, x, y, x, y)
+    assert _force_rows([as_series(v).values for v in stack], forces.data,
+                       2) == 2
+    k = len(stack)
+    pairs = [(i, j) for i in range(k) for j in range(i, k)]
+    shared = window_covariances(stack, forces, grid, cfg, pairs, regressed=2)
+    monkeypatch.setattr(dpxa.fluctuation, "_force_rows", lambda *args: None)
+    unshared = window_covariances(stack, forces, grid, cfg, pairs,
+                                  regressed=2)
+    for a, b in zip(shared, unshared):
+        assert a.tobytes() == b.tobytes()

@@ -156,6 +156,20 @@ def test_generator_peak_memory(make, bound_mib):
     assert _traced_peak_mib(make) <= bound_mib
 
 
+def test_bfbm_peak_memory_with_cached_factor():
+    # the draws fold straight into one complex array; folding them apart
+    # and then combining them peaked at 6.1 MiB
+    spec = BfbmSpec(0.3, 0.8, 0.5, 2 ** 16, 0)
+    gen_bfbm_increments(spec)
+    tracemalloc.start()
+    try:
+        gen_bfbm_increments(spec)
+        peak_mib = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert peak_mib <= 5.5
+
+
 @pytest.mark.parametrize("hurst", [0.3, 0.5])
 def test_fgn_moments_at_large_n(hurst):
     # CLT-rate bound; persistent H > 0.5 converges slower by design

@@ -6,6 +6,7 @@ the same outcome: the same column names and bitwise-equal arrays, or the
 same ``IngestionError`` message.
 """
 
+import gzip
 import os
 import threading
 
@@ -30,7 +31,7 @@ def _outcome(path):
 def _one_pass_and_row_loop(path):
     one_pass = _outcome(path)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dpxa.io, "_load_table", lambda handle, width: None)
+        mp.setattr(dpxa.io, "_load_table", lambda *args: None)
         row_loop = _outcome(path)
     return one_pass, row_loop
 
@@ -62,6 +63,11 @@ PINNED = [
      "line 3: field larger than field limit (131072)"),
     ("long_cell_and_quoted_cell", 'x\n"1"\n1.' + "5" * 140_000 + "\n2\n",
      "line 3: field larger than field limit (131072)"),
+    # the header's physical lines, not its csv rows, are skipped by count
+    ("header_cell_with_line_break", 'x,"y\n\nz"\n1,2\n3,4\n', [1.0, 3.0]),
+    ("bom_crlf", "\ufeffx,y\r\n1,2\r\n3,4\r\n", [1.0, 3.0]),
+    ("lone_cr", "x,y\r1,2\r3,4\r", [1.0, 3.0]),
+    ("lone_cr_no_final_newline", "x,y\r1,2\r3,4", [1.0, 3.0]),
 ]
 
 
@@ -92,9 +98,41 @@ def test_clean_file_skips_row_loop(tmp_path, monkeypatch):
     np.testing.assert_array_equal(columns["y"], [-2.0, np.nan])
 
 
+@pytest.fixture
+def loadtxt_sources(monkeypatch):
+    """What each ``np.loadtxt`` call of ``read_series_csv`` was given."""
+    sources = []
+    loadtxt = np.loadtxt
+
+    def spy(source, *args, **kwargs):
+        sources.append(source)
+        return loadtxt(source, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return sources
+
+
+def test_regular_file_is_parsed_from_its_path(tmp_path, loadtxt_sources,
+                                              monkeypatch):
+    # numpy reads a path in chunks, an open handle line by line; it skips
+    # both physical lines of the header
+    path = tmp_path / "clean.csv"
+    path.write_text('x,"y\nz"\n1,2\n3,4\n')
+
+    def refuse(*args):
+        raise AssertionError("row loop ran on a clean file")
+
+    monkeypatch.setattr(dpxa.io, "_read_rows", refuse)
+    columns = read_series_csv(path)
+    assert loadtxt_sources == [str(path)]
+    assert list(columns) == ["x", "y\nz"]
+    np.testing.assert_array_equal(columns["y\nz"], [2.0, 4.0])
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-def test_named_pipe_is_read(tmp_path):
-    # a pipe cannot seek, as with `dpxa analyze dfa <(zcat data.csv.gz)`
+def test_named_pipe_is_read(tmp_path, loadtxt_sources):
+    # a pipe cannot seek, as with `dpxa analyze dfa <(zcat data.csv.gz)`,
+    # and numpy would read it a second time: its bytes are parsed instead
     path = tmp_path / "pipe.csv"
     os.mkfifo(path)
     writer = threading.Thread(target=path.write_text, args=("x\n1\n 2\n",),
@@ -106,6 +144,26 @@ def test_named_pipe_is_read(tmp_path):
         writer.join(timeout=10)
     assert not writer.is_alive()
     np.testing.assert_array_equal(columns["x"], [1.0, 2.0])
+    assert len(loadtxt_sources) == 1
+    assert not isinstance(loadtxt_sources[0], (str, os.PathLike))
+
+
+def test_compressed_looking_name_is_parsed_as_text(tmp_path, loadtxt_sources):
+    # numpy would open a path ending in .gz through gzip
+    path = tmp_path / "data.csv.gz"
+    path.write_text("x,y\n1,2\n3,4\n")
+    np.testing.assert_array_equal(read_series_csv(path)["y"], [2.0, 4.0])
+    assert not any(isinstance(source, str) for source in loadtxt_sources)
+
+
+def test_gzip_file_is_not_utf8(tmp_path, capsys):
+    from dpxa.cli import main
+
+    path = tmp_path / "data.csv.gz"
+    path.write_bytes(gzip.compress(b"x,y\n1,2\n3,4\n"))
+    assert main(["analyze", "dfa", str(path), "--col", "x",
+                 "--out", str(tmp_path / "run")]) == 3
+    assert "not UTF-8" in capsys.readouterr().err
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
