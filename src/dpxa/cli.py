@@ -146,18 +146,34 @@ def _pick_column(columns: dict, name: str | None, flag: str) -> np.ndarray:
     return columns[name]
 
 
+_SINGLE_METHODS = ("dfa", "mfdfa")
+_FORCED_METHODS = ("dpxa", "mfdpxa", "rho-dpxa")
+
+
+def _check_flags(args) -> None:
+    """Reject the flags the method does not use."""
+    method = args.method
+    unused = [flag for flag, given, used in (
+        ("--y", args.y is not None, method not in _SINGLE_METHODS),
+        ("--z", bool(args.z), method in _FORCED_METHODS),
+        ("--fit-min", args.fit_min is not None, not method.startswith("rho")),
+        ("--fit-max", args.fit_max is not None, not method.startswith("rho")),
+    ) if given and not used]
+    if unused:
+        raise ConfigError(f"method {method!r} does not use "
+                          f"{', '.join(unused)}")
+
+
 def _analysis_inputs(args, columns):
     method = args.method
-    single = method in ("dfa", "mfdfa")
-    needs_z = method in ("dpxa", "mfdpxa", "rho-dpxa")
-    if single:
+    if method in _SINGLE_METHODS:
         x = _pick_column(columns, args.col or args.x, "--col")
         y = None
     else:
         x = _pick_column(columns, args.x, "--x")
         y = _pick_column(columns, args.y, "--y")
     forces = None
-    if needs_z:
+    if method in _FORCED_METHODS:
         if not args.z:
             raise ConfigError(f"method {method!r} requires at least one --z")
         forces = ForceMatrix.from_series(
@@ -180,6 +196,7 @@ def _grids(args, length: int) -> tuple[ScaleGrid, QGrid]:
 
 
 def _cmd_analyze(args) -> int:
+    _check_flags(args)
     columns = read_series_csv(args.input)
     x, y, forces = _analysis_inputs(args, columns)
     series_x = as_series(x)

@@ -5,19 +5,23 @@ DFA, DCCA, DPXA and rho(s) all take the same steps in each size-s box:
 remove the force regression from the increments, cumulate the residuals
 into a disturbance profile, remove its local trend (polynomial fit or
 centred moving average of length s) and average products of two detrended
-profiles. ``window_products`` takes these steps once per scale for a whole
-stack of series. The forces go before the cumsum: with an intercept the
-window residual is (x - mean x) - b (z - mean z), with b from the p x p
-centred force moments (Cholesky; a division for one force). Removing b z
-after the cumsum, from Gram products of detrended profiles, subtracts
-nearly equal large numbers: on a binomial measure masked by 3 z it is off
-by 8% at s = 16. Rank-deficient windows fall back to a least-squares
-solve, whose residual is unique even where b is not. A series that enters
-the stack twice (x and x|z) is centred once; its second row copies the
-centred windows of the first, and a force that is also a plain row of the
-stack (the sweep's z) takes that row's centred windows. Windows of at most
-32 points are cumulated a column at a time, which adds in np.cumsum's
-order and is faster there.
+profiles. So each estimator is a pair of rows of one stack, and
+``window_products`` takes these steps for every pair and size in one
+call. The stack holds k distinct series, some of them force columns; a
+pair index i < k names series i, and k + i its residual on the forces.
+Only the named rows are built, and each series is centred once per
+window: a residual row copies its series' centred windows, and forces the
+pairs name plain (the sweep's z) lend theirs to the regression.
+
+The forces go before the cumsum: with an intercept the window residual is
+(x - mean x) - b (z - mean z), with b from the p x p centred force
+moments (Cholesky; a division for one force). Removing b z after the
+cumsum, from Gram products of detrended profiles, subtracts nearly equal
+large numbers: on a binomial measure masked by 3 z it is off by 8% at
+s = 16. Rank-deficient windows fall back to a least-squares solve, whose
+residual is unique even where b is not. Windows of at most 32 points are
+cumulated a column at a time, which adds in np.cumsum's order and is
+faster there.
 
 The polynomial trend is never formed. With Q an orthonormal basis of the
 polynomials of the fit order on the box and c = Q'P the projection
@@ -37,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import TimeSeries, as_series, _frozen_array, _resident_array
+from .core import as_series, _frozen_array, _resident_array
 from .errors import ConfigError, DataError, ShapeError, WindowTooSmallError
 
 POLYNOMIAL = "polynomial"
@@ -256,91 +260,89 @@ def _products(P: np.ndarray, pairs, norms: np.ndarray | None = None
                      for i, j in pairs])
 
 
-def work_buffer(k: int, length: int, cfg: DetrendConfig) -> np.ndarray:
-    """A ``work`` buffer that serves ``window_products`` at every scale of
-    a stack of k series of the given length."""
-    return np.empty(k * length * (2 if cfg.method == MOVING_AVERAGE else 1))
+def _block(rows) -> np.ndarray:
+    """The given equal-shape arrays as one array along a new first axis:
+    a view of a single array, a copy of several."""
+    return rows[0][None] if len(rows) == 1 else np.stack(rows)
 
 
-def window_products(rows, forces: np.ndarray | None, size: int,
-                    cfg: DetrendConfig, pairs, regressed: int = 0,
-                    work: np.ndarray | None = None,
-                    force_rows: int | None = None
-                    ) -> tuple[np.ndarray, int]:
-    """Window covariances of several profile sets at one scale.
+def window_products(rows, sizes, cfg: DetrendConfig, pairs, forces=()
+                    ) -> tuple[list[np.ndarray], int]:
+    """Window covariances of pairs of stack rows at every window size.
 
-    ``rows`` holds k equal-length series (a (k, T) array or a sequence of
-    1-d arrays); each row is one profile set. In every size-s window the
-    increments are centred (with an intercept), the last ``regressed``
-    rows are replaced by their residuals on the force columns ``forces``
-    (T, p), and the whole stack is cumulated and detrended in one pass.
-    A row given as the same array object as an earlier row copies that
-    row's centred windows. ``force_rows`` = i says that unregressed rows
-    i..i+p-1 hold the p force columns' values: the force block then takes
-    their centred windows. Returns the (len(pairs), M) signed mean
-    products of the detrended profiles of each row pair (i, j), and the
-    number of windows whose force design is rank deficient. Trailing
-    points beyond M*s are excluded. The arrays are taken from ``work``
-    (see ``work_buffer``), and allocated where it is missing or too
-    small: a caller looping over scales passes the same buffer to every
-    call.
+    ``rows`` holds k distinct equal-length series (a (k, T) array or a
+    sequence of 1-d arrays) and ``forces`` the indices of those that are
+    force columns. In a pair, index i < k names series i and index k + i
+    the residual of series i on the forces. In every size-s window a row
+    is the increments of its series, centred with an intercept; a residual
+    row then has its OLS fit on the force windows removed. Only the rows
+    some pair names are built, and each series is centred once: a residual
+    row copies its series' centred windows, and when the pairs name every
+    force plain, the regression takes those rows' centred windows. The
+    rows are cumulated and detrended together, in one buffer that serves
+    every size. Returns, per size, the (len(pairs), T // s) signed mean
+    products of the detrended profiles of each pair (points beyond the
+    last whole window are excluded), and the number of windows whose
+    force design is rank deficient, over all sizes.
     """
     rows = list(rows)
     k, T = len(rows), len(rows[0])
-    M = T // size
-    n = k * M * size
-    cfg.check_scale(size)
+    sizes = [int(s) for s in sizes]
+    for s in sizes:
+        cfg.check_scale(s)
+    named = sorted({i for pair in pairs for i in pair})
+    slot = {i: n for n, i in enumerate(named)}
+    pairs = [(slot[i], slot[j]) for i, j in pairs]
+    r, plain = len(named), sum(i < k for i in named)
     moving = cfg.method == MOVING_AVERAGE
-    need = (2 if moving else 1) * n
-    if work is None or work.size < need:
-        work = np.empty(need)
-    A = work[:n].reshape(k, M, size)
-    for i, row in enumerate(rows):
-        first = next(j for j in range(i + 1) if rows[j] is row)
-        X = row[: M * size].reshape(M, size)
-        if first < i:
-            A[i] = A[first]
-        elif cfg.with_intercept:
-            np.subtract(X, X.mean(axis=1, keepdims=True), out=A[i])
-        else:
-            A[i] = X
-    deficient = 0
-    if regressed and forces is not None:
-        Z = np.ascontiguousarray(forces[: M * size].T).reshape(
-            forces.shape[1], M, size)
-        if not cfg.with_intercept:
-            Zc = Z
-        elif force_rows is None:
-            Zc = Z - Z.mean(axis=2, keepdims=True)
-        else:
-            Zc = A[force_rows: force_rows + Z.shape[0]]
-        deficient = _remove_forces(A[k - regressed:], Z, Zc,
-                                   cfg.with_intercept)
-    _cumulate(A)
-    flat = A.reshape(k * M, size)
-    if moving:
-        _subtract_moving_average(flat, work[n: 2 * n].reshape(k * M, size))
-        return _products(A, pairs) / size, deficient
-    # sum (P - QQ'P)_i (P - QQ'P)_j = <P_i, P_j> - <c_i, c_j>, c = Q'P
-    Q = _projection_basis(size, cfg.poly_order)
-    c = (flat @ Q).reshape(k, M, Q.shape[1])
-    norms = np.einsum("kms,kms->km", A, A)
-    trends = np.einsum("kmd,kmd->km", c, c)
-    f2 = _products(A, pairs, norms) - _products(c, pairs, trends)
-    # the difference loses up to 1.2e-15 * <P, P> / F^2 of F^2: windows
-    # where a trend carries most of a profile are detrended explicitly
-    bad = np.flatnonzero(np.any(norms > _CANCELLATION * (norms - trends),
-                                axis=0))
-    if bad.size:
-        R = A[:, bad]
-        R -= (R @ Q) @ Q.T
-        f2[:, bad] = _products(R, pairs)
-    return f2 / size, deficient
-
-
-def series_pair(x, y) -> tuple[TimeSeries, TimeSeries]:
-    """Validate a pair of equal-length series."""
-    xs, ys = as_series(x), as_series(y)
-    if len(xs) != len(ys):
-        raise ShapeError(f"series lengths differ: {len(xs)} != {len(ys)}")
-    return xs, ys
+    # one buffer for every size: fresh multi-MB arrays go back to the
+    # system whenever glibc trims its heap and are faulted in again, up to
+    # 32,000 minor faults per 7-row stack at N = 2^16
+    work = np.empty((2 if moving else 1) * r * T)
+    F = _block([rows[f] for f in forces]) if forces and plain < r else None
+    lent = all(f in slot for f in forces)
+    out, deficient = [], 0
+    for size in sizes:
+        M = T // size
+        n = r * M * size
+        A = work[:n].reshape(r, M, size)
+        for a, i in enumerate(named):
+            if i >= k and i - k in slot:
+                A[a] = A[slot[i - k]]
+                continue
+            X = rows[i - k if i >= k else i][: M * size].reshape(M, size)
+            if cfg.with_intercept:
+                np.subtract(X, X.mean(axis=1, keepdims=True), out=A[a])
+            else:
+                A[a] = X
+        if F is not None:
+            Z = F[:, : M * size].reshape(len(forces), M, size)
+            if not cfg.with_intercept:
+                Zc = Z
+            elif lent:
+                Zc = _block([A[slot[f]] for f in forces])
+            else:
+                Zc = Z - Z.mean(axis=2, keepdims=True)
+            deficient += _remove_forces(A[plain:], Z, Zc, cfg.with_intercept)
+        _cumulate(A)
+        flat = A.reshape(r * M, size)
+        if moving:
+            _subtract_moving_average(flat, work[n: 2 * n].reshape(r * M, size))
+            out.append(_products(A, pairs) / size)
+            continue
+        # sum (P - QQ'P)_i (P - QQ'P)_j = <P_i, P_j> - <c_i, c_j>, c = Q'P
+        Q = _projection_basis(size, cfg.poly_order)
+        c = (flat @ Q).reshape(r, M, Q.shape[1])
+        norms = np.einsum("kms,kms->km", A, A)
+        trends = np.einsum("kmd,kmd->km", c, c)
+        f2 = _products(A, pairs, norms) - _products(c, pairs, trends)
+        # the difference loses up to 1.2e-15 * <P, P> / F^2 of F^2: windows
+        # where a trend carries most of a profile are detrended explicitly
+        bad = np.flatnonzero(np.any(norms > _CANCELLATION * (norms - trends),
+                                    axis=0))
+        if bad.size:
+            R = A[:, bad]
+            R -= (R @ Q) @ Q.T
+            f2[:, bad] = _products(R, pairs)
+        out.append(f2 / size)
+    return out, deficient

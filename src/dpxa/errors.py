@@ -23,10 +23,6 @@ class ShapeError(DataError):
     pass
 
 
-class SizeError(DataError):
-    pass
-
-
 class IngestionError(DataError):
     """A CSV file could not be parsed."""
 
@@ -48,6 +44,10 @@ class WindowTooSmallError(ConfigError):
 
 
 class InsufficientScalesError(ConfigError):
+    pass
+
+
+class SizeError(ConfigError):
     pass
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import QGrid, ScaleGrid
-from .detrend import DetrendConfig, ForceMatrix
+from .detrend import DetrendConfig
 from .errors import ConfigError, DpxaError
 from .fluctuation import KIND_DCCA, KIND_DFA, KIND_DPXA, fluctuation_dcca, \
     rho_values, surface, window_covariances
@@ -273,10 +273,10 @@ class MfRecoveryResult:
 
 _EXPONENT_KEYS = ("h_rx", "h_ry", "h_z", "h_x", "h_y", "h_xy", "h_rxry",
                   "h_xyz")
-# window-covariance pairs of the stack (rx, ry, z, x, y, x|z, y|z), one per
-# exponent key
+# window-covariance pairs of the stack (rx, ry, z, x, y) with force z, one
+# per exponent key: x|z and y|z are rows 5 + 3 and 5 + 4
 _SWEEP_PAIRS = ((0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (3, 4), (0, 1),
-                (5, 6))
+                (8, 9))
 _SWEEP_KINDS = (KIND_DFA,) * 5 + (KIND_DCCA, KIND_DCCA, KIND_DPXA)
 
 
@@ -291,9 +291,8 @@ def _sweep_task(task) -> tuple[float, ...]:
         x = contaminate(rx, z, beta_x)
         y = contaminate(ry, z, beta_y)
         grid = ScaleGrid.default(length)
-        covs = window_covariances((rx, ry, z, x, y, x, y),
-                                  ForceMatrix.from_series([z]), grid,
-                                  DetrendConfig(), _SWEEP_PAIRS, regressed=2)
+        covs = window_covariances((rx, ry, z, x, y), grid, DetrendConfig(),
+                                  _SWEEP_PAIRS, forces=(2,))
         return tuple(float(fit_exponent(sf).h[0]) for sf in
                      surface(covs, grid, QGrid.second_order(), _SWEEP_KINDS))
     except DpxaError as exc:
@@ -359,7 +358,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
 # --------------------------------------------------------------------------- #
 # coefficient comparison
 
-_RHO_PAIRS = tuple((a + i, a + j) for a in (0, 2, 4)
+_RHO_PAIRS = tuple((a + i, a + j) for a in (0, 2, 5)
                    for i, j in ((0, 1), (0, 0), (1, 1)))
 
 
@@ -372,11 +371,10 @@ def _rho_realization(args) -> np.ndarray:
                  derive_seed(spec.seed_base, seed_idx, 1)))
     x = contaminate(rx, z, spec.beta_x)
     y = contaminate(ry, z, spec.beta_y)
-    # stack (x, y, rx, ry, x|z, y|z): rho_dcca(x, y), rho_dcca(rx, ry) and
-    # the partial rho_curve(x, y | z)
-    covs = window_covariances((x, y, rx, ry, x, y),
-                              ForceMatrix.from_series([z]), scales,
-                              DetrendConfig(), _RHO_PAIRS, regressed=2)
+    # stack (x, y, rx, ry, z) with force z, x|z and y|z being rows 5 and 6:
+    # rho_dcca(x, y), rho_dcca(rx, ry) and the partial rho_curve(x, y | z)
+    covs = window_covariances((x, y, rx, ry, z), scales, DetrendConfig(),
+                              _RHO_PAIRS, forces=(4,))
     return np.stack([rho_values(covs, (3 * k, 3 * k + 1, 3 * k + 2), scales)
                      for k in range(3)])
 
@@ -410,10 +408,10 @@ def _mf_realization(args) -> tuple[ScalingFit, ScalingFit, float]:
                         derive_seed(spec.seed_base, seed_idx, 0)))
     x = contaminate(rx, z, spec.beta_x)
     y = contaminate(ry, z, spec.beta_y)
-    # stack (x, y, x|z, y|z): MF-DCCA of (x, y) and MF-DPXA of (x, y | z)
-    covs = window_covariances((x, y, x, y), ForceMatrix.from_series([z]),
-                              scales, DetrendConfig(), ((0, 1), (2, 3)),
-                              regressed=2)
+    # stack (x, y, z) with force z: MF-DCCA of (x, y) and MF-DPXA of
+    # (x|z, y|z), rows 3 + 0 and 3 + 1
+    covs = window_covariances((x, y, z), scales, DetrendConfig(),
+                              ((0, 1), (3, 4)), forces=(2,))
     fit_xy, fit_xyz = (fit_exponent(sf) for sf in
                        surface(covs, scales, orders, (KIND_DCCA, KIND_DPXA)))
     noise_std = float(np.std(spec.beta_x.slope * z.values))

@@ -1,15 +1,17 @@
 """Detrended covariances per window and their aggregation over scales.
 
-Every estimator is a pick of row pairs from one pass of the window kernel
-``detrend.window_products`` per scale: DFA of x is the pair (x, x), DCCA
-the pair (x, y), DPXA the pair (x|z, y|z) of force-regressed rows, and
-rho(s) the pairs (x, y), (x, x) and (y, y) of one family. A caller that
-needs x both plain and regressed passes the same series object twice, and
-the kernel centres its windows once. The signed mean product of two
-detrended profiles in window v is its covariance F_v^2. ``surface`` turns
-every pair of one ``window_covariances`` result into its F(q, s) surface,
-with one pass over the windows of all pairs and scales per order q.
-Aggregation keeps two views of F_v^2:
+Every estimator is a pick of row pairs from one call of the window kernel
+``detrend.window_products``, which covers every scale. Its stack holds k
+distinct series with the force columns among them, and pair index k + i
+names the residual of series i on the forces: DFA of x is the pair
+(x, x), DCCA the pair (x, y), DPXA the pair (x|z, y|z) of residuals, and
+rho(s) the pairs (x, y), (x, x) and (y, y) of one family. The public
+functions append a ``ForceMatrix``'s columns to the stack as rows. The
+signed mean product of two detrended profiles in window v is its
+covariance F_v^2. ``surface`` turns every pair of one
+``window_covariances`` result into its F(q, s) surface, with one pass
+over the windows of all pairs and scales per order q. Aggregation keeps
+two views of F_v^2:
 
 * the exponent pipeline uses |F_v^2|, giving F(q, s) = [mean_v
   |F_v^2|^(q/2)]^(1/q) for q != 0 and the logarithmic average
@@ -30,8 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import QGrid, ScaleGrid, _frozen_array, as_series
-from .detrend import DetrendConfig, ForceMatrix, series_pair, window_products, \
-    work_buffer
+from .detrend import DetrendConfig, ForceMatrix, window_products
 from .errors import DegenerateInputError, RankDeficiencyWarning, ShapeError
 
 KIND_DFA = "DFA"
@@ -73,57 +74,21 @@ class RhoCurve:
         object.__setattr__(self, "rho", _frozen_array(self.rho))
 
 
-def _force_data(forces: ForceMatrix | None, length: int) -> np.ndarray | None:
-    if forces is None:
-        return None
-    if forces.length != length:
-        raise ShapeError(
-            f"force length {forces.length} != series length {length}"
-        )
-    return forces.data
-
-
-def _force_rows(rows, fdata: np.ndarray | None, regressed: int
-                ) -> int | None:
-    """The first of p consecutive unregressed rows that hold the values of
-    the p force columns, as the sweep's plain z row does, or None."""
-    if fdata is None or not regressed:
-        return None
-    p = fdata.shape[1]
-    return next((i for i in range(len(rows) - regressed - p + 1)
-                 if all(np.array_equal(rows[i + c], fdata[:, c])
-                        for c in range(p))), None)
-
-
-def window_covariances(series, forces: ForceMatrix | None, scales: ScaleGrid,
-                       cfg: DetrendConfig, pairs,
-                       regressed: int = 0) -> list[np.ndarray]:
-    """Per-scale (len(pairs), M) window covariances of row pairs of the
-    equal-length ``series``; the last ``regressed`` series are regressed
-    on the forces (see ``detrend.window_products``). A series object that
-    appears twice, as x and x|z do, is centred once, and so is a force
-    that is also a plain series. Rank-deficient windows raise one
-    RankDeficiencyWarning for the whole call."""
+def window_covariances(series, scales: ScaleGrid, cfg: DetrendConfig, pairs,
+                       forces=()) -> list[np.ndarray]:
+    """Per-scale (len(pairs), M) window covariances of pairs of rows of the
+    stack of k equal-length ``series``, of which ``forces`` index the
+    force columns: pair index i < k names series i, and k + i its residual
+    on the forces (see ``detrend.window_products``). Rank-deficient windows
+    raise one RankDeficiencyWarning for the whole call."""
     rows = [as_series(s).values for s in series]
     lengths = {row.size for row in rows}
     if len(lengths) > 1:
         raise ShapeError(f"series lengths differ: {sorted(lengths)}")
-    length = rows[0].size
-    scales.check_series_length(length)
-    fdata = _force_data(forces, length)
-    out, deficient, windows = [], 0, 0
-    # one buffer for the windows of every scale: fresh multi-MB arrays go
-    # back to the system whenever glibc trims its heap and are faulted in
-    # again, up to 32,000 minor faults per 7-row call at N = 2^16
-    work = work_buffer(len(rows), length, cfg)
-    force_rows = _force_rows(rows, fdata, regressed)
-    for s in scales.scales:
-        f2, bad = window_products(rows, fdata, int(s), cfg, pairs, regressed,
-                                  work, force_rows)
-        out.append(f2)
-        deficient += bad
-        windows += f2.shape[1]
+    scales.check_series_length(rows[0].size)
+    out, deficient = window_products(rows, scales.scales, cfg, pairs, forces)
     if deficient:
+        windows = sum(f2.shape[1] for f2 in out)
         warnings.warn(
             f"rank-deficient design in {deficient} of {windows} windows; "
             "minimum-norm solution used",
@@ -131,6 +96,16 @@ def window_covariances(series, forces: ForceMatrix | None, scales: ScaleGrid,
             stacklevel=3,
         )
     return out
+
+
+def _with_forces(series: tuple, forces: ForceMatrix | None):
+    """The stack of ``series`` followed by the force columns as rows, the
+    indices of those rows, and the offset that names each series in a
+    pair: k, to name its residual, when there are forces."""
+    if forces is None:
+        return series, (), 0
+    k = len(series) + forces.p
+    return series + tuple(forces.data.T), tuple(range(len(series), k)), k
 
 
 def surface(covs: list[np.ndarray], scales: ScaleGrid, orders: QGrid,
@@ -197,14 +172,14 @@ def fluctuation_dpxa(x, y, forces: ForceMatrix | None, scales: ScaleGrid,
     ``forces=None`` computes DCCA; passing the same object for x and y
     computes DFA.
     """
-    xs, ys = series_pair(x, y)
+    xs, ys = as_series(x), as_series(y)
     same = y is x or y is xs
-    partial = _force_data(forces, len(xs)) is not None
     if kind is None:
-        kind = KIND_DPXA if partial else (KIND_DFA if same else KIND_DCCA)
-    series, pair = ((xs,), (0, 0)) if same else ((xs, ys), (0, 1))
-    covs = window_covariances(series, forces, scales, cfg, (pair,),
-                              regressed=len(series) if partial else 0)
+        kind = KIND_DPXA if forces is not None else \
+            (KIND_DFA if same else KIND_DCCA)
+    stack, zrows, base = _with_forces((xs,) if same else (xs, ys), forces)
+    pair = (base, base) if same else (base, base + 1)
+    covs = window_covariances(stack, scales, cfg, (pair,), zrows)
     return surface(covs, scales, orders, (kind,))[0]
 
 
@@ -230,13 +205,11 @@ def rho_curve(x, y, forces: ForceMatrix | None, scales: ScaleGrid,
     through the same force regression. Cauchy-Schwarz bounds the result
     to [-1, 1].
     """
-    xs, ys = series_pair(x, y)
-    partial = _force_data(forces, len(xs)) is not None
-    covs = window_covariances((xs, ys), forces, scales, cfg,
-                              ((0, 1), (0, 0), (1, 1)),
-                              regressed=2 if partial else 0)
+    stack, zrows, b = _with_forces((as_series(x), as_series(y)), forces)
+    covs = window_covariances(stack, scales, cfg,
+                              ((b, b + 1), (b, b), (b + 1, b + 1)), zrows)
     return RhoCurve(scales, rho_values(covs, (0, 1, 2), scales),
-                    KIND_DPXA if partial else KIND_DCCA)
+                    KIND_DCCA if forces is None else KIND_DPXA)
 
 
 def rho_dcca(x, y, scales: ScaleGrid,

@@ -86,7 +86,9 @@ def window_cov(rx, ry) -> float:
 
 def oracle_products(rows, Z, s, cfg, pairs, regressed=0):
     """``window_products`` rebuilt window by window: window_ols -> profile
-    -> local_trend -> window_cov."""
+    -> local_trend -> window_cov. The last ``regressed`` of the k rows are
+    regressed on the (T, p) force columns Z; pair indices name the rows
+    as given."""
     k, T = rows.shape
     M = T // s
     out = np.empty((len(pairs), M))

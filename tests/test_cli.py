@@ -351,6 +351,35 @@ def test_count_below_one_is_config_error(tmp_path, capsys, method, flag,
     assert not list(tmp_path.glob("run_*"))
 
 
+@pytest.mark.parametrize("method, flag", [
+    *((m, "--z") for m in ("dfa", "mfdfa", "dcca", "mfdcca", "rho-dcca")),
+    ("dfa", "--y"), ("mfdfa", "--y"),
+    *((m, f) for m in ("rho-dcca", "rho-dpxa")
+      for f in ("--fit-min", "--fit-max"))])
+def test_unused_flag_is_config_error(tmp_path, capsys, method, flag):
+    src = tmp_path / "in.csv"
+    rng = np.random.default_rng(4)
+    write_series_csv(src, {c: rng.standard_normal(1024) for c in "xyz"})
+    argv = ["analyze", method, src, "--x", "x"]
+    if method not in ("dfa", "mfdfa"):
+        argv += ["--y", "y"]
+    if method == "rho-dpxa":
+        argv += ["--z", "z"]
+    value = {"--y": "y", "--z": "z"}.get(flag, 20)
+    assert run([*argv, flag, value, "--out", tmp_path / "run"]) == 4
+    assert capsys.readouterr().err == \
+        f"dpxa: error: method {method!r} does not use {flag}\n"
+    assert not list(tmp_path.glob("run_*"))
+
+
+def test_binomial_depth_over_limit_is_config_error(tmp_path, capsys):
+    out = tmp_path / "bin.csv"
+    assert run(["gen", "binomial", "--p", 0.3, "--depth", 30,
+                "--out", out]) == 4
+    assert "the limit is" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_jobs_below_one_is_config_error(tmp_path, capsys, jobs):
     assert run(["experiment", "rho", "--preset", "smoke", "--jobs", jobs,

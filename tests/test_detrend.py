@@ -17,6 +17,21 @@ from oracle import (longdouble_products, local_trend, oracle_products, profile,
                     window_ols)
 
 
+def kernel(rows, Z, sizes, cfg, pairs, regressed=0):
+    """``window_products`` on the oracle's stack: the rows, of which the
+    last ``regressed`` are regressed on the (T, p) force columns Z. The
+    kernel's stack puts the force columns after the rows and names the
+    residual of row i as k + i."""
+    if Z is None or not regressed:
+        return window_products(rows, sizes, cfg, pairs)
+    n, p = len(rows), Z.shape[1]
+    k = n + p
+    name = [i + k if i >= n - regressed else i for i in range(n)]
+    return window_products(np.vstack([rows, Z.T]), sizes, cfg,
+                           [(name[i], name[j]) for i, j in pairs],
+                           tuple(range(n, k)))
+
+
 def ols_line(k, y):
     """Independent oracle: simple regression via explicit normal equations."""
     k = np.asarray(k, float)
@@ -197,7 +212,7 @@ def test_batched_engine_matches_single_window_ops(seed):
     Z = rng.standard_normal((T, 2))
     cfg = DetrendConfig(poly_order=1)
     pairs = ((0, 0), (0, 1), (1, 1))
-    batched, deficient = window_products(rows, Z, s, cfg, pairs, regressed=2)
+    (batched,), deficient = kernel(rows, Z, (s,), cfg, pairs, regressed=2)
     assert deficient == 0
     expected = oracle_products(rows, Z, s, cfg, pairs, regressed=2)
     assert np.allclose(batched, expected, atol=1e-10)
@@ -206,7 +221,7 @@ def test_batched_engine_matches_single_window_ops(seed):
 @settings(max_examples=120, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), s=st.integers(4, 40),
        windows=st.integers(1, 6), extra=st.integers(0, 3),
-       p=st.sampled_from([0, 1, 2]),
+       p=st.sampled_from([0, 1, 2, 3]),
        method=st.sampled_from(["polynomial", "moving_average"]),
        poly_order=st.integers(0, 2), with_intercept=st.booleans(),
        deficient=st.sampled_from([None, "duplicate", "constant"]))
@@ -224,16 +239,19 @@ def test_kernel_matches_single_window_oracle(seed, s, windows, extra, p,
     cfg = DetrendConfig(method=method, poly_order=min(poly_order, s - 2),
                         with_intercept=with_intercept)
     pairs = ((0, 0), (0, 1), (1, 3), (2, 3), (3, 3))
-    got, bad = window_products(rows, Z, s, cfg, pairs, regressed=2)
-    # a work buffer left dirty by another call changes nothing
-    work = np.full(rows.size, np.nan)
-    again, _ = window_products(rows, Z, s, cfg, pairs, regressed=2, work=work)
+    if p + with_intercept >= s:
+        with pytest.raises(WindowTooSmallError):
+            kernel(rows, Z, (s,), cfg, pairs, regressed=2)
+        return
+    (got,), bad = kernel(rows, Z, (s,), cfg, pairs, regressed=2)
+    # the buffer left dirty by a larger size changes nothing
+    (_, again), _ = kernel(rows, Z, (T, s), cfg, pairs, regressed=2)
     assert np.array_equal(again, got)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RankDeficiencyWarning)
         expected = oracle_products(rows, Z, s, cfg, pairs, regressed=2)
     assert np.allclose(got, expected, rtol=0, atol=1e-10)
-    rank_deficient = (deficient == "duplicate" and p == 2
+    rank_deficient = (deficient == "duplicate" and p >= 2
                       or deficient == "constant" and p and with_intercept)
     assert bad == (windows if rank_deficient else 0)
 
@@ -244,9 +262,11 @@ def test_kernel_plain_rows_ignore_forces():
     Z = rng.standard_normal((300, 1))
     cfg = DetrendConfig()
     pairs = ((0, 0), (0, 1))
-    with_forces, _ = window_products(rows, Z, 30, cfg, pairs, regressed=1)
-    without, _ = window_products(rows, None, 30, cfg, pairs)
-    assert np.array_equal(with_forces, without)
+    # the residual of row 2 is built beside the plain rows
+    (with_forces,), _ = window_products(np.vstack([rows, Z.T]), (30,), cfg,
+                                        pairs + ((6, 6),), (3,))
+    (without,), _ = window_products(rows, (30,), cfg, pairs)
+    assert np.array_equal(with_forces[:2], without)
 
 
 def _accuracy_rows(n):
@@ -272,9 +292,10 @@ def test_projection_products_match_extended_precision(order):
     rows = _accuracy_rows(2 ** 16)
     k = rows.shape[0]
     pairs = [(i, j) for i in range(k) for j in range(i, k)]
-    for s in (10, 104, 1000, 16384):
-        got, _ = window_products(rows, None, s, DetrendConfig(poly_order=order),
-                                 pairs)
+    sizes = (10, 104, 1000, 16384)
+    covs, _ = window_products(rows, sizes, DetrendConfig(poly_order=order),
+                              pairs)
+    for s, got in zip(sizes, covs):
         want, own = longdouble_products(rows, s, order, pairs)
         scale = np.sqrt(np.stack([own[i] * own[j] for i, j in pairs]))
         err = (np.abs(got - want) / scale).astype(float)
@@ -294,13 +315,11 @@ def test_short_window_scan_equals_cumsum_bitwise(s):
     DetrendConfig(method="moving_average"),
     DetrendConfig(with_intercept=False)], ids=["p1", "p2", "ma", "nocept"])
 @pytest.mark.parametrize("p", [1, 2])
-def test_force_matching_a_row_matches_unshared_bitwise(cfg, p, monkeypatch):
-    # the sweep's stack holds z plain beside x|z and y|z: the force block
-    # takes the plain rows' centred windows instead of centring z again
-    import dpxa.fluctuation
+def test_force_matching_a_row_matches_unshared_bitwise(cfg, p):
+    # the sweep's stack names z plain beside x|z and y|z: the regression
+    # takes the plain z rows' centred windows instead of centring z again
     from dpxa import ScaleGrid, TimeSeries
-    from dpxa.core import as_series
-    from dpxa.fluctuation import _force_rows, window_covariances
+    from dpxa.fluctuation import window_covariances
 
     rng = np.random.default_rng(15)
     n = 3000
@@ -308,16 +327,20 @@ def test_force_matching_a_row_matches_unshared_bitwise(cfg, p, monkeypatch):
     r = rng.standard_normal((2, n))
     x = TimeSeries(5.0 + 2.0 * z.sum(axis=0) + r[0])
     y = TimeSeries(-1.0 + z[0] + r[1])
-    forces = ForceMatrix.from_series(list(z))
     grid = ScaleGrid.default(n)
-    stack = (r[0], r[1], *z, x, y, x, y)
-    assert _force_rows([as_series(v).values for v in stack], forces.data,
-                       2) == 2
+    stack = (r[0], r[1], *z, x, y)
     k = len(stack)
-    pairs = [(i, j) for i in range(k) for j in range(i, k)]
-    shared = window_covariances(stack, forces, grid, cfg, pairs, regressed=2)
-    monkeypatch.setattr(dpxa.fluctuation, "_force_rows", lambda *args: None)
-    unshared = window_covariances(stack, forces, grid, cfg, pairs,
-                                  regressed=2)
+    # every row plain, and x|z and y|z
+    named = list(range(k)) + [2 * k - 2, 2 * k - 1]
+    pairs = [(i, j) for a, i in enumerate(named) for j in named[a:]]
+    shared = window_covariances(stack, grid, cfg, pairs,
+                                tuple(range(2, 2 + p)))
+    # the same stack with the forces as separate copies no pair names
+    copies = stack + tuple(row.copy() for row in z)
+    m = len(copies)
+    unshared = window_covariances(
+        copies, grid, cfg,
+        [(i + m - k if i >= k else i, j + m - k if j >= k else j)
+         for i, j in pairs], tuple(range(k, m)))
     for a, b in zip(shared, unshared):
         assert a.tobytes() == b.tobytes()

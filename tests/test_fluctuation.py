@@ -265,9 +265,10 @@ def test_dpxa_on_masked_binomial_matches_extended_precision():
     z = gen_fgn(FgnSpec(0.5, 2 ** depth, 3)).values
     x = 2.0 + 3.0 * z + gen_binomial(BinomialSpec(0.3, depth)).values
     y = 2.0 + 3.0 * z + gen_binomial(BinomialSpec(0.4, depth)).values
-    for s in (16, 256, 4096):
-        f2, _ = window_products(np.stack([x, y]), z[:, None], s,
-                                DetrendConfig(), ((0, 1),), regressed=2)
+    sizes = (16, 256, 4096)
+    covs, _ = window_products((x, y, z), sizes, DetrendConfig(), ((3, 4),),
+                              (2,))
+    for s, f2 in zip(sizes, covs):
         ref = _longdouble_dpxa_products(x, y, z, s)
         rel = np.abs(f2[0] - ref) / np.abs(ref)
         assert float(np.max(rel)) <= 2e-8, s
@@ -322,26 +323,35 @@ def test_rank_deficiency_warns_once_per_call():
     DetrendConfig(method="moving_average"),
     DetrendConfig(with_intercept=False)], ids=["p1", "p2", "ma", "nocept"])
 def test_repeated_series_matches_copies_bitwise(cfg):
-    # x and y enter plain and regressed; the regressed rows copy the plain
-    # rows' centred windows instead of centring them again
-    from dpxa import TimeSeries
+    # x and y are named plain and as residuals, and the force z plain: the
+    # residual rows copy the plain rows' centred windows, and the force
+    # block is the z rows' centred windows
     from dpxa.fluctuation import window_covariances
 
     rng = np.random.default_rng(14)
     n = 3000
-    z = rng.standard_normal(n)
-    x = TimeSeries(5.0 + 2.0 * z + rng.standard_normal(n))
-    y = TimeSeries(-1.0 + z + rng.standard_normal(n))
-    forces = ForceMatrix.from_series([z])
     grid = ScaleGrid.default(n)
-    pairs = ((0, 0), (0, 1), (1, 1), (2, 3), (2, 2), (0, 3))
-    shared = window_covariances((x, y, x, y), forces, grid, cfg, pairs,
-                                regressed=2)
-    copies = window_covariances(
-        (x, y, TimeSeries(x.values.copy()), TimeSeries(y.values.copy())),
-        forces, grid, cfg, pairs, regressed=2)
-    for a, b in zip(shared, copies):
-        assert np.array_equal(a, b)
+    for p in (1, 2):
+        z = rng.standard_normal((p, n))
+        x = 5.0 + 2.0 * z.sum(axis=0) + rng.standard_normal(n)
+        y = -1.0 + z[0] + rng.standard_normal(n)
+        k = 2 + p
+        plain = ((0, 0), (0, 1), (1, 1), (0, 2), (2, 2))
+        shared = window_covariances(
+            (x, y, *z), grid, cfg,
+            plain + ((k, k + 1), (k, k), (0, k + 1), (2, k)),
+            tuple(range(2, k)))
+        # x, y and z again as copies: the residuals of the copied x and y,
+        # on the copied forces, which no pair names
+        m = k + 2 + p
+        copies = window_covariances(
+            (x, y, *z, x.copy(), y.copy(), *(row.copy() for row in z)),
+            grid, cfg,
+            plain + ((m + k, m + k + 1), (m + k, m + k), (0, m + k + 1),
+                     (2, m + k)),
+            tuple(range(k + 2, m)))
+        for a, b in zip(shared, copies):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_surfaces_of_several_pairs_equal_each_alone():
@@ -355,7 +365,7 @@ def test_surfaces_of_several_pairs_equal_each_alone():
     orders = QGrid(np.array([-2.0, 0.0, 1.0, 2.0]))
     pairs = ((0, 0), (0, 1), (1, 1))
     kinds = ("DFA", "DCCA", "DFA")
-    covs = window_covariances((x, y), None, grid, DetrendConfig(), pairs)
+    covs = window_covariances((x, y), grid, DetrendConfig(), pairs)
     together = surface(covs, grid, orders, kinds)
     for n_, (kind, got) in enumerate(zip(kinds, together)):
         alone = surface([c[n_:n_ + 1] for c in covs], grid, orders,
@@ -372,5 +382,10 @@ def test_window_covariances_rejects_unequal_lengths():
     from dpxa.fluctuation import window_covariances
 
     with pytest.raises(ShapeError, match=r"\[400, 401\]"):
-        window_covariances((np.ones(400), np.ones(401)), None,
-                           ScaleGrid([10, 20]), DetrendConfig(), ((0, 1),))
+        window_covariances((np.ones(400), np.ones(401)), ScaleGrid([10, 20]),
+                           DetrendConfig(), ((0, 1),))
+    # the force columns are rows of the same stack
+    with pytest.raises(ShapeError, match=r"\[400, 401\]"):
+        window_covariances((np.ones(400), np.ones(400), np.ones(401)),
+                           ScaleGrid([10, 20]), DetrendConfig(), ((3, 4),),
+                           (2,))
