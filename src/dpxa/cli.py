@@ -3,8 +3,9 @@
 Inputs and outputs are headered CSV (one series per column) plus JSON
 sidecars that embed the complete effective configuration and seed, so any
 output file is reproducible from its own metadata. Exit codes: 0 success,
-2 usage, 3 ingestion, 4 configuration (a bad flag or spec value, or an
---out path that cannot be written), 5 numerical degeneracy.
+2 usage, 3 ingestion, 4 configuration (a bad flag or spec value, a flag
+that the method does not read, or an --out path that cannot be written),
+5 numerical degeneracy.
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments
-from .core import DEFAULT_MIN_SCALE, DEFAULT_SCALE_COUNT, QGrid, ScaleGrid, \
-    as_series
+from .core import QGrid, ScaleGrid, as_series
 from .detrend import DetrendConfig, ForceMatrix, MOVING_AVERAGE, POLYNOMIAL
 from .errors import ConfigError, DpxaError, IngestionError
-from .fluctuation import fluctuation_dcca, fluctuation_dfa, fluctuation_dpxa, \
-    rho_curve, rho_dcca
+from .fluctuation import KIND_DCCA, KIND_DFA, KIND_DPXA, fluctuation_dpxa, \
+    rho_curve
 from .generators import (
     BfbmSpec,
     BinomialSpec,
@@ -38,8 +38,30 @@ from .generators import (
 from .io import read_series_csv, write_json, write_series_csv, write_table_csv
 from .scaling import full_fit
 
-ANALYZE_METHODS = ("dfa", "dcca", "dpxa", "mfdfa", "mfdcca", "mfdpxa",
-                   "rho-dcca", "rho-dpxa")
+# method -> (kind, multifractal, rho): the kind also names the columns the
+# method reads, an mf method reads the --q-* grid, and a rho method writes
+# rho(s) in place of the fitted F(q, s)
+ANALYZE_METHODS = {
+    "dfa": (KIND_DFA, False, False),
+    "dcca": (KIND_DCCA, False, False),
+    "dpxa": (KIND_DPXA, False, False),
+    "mfdfa": (KIND_DFA, True, False),
+    "mfdcca": (KIND_DCCA, True, False),
+    "mfdpxa": (KIND_DPXA, True, False),
+    "rho-dcca": (KIND_DCCA, False, True),
+    "rho-dpxa": (KIND_DPXA, False, True),
+}
+_COLUMNS = {KIND_DFA: "--col (or --x)", KIND_DCCA: "--x and --y",
+            KIND_DPXA: "--x, --y and each --z, and take --no-intercept"}
+
+
+def _method_help() -> str:
+    def names(field, value=True):
+        return "/".join(m for m, row in ANALYZE_METHODS.items()
+                        if row[field] == value)
+    return "; ".join(f"{names(0, kind)} read {columns}"
+                     for kind, columns in _COLUMNS.items()) + \
+        f". --q-* apply to {names(1)} only, --fit-* to all but {names(2)}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,29 +96,29 @@ def build_parser() -> argparse.ArgumentParser:
     g_bin.add_argument("--out", required=True)
 
     ana = sub.add_parser("analyze", help="run an analysis on CSV columns")
-    ana.add_argument("method", choices=ANALYZE_METHODS)
+    ana.add_argument("method", choices=ANALYZE_METHODS, help=_method_help())
     ana.add_argument("input", help="headered CSV file")
     ana.add_argument("--col", help="column for single-series methods")
     ana.add_argument("--x", help="first series column")
     ana.add_argument("--y", help="second series column")
     ana.add_argument("--z", action="append", default=[],
                      help="external force column (repeatable)")
-    ana.add_argument("--s-min", type=int, default=DEFAULT_MIN_SCALE)
-    ana.add_argument("--s-max", type=int, default=None)
-    ana.add_argument("--s-count", type=int, default=DEFAULT_SCALE_COUNT)
+    # tuning flags default to None: ScaleGrid, QGrid, DetrendConfig own them
+    ana.add_argument("--s-min", type=int)
+    ana.add_argument("--s-max", type=int)
+    ana.add_argument("--s-count", type=int)
     ana.add_argument("--dyadic", action="store_true",
                      help="use a powers-of-two scale grid")
-    ana.add_argument("--q-min", type=float, default=-4.0)
-    ana.add_argument("--q-max", type=float, default=4.0)
-    ana.add_argument("--q-count", type=int, default=17)
-    ana.add_argument("--detrend", choices=(POLYNOMIAL, MOVING_AVERAGE),
-                     default=POLYNOMIAL)
-    ana.add_argument("--poly-order", type=int, default=1)
+    ana.add_argument("--q-min", type=float)
+    ana.add_argument("--q-max", type=float)
+    ana.add_argument("--q-count", type=int)
+    ana.add_argument("--detrend", choices=(POLYNOMIAL, MOVING_AVERAGE))
+    ana.add_argument("--poly-order", type=int)
     ana.add_argument("--no-intercept", action="store_true",
                      help="regress on the forces without an intercept")
-    ana.add_argument("--fit-min", type=int, default=None,
+    ana.add_argument("--fit-min", type=int,
                      help="narrow the log-log fit range")
-    ana.add_argument("--fit-max", type=int, default=None)
+    ana.add_argument("--fit-max", type=int)
     ana.add_argument("--out", required=True, help="output path prefix")
 
     exp = sub.add_parser("experiment", help="run a validation experiment")
@@ -136,9 +158,10 @@ def _cmd_gen(args) -> int:
 # --------------------------------------------------------------------------- #
 # analyze
 
-def _pick_column(columns: dict, name: str | None, flag: str) -> np.ndarray:
+def _pick_column(columns: dict, name: str | None, flag: str,
+                 method: str) -> np.ndarray:
     if name is None:
-        raise ConfigError(f"method requires {flag}")
+        raise ConfigError(f"method {method!r} requires {flag}")
     if name not in columns:
         raise IngestionError(
             f"column {name!r} not found; available: {list(columns)}"
@@ -146,62 +169,60 @@ def _pick_column(columns: dict, name: str | None, flag: str) -> np.ndarray:
     return columns[name]
 
 
-_SINGLE_METHODS = ("dfa", "mfdfa")
-_FORCED_METHODS = ("dpxa", "mfdpxa", "rho-dpxa")
-
-
-def _check_flags(args) -> None:
-    """Reject the flags the method does not use."""
-    method = args.method
-    unused = [flag for flag, given, used in (
-        ("--y", args.y is not None, method not in _SINGLE_METHODS),
-        ("--z", bool(args.z), method in _FORCED_METHODS),
-        ("--fit-min", args.fit_min is not None, not method.startswith("rho")),
-        ("--fit-max", args.fit_max is not None, not method.startswith("rho")),
-    ) if given and not used]
+def _check_flags(args, kind: str, multifractal: bool, rho: bool) -> None:
+    """Reject every given flag that the method's row does not read."""
+    single = kind == KIND_DFA
+    unused = [flag for flag, value, used in (
+        ("--col", args.col, single),
+        ("--x with --col", args.x, not single or args.col is None),
+        ("--y", args.y, not single),
+        ("--z", args.z or None, kind == KIND_DPXA),
+        ("--no-intercept", args.no_intercept or None, kind == KIND_DPXA),
+        ("--q-min", args.q_min, multifractal),
+        ("--q-max", args.q_max, multifractal),
+        ("--q-count", args.q_count, multifractal),
+        ("--fit-min", args.fit_min, not rho),
+        ("--fit-max", args.fit_max, not rho),
+        ("--s-count with --dyadic", args.s_count, not args.dyadic),
+        (f"--poly-order with --detrend {args.detrend}", args.poly_order,
+         (args.detrend or DetrendConfig.method) == POLYNOMIAL),
+    ) if value is not None and not used]
     if unused:
-        raise ConfigError(f"method {method!r} does not use "
+        raise ConfigError(f"method {args.method!r} does not use "
                           f"{', '.join(unused)}")
 
 
-def _analysis_inputs(args, columns):
-    method = args.method
-    if method in _SINGLE_METHODS:
-        x = _pick_column(columns, args.col or args.x, "--col")
-        y = None
-    else:
-        x = _pick_column(columns, args.x, "--x")
-        y = _pick_column(columns, args.y, "--y")
-    forces = None
-    if method in _FORCED_METHODS:
-        if not args.z:
-            raise ConfigError(f"method {method!r} requires at least one --z")
-        forces = ForceMatrix.from_series(
-            [_pick_column(columns, name, "--z") for name in args.z]
-        )
-    return x, y, forces
-
-
-def _grids(args, length: int) -> tuple[ScaleGrid, QGrid]:
-    if args.dyadic:
-        scales = ScaleGrid.dyadic(length, s_min=args.s_min, s_max=args.s_max)
-    else:
-        scales = ScaleGrid.default(length, count=args.s_count,
-                                   s_min=args.s_min, s_max=args.s_max)
-    if args.method.startswith("mf"):
-        orders = QGrid.default(args.q_min, args.q_max, args.q_count)
-    else:
-        orders = QGrid.second_order()
-    return scales, orders
+def _given(**values) -> dict:
+    # only the flags given, so that the library's defaults fill the rest
+    return {name: value for name, value in values.items() if value is not None}
 
 
 def _cmd_analyze(args) -> int:
-    _check_flags(args)
+    method = args.method
+    kind, multifractal, rho = ANALYZE_METHODS[method]
+    _check_flags(args, kind, multifractal, rho)
     columns = read_series_csv(args.input)
-    x, y, forces = _analysis_inputs(args, columns)
+    names = {"x": args.col or args.x, "y": args.y, "z": args.z}
+    x = _pick_column(columns, names["x"],
+                     "--col" if kind == KIND_DFA else "--x", method)
+    y = None if kind == KIND_DFA else \
+        _pick_column(columns, args.y, "--y", method)
+    # no --z on DPXA is the name None, which _pick_column rejects
+    forces = None if kind != KIND_DPXA else ForceMatrix.from_series(
+        [_pick_column(columns, name, "--z", method)
+         for name in args.z or [None]])
     series_x = as_series(x)
-    scales, orders = _grids(args, len(series_x))
-    cfg = DetrendConfig(method=args.detrend, poly_order=args.poly_order,
+    # DFA is the pair (x, x); one object passed twice is one stack row
+    y = series_x if y is None else y
+    # --s-count is None beside --dyadic, which the check enforces
+    grid = ScaleGrid.dyadic if args.dyadic else ScaleGrid.default
+    scales = grid(len(series_x), **_given(
+        count=args.s_count, s_min=args.s_min, s_max=args.s_max))
+    orders = QGrid.default(**_given(
+        q_min=args.q_min, q_max=args.q_max, count=args.q_count)) \
+        if multifractal else QGrid.second_order()
+    cfg = DetrendConfig(**_given(method=args.detrend,
+                                 poly_order=args.poly_order),
                         with_intercept=not args.no_intercept)
     fit_range = None
     if args.fit_min is not None or args.fit_max is not None:
@@ -212,9 +233,9 @@ def _cmd_analyze(args) -> int:
 
     prefix = Path(args.out)
     echo = {
-        "method": args.method,
+        "method": method,
         "input": str(args.input),
-        "columns": {"x": args.col or args.x, "y": args.y, "z": args.z},
+        "columns": names,
         "scales": scales.scales,
         "orders": orders.orders,
         "detrend": {"method": cfg.method, "poly_order": cfg.poly_order,
@@ -222,11 +243,8 @@ def _cmd_analyze(args) -> int:
         "fit_range": fit_range,
     }
 
-    if args.method.startswith("rho"):
-        if args.method == "rho-dpxa":
-            curve = rho_curve(series_x, y, forces, scales, cfg)
-        else:
-            curve = rho_dcca(series_x, y, scales, cfg)
+    if rho:
+        curve = rho_curve(series_x, y, forces, scales, cfg)
         write_table_csv(f"{prefix}_rho.csv", ["scale", "rho"],
                         list(zip(scales.scales.tolist(), curve.rho)))
         write_json(f"{prefix}_rho.json", {"config": echo, "kind": curve.kind,
@@ -234,13 +252,8 @@ def _cmd_analyze(args) -> int:
         print(f"wrote {prefix}_rho.csv")
         return 0
 
-    if args.method in ("dfa", "mfdfa"):
-        surface = fluctuation_dfa(series_x, scales, orders, cfg)
-    elif args.method in ("dcca", "mfdcca"):
-        surface = fluctuation_dcca(series_x, y, scales, orders, cfg)
-    else:
-        surface = fluctuation_dpxa(series_x, y, forces, scales, orders, cfg)
-
+    surface = fluctuation_dpxa(series_x, y, forces, scales, orders, cfg,
+                               kind=kind)
     fit = full_fit(surface, fit_range)
 
     header = ["scale", "cov2"] + [f"F_q{q:g}" for q in orders.orders]
@@ -331,6 +344,8 @@ def _parse_spec_file(cls: type, path: str):
     if not issues:
         try:
             spec = cls(**values)
+            # a spec too short for its own scale grid fails before any run
+            spec.scales()
         except DpxaError as exc:
             issues.append(str(exc))
     if issues:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import QGrid, ScaleGrid
 from .detrend import DetrendConfig
-from .errors import ConfigError, DpxaError
+from .errors import ConfigError, DpxaError, InsufficientScalesError
 from .fluctuation import KIND_DCCA, KIND_DFA, KIND_DPXA, fluctuation_dcca, \
     rho_values, surface, window_covariances
 from .generators import (
@@ -41,6 +41,7 @@ from .generators import (
 from .io import write_json, write_table_csv
 from .scaling import (
     ScalingFit,
+    check_fit_scales,
     fit_exponent,
     joint_binomial_mass_exponent,
     legendre,
@@ -74,6 +75,12 @@ def _check_fields(spec, unit=(), positive=()) -> None:
                               f"{getattr(spec, name)}")
 
 
+def _sweep_scales(length: int) -> ScaleGrid:
+    grid = ScaleGrid.default(length)
+    check_fit_scales(len(grid), grid.scales[0], grid.scales[-1])
+    return grid
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Exponent-recovery sweep over (H_rx, H_ry, H_z) triples."""
@@ -102,6 +109,10 @@ class SweepSpec:
                     raise ConfigError(f"triple {triple}: Hurst index {h} "
                                       "outside (0, 1)")
 
+    def scales(self) -> ScaleGrid:
+        """The scale grid of every realization."""
+        return _sweep_scales(self.length)
+
 
 @dataclass(frozen=True)
 class RhoSpec:
@@ -123,6 +134,17 @@ class RhoSpec:
         if not -1.0 <= self.corr <= 1.0:
             raise ConfigError(f"corr must lie in [-1, 1], got {self.corr}")
 
+    def scales(self) -> ScaleGrid:
+        """The run's scale grid; the summary averages rho over s <= N/10,
+        so at least one scale must lie there."""
+        grid = ScaleGrid.default(self.length)
+        if grid.scales[0] > self.length // 10:
+            raise InsufficientScalesError(
+                f"no scale at or below N/10 = {self.length // 10}; the "
+                f"smallest is {grid.scales[0]}"
+            )
+        return grid
+
 
 @dataclass(frozen=True)
 class MfSpec:
@@ -143,6 +165,16 @@ class MfSpec:
         if self.depth > MAX_BINOMIAL_DEPTH:
             raise ConfigError(f"depth must be <= {MAX_BINOMIAL_DEPTH}, got "
                               f"{self.depth}")
+
+    def scales(self) -> ScaleGrid:
+        """The run's scale grid: the top five octaves, since the
+        window-level cascade shape only converges once several refinement
+        levels fit inside a window, so smaller scales tilt the log-log fit."""
+        length = 2 ** self.depth
+        grid = ScaleGrid.dyadic(length, s_min=max(8, length // 64),
+                                s_max=length // 4)
+        check_fit_scales(len(grid), grid.scales[0], grid.scales[-1])
+        return grid
 
 
 def _desk_sweep_grid() -> tuple[tuple[float, float, float], ...]:
@@ -290,7 +322,7 @@ def _sweep_task(task) -> tuple[float, ...]:
             hrx, hry, corr, length, derive_seed(seed_base, t, real_idx, 1)))
         x = contaminate(rx, z, beta_x)
         y = contaminate(ry, z, beta_y)
-        grid = ScaleGrid.default(length)
+        grid = _sweep_scales(length)
         covs = window_covariances((rx, ry, z, x, y), grid, DetrendConfig(),
                                   _SWEEP_PAIRS, forces=(2,))
         return tuple(float(fit_exponent(sf).h[0]) for sf in
@@ -381,7 +413,7 @@ def _rho_realization(args) -> np.ndarray:
 
 def run_rho_comparison(spec: RhoSpec, jobs: int = 1) -> RhoComparisonResult:
     """Seed-averaged DCCA/DPXA coefficient curves for the additive model."""
-    scales = ScaleGrid.default(spec.length)
+    scales = spec.scales()
     tasks = [(spec, k, scales) for k in range(spec.seeds)]
     curves = np.mean(_map_tasks(_rho_realization, tasks, jobs), axis=0)
     return RhoComparisonResult(spec, scales.scales.copy(), curves[0],
@@ -423,12 +455,7 @@ def run_mf_recovery(spec: MfSpec, jobs: int = 1) -> MfRecoveryResult:
     """Multifractal recovery: MF-DCCA on the contaminated pair, MF-DPXA
     given the noise, and MF-DCCA on the clean measures, plus the
     closed-form reference mass exponents."""
-    length = 2 ** spec.depth
-    # top five octaves: the window-level cascade shape only converges once
-    # several refinement levels fit inside a window, so smaller scales tilt
-    # the log-log fit
-    scales = ScaleGrid.dyadic(length, s_min=max(8, length // 64),
-                              s_max=length // 4)
+    scales = spec.scales()
     orders = QGrid.default()
     cfg = DetrendConfig()
 

@@ -50,6 +50,15 @@ class ScalingFit:
                 object.__setattr__(self, name, _frozen_array(arr))
 
 
+def check_fit_scales(count: int, lo: int, hi: int) -> None:
+    """Raise unless ``count`` scales inside [lo, hi] suffice for a fit."""
+    if count < MIN_FIT_SCALES:
+        raise InsufficientScalesError(
+            f"only {count} scales inside [{lo}, {hi}]; "
+            f"need at least {MIN_FIT_SCALES}"
+        )
+
+
 def fit_exponent(surface: FluctuationSurface,
                  fit_range: tuple[int, int] | None = None) -> ScalingFit:
     """Per-q slope of ln F(q, s) against ln s over the fit range.
@@ -65,11 +74,7 @@ def fit_exponent(surface: FluctuationSurface,
         if lo > hi:
             raise ConfigError(f"empty fit range [{lo}, {hi}]")
     in_range = (scales >= lo) & (scales <= hi)
-    if int(in_range.sum()) < MIN_FIT_SCALES:
-        raise InsufficientScalesError(
-            f"only {int(in_range.sum())} scales inside [{lo}, {hi}]; "
-            f"need at least {MIN_FIT_SCALES}"
-        )
+    check_fit_scales(int(in_range.sum()), lo, hi)
 
     qs = surface.orders.orders
     usable = in_range & np.isfinite(surface.F) & (surface.F > 0.0)

@@ -9,10 +9,11 @@ import pytest
 
 from dpxa import ContaminationSpec, FgnSpec, contaminate, gen_bfbm_increments, \
     gen_fgn
-from dpxa import cli
+from dpxa import ForceMatrix, QGrid, ScaleGrid, cli, fluctuation_dcca, \
+    fluctuation_dfa, fluctuation_dpxa, rho_curve, rho_dcca
 from dpxa.cli import main
 from dpxa.generators import BfbmSpec
-from dpxa.io import read_series_csv, write_series_csv
+from dpxa.io import read_series_csv, write_series_csv, write_table_csv
 
 
 def run(argv):
@@ -278,6 +279,17 @@ MF_SPEC = {"p_x": 0.3, "p_y": 0.4, "depth": 10, "seeds": 1,
     ("mf", MF_SPEC, "noise_hurst", 0, "noise_hurst must lie in (0, 1)"),
     ("mf", MF_SPEC, "beta_y", {"intercept": 1}, "key 'beta_y': cannot "
      "interpret"),
+    # a spec too short for its own scale grid fails before any run
+    ("mf", MF_SPEC, "depth", 2, "no scales in [s_min, s_max] = [8, 1]"),
+    ("mf", MF_SPEC, "depth", 7,
+     "only 3 scales inside [8, 32]; need at least 4"),
+    ("rho", RHO_SPEC, "length", 16, "no scales in [s_min, s_max] = [10, 4]"),
+    ("rho", RHO_SPEC, "length", 40,
+     "no scale at or below N/10 = 4; the smallest is 10"),
+    ("sweep", SWEEP_SPEC, "length", 30,
+     "no scales in [s_min, s_max] = [10, 7]"),
+    ("sweep", SWEEP_SPEC, "length", 44,
+     "only 2 scales inside [10, 11]; need at least 4"),
 ])
 def test_bad_spec_field_is_config_error(tmp_path, capsys, name, base, key,
                                         value, message):
@@ -351,25 +363,124 @@ def test_count_below_one_is_config_error(tmp_path, capsys, method, flag,
     assert not list(tmp_path.glob("run_*"))
 
 
+# flag -> (the arguments beside which the method does not read it, how
+# the error names them)
+UNUSED_BESIDE = {"--x": (["--col", "x"], "--col"),
+                 "--s-count": (["--dyadic"], "--dyadic"),
+                 "--poly-order": (["--detrend", "moving_average"],
+                                  "--detrend moving_average")}
+
+
 @pytest.mark.parametrize("method, flag", [
     *((m, "--z") for m in ("dfa", "mfdfa", "dcca", "mfdcca", "rho-dcca")),
     ("dfa", "--y"), ("mfdfa", "--y"),
     *((m, f) for m in ("rho-dcca", "rho-dpxa")
-      for f in ("--fit-min", "--fit-max"))])
+      for f in ("--fit-min", "--fit-max")),
+    *((m, "--col") for m in ("dcca", "mfdcca", "dpxa", "mfdpxa", "rho-dcca",
+                             "rho-dpxa")),
+    ("dfa", "--x"), ("mfdfa", "--x"),
+    *((m, f) for m in ("dfa", "dcca", "dpxa", "rho-dcca", "rho-dpxa")
+      for f in ("--q-min", "--q-max", "--q-count")),
+    ("dfa", "--s-count"), ("dfa", "--poly-order"),
+    *((m, "--no-intercept") for m in ("dfa", "mfdfa", "dcca", "mfdcca",
+                                      "rho-dcca"))])
 def test_unused_flag_is_config_error(tmp_path, capsys, method, flag):
     src = tmp_path / "in.csv"
     rng = np.random.default_rng(4)
     write_series_csv(src, {c: rng.standard_normal(1024) for c in "xyz"})
-    argv = ["analyze", method, src, "--x", "x"]
+    argv = ["analyze", method, src]
+    if flag != "--x":
+        argv += ["--x", "x"]
     if method not in ("dfa", "mfdfa"):
         argv += ["--y", "y"]
-    if method == "rho-dpxa":
+    if method.endswith("dpxa"):
         argv += ["--z", "z"]
-    value = {"--y": "y", "--z": "z"}.get(flag, 20)
-    assert run([*argv, flag, value, "--out", tmp_path / "run"]) == 4
+    beside, named = UNUSED_BESIDE.get(flag, ([], None))
+    value = {"--y": ["y"], "--z": ["z"], "--col": ["x"], "--x": ["y"],
+             "--no-intercept": []}.get(flag, [20])
+    assert run([*argv, *beside, flag, *value,
+                "--out", tmp_path / "run"]) == 4
+    unused = f"{flag} with {named}" if named else flag
     assert capsys.readouterr().err == \
-        f"dpxa: error: method {method!r} does not use {flag}\n"
+        f"dpxa: error: method {method!r} does not use {unused}\n"
     assert not list(tmp_path.glob("run_*"))
+
+
+def test_tuning_flags_default_to_none():
+    # ScaleGrid, QGrid and DetrendConfig own the defaults; a flag not
+    # given must be told from one given with the default's value
+    args = cli.build_parser().parse_args(
+        ["analyze", "dfa", "f.csv", "--out", "o"])
+    tuning = {name: value for name, value in vars(args).items()
+              if name.startswith(("s_", "q_", "fit_", "detrend", "poly_"))}
+    assert len(tuning) == 10
+    assert tuning == dict.fromkeys(tuning)
+
+
+@pytest.mark.parametrize("method, given, flag", [
+    ("dfa", [], "--col"), ("dcca", ["--x", "x"], "--y"),
+    ("rho-dcca", ["--y", "y"], "--x"),
+    ("dpxa", ["--x", "x", "--y", "y"], "--z")])
+def test_missing_column_flag_names_the_method(tmp_path, capsys, method,
+                                              given, flag):
+    src = tmp_path / "in.csv"
+    write_series_csv(src, {"x": np.arange(64.0), "y": np.ones(64)})
+    assert run(["analyze", method, src, *given,
+                "--out", tmp_path / "run"]) == 4
+    assert capsys.readouterr().err == \
+        f"dpxa: error: method {method!r} requires {flag}\n"
+
+
+# method, less its mf prefix -> (its estimator called directly on the
+# columns x, y and the force z, the columns it reads)
+ESTIMATORS = {
+    "dfa": (lambda x, y, z, s, q: fluctuation_dfa(x, s, q), ("x",)),
+    "dcca": (lambda x, y, z, s, q: fluctuation_dcca(x, y, s, q), ("x", "y")),
+    "dpxa": (lambda x, y, z, s, q: fluctuation_dpxa(x, y, z, s, q),
+             ("x", "y", "z")),
+    "rho-dcca": (lambda x, y, z, s, q: rho_dcca(x, y, s), ("x", "y")),
+    "rho-dpxa": (lambda x, y, z, s, q: rho_curve(x, y, z, s),
+                 ("x", "y", "z")),
+}
+
+
+@pytest.mark.parametrize("method", [
+    "dfa", "dcca", "dpxa", "mfdfa", "mfdcca", "mfdpxa", "rho-dcca",
+    "rho-dpxa"])
+def test_method_runs_its_estimator(tmp_path, method):
+    estimator, read = ESTIMATORS[method.removeprefix("mf")]
+    src = tmp_path / "in.csv"
+    rng = np.random.default_rng(11)
+    write_series_csv(src, {c: rng.standard_normal(2048)
+                           for c in ("w", "x", "y", "z")})
+    argv = ["--col", "x"] if read == ("x",) else \
+        [a for c in read for a in (f"--{c}", c)]
+    assert run(["analyze", method, src, *argv,
+                "--out", tmp_path / "cli"]) == 0
+
+    columns = read_series_csv(src)
+    z = ForceMatrix.from_series([columns["z"]])
+    scales = ScaleGrid.default(2048)
+    orders = QGrid.default() if method.startswith("mf") else \
+        QGrid.second_order()
+    result = estimator(columns["x"], columns["y"], z, scales, orders)
+    if method.startswith("rho"):
+        suffix, header = "_rho", ["scale", "rho"]
+        rows = list(zip(scales.scales.tolist(), result.rho))
+    else:
+        suffix = "_fluct"
+        header = ["scale", "cov2"] + [f"F_q{q:g}" for q in orders.orders]
+        rows = [[int(s), result.cov2[j], *result.F[:, j]]
+                for j, s in enumerate(scales.scales)]
+    write_table_csv(tmp_path / f"direct{suffix}.csv", header, rows)
+    assert (tmp_path / f"cli{suffix}.csv").read_bytes() == \
+        (tmp_path / f"direct{suffix}.csv").read_bytes()
+    sidecar = "_rho.json" if method.startswith("rho") else "_fit.json"
+    payload = json.loads((tmp_path / f"cli{sidecar}").read_text())
+    assert payload["kind"] == result.kind
+    assert payload["config"]["columns"] == {
+        "x": "x", "y": "y" if "y" in read else None,
+        "z": ["z"] if "z" in read else []}
 
 
 def test_binomial_depth_over_limit_is_config_error(tmp_path, capsys):

@@ -168,6 +168,10 @@ def test_presets_exist():
     preset = RHO_PRESETS["paper-fig2a-desk"]
     assert (preset.corr, preset.hurst_z, preset.length) == (0.7, 0.95, 2 ** 16)
     assert MF_PRESETS["paper-fig3-desk"].p_x == 0.3
+    # the spec-file parser checks the grid of a spec it reads; a preset is
+    # not parsed, so each must build its grid here
+    for presets in (SWEEP_PRESETS, RHO_PRESETS, MF_PRESETS):
+        assert all(len(spec.scales()) >= 4 for spec in presets.values())
 
 
 def test_summaries_and_writers(tmp_path):
