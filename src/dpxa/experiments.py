@@ -12,6 +12,17 @@ that draws its series from the generators (whose cached seed-independent
 factors serve every realization of a configuration in a process), and
 aggregation order is fixed regardless of the parallelism degree, so
 rerunning a spec reproduces its result files byte for byte.
+
+The sweep and the coefficient comparison contaminate their pair as
+x = b0 + b1 z + r_x and y = b0' + b2 z + r_y, with the intercepts and
+slopes of the spec's ``ContaminationSpec``s. With an intercept every
+window is centred, which removes b0 and b0', and cumulating and
+detrending are linear, so the window products of x and y are bilinear
+forms in those of (r_x, r_y, z): F2_xx = F2_rxrx + 2 b1 F2_rxz +
+b1^2 F2_zz, and likewise for yy and xy. The window kernel therefore
+builds r_x, r_y, z and the residuals x|z and y|z, which are still
+regressed from x and y, and never the plain rows x and y. The identity
+needs ``with_intercept``, which every experiment uses.
 """
 
 from __future__ import annotations
@@ -305,11 +316,34 @@ class MfRecoveryResult:
 
 _EXPONENT_KEYS = ("h_rx", "h_ry", "h_z", "h_x", "h_y", "h_xy", "h_rxry",
                   "h_xyz")
-# window-covariance pairs of the stack (rx, ry, z, x, y) with force z, one
-# per exponent key: x|z and y|z are rows 5 + 3 and 5 + 4
-_SWEEP_PAIRS = ((0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (3, 4), (0, 1),
-                (8, 9))
+# Both contaminated experiments stack (rx, ry, z, x, y) with force z, so
+# x|z and y|z, still regressed from x and y, are rows 5 + 3 and 5 + 4. No
+# pair names x or y plain: with an intercept, which cancels b0, their
+# products are the bilinear forms of ``_contaminated`` in those of
+# (rx, ry, z) and the slopes of the spec's ContaminationSpecs.
+_BASE_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+# the sweep adds (x|z, y|z), the rho curves also (x|z, x|z) and (y|z, y|z)
+_SWEEP_PAIRS = _BASE_PAIRS + ((8, 9),)
+_RHO_PAIRS = _SWEEP_PAIRS + ((8, 8), (9, 9))
 _SWEEP_KINDS = (KIND_DFA,) * 5 + (KIND_DCCA, KIND_DCCA, KIND_DPXA)
+
+
+def _contaminated(f2: np.ndarray, cfg: DetrendConfig,
+                  beta_x: ContaminationSpec,
+                  beta_y: ContaminationSpec) -> np.ndarray:
+    """The covariance rows of the ``_BASE_PAIRS`` pick ``f2`` (any trailing
+    rows pass through) as (rx rx, ry ry, z z, x x, y y, x y, rx ry, ...):
+
+    F2_xx = F2_rxrx + 2 b1 F2_rxz + b1^2 F2_zz,
+    F2_yy = F2_ryry + 2 b2 F2_ryz + b2^2 F2_zz,
+    F2_xy = F2_rxry + b2 F2_rxz + b1 F2_zry + b1 b2 F2_zz."""
+    assert cfg.with_intercept, "the intercepts cancel only in centred windows"
+    rxrx, ryry, zz, rxry, rxz, ryz = f2[:6]
+    b1, b2 = beta_x.slope, beta_y.slope
+    xx = rxrx + 2.0 * b1 * rxz + b1 * b1 * zz
+    yy = ryry + 2.0 * b2 * ryz + b2 * b2 * zz
+    xy = rxry + b2 * rxz + b1 * ryz + b1 * b2 * zz
+    return np.stack([rxrx, ryry, zz, xx, yy, xy, rxry, *f2[6:]])
 
 
 def _sweep_task(task) -> tuple[float, ...]:
@@ -323,8 +357,10 @@ def _sweep_task(task) -> tuple[float, ...]:
         x = contaminate(rx, z, beta_x)
         y = contaminate(ry, z, beta_y)
         grid = _sweep_scales(length)
-        covs = window_covariances((rx, ry, z, x, y), grid, DetrendConfig(),
-                                  _SWEEP_PAIRS, forces=(2,))
+        cfg = DetrendConfig()
+        covs = [_contaminated(f2, cfg, beta_x, beta_y) for f2 in
+                window_covariances((rx, ry, z, x, y), grid, cfg,
+                                   _SWEEP_PAIRS, forces=(2,))]
         return tuple(float(fit_exponent(sf).h[0]) for sf in
                      surface(covs, grid, QGrid.second_order(), _SWEEP_KINDS))
     except DpxaError as exc:
@@ -390,10 +426,6 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
 # --------------------------------------------------------------------------- #
 # coefficient comparison
 
-_RHO_PAIRS = tuple((a + i, a + j) for a in (0, 2, 5)
-                   for i, j in ((0, 1), (0, 0), (1, 1)))
-
-
 def _rho_realization(args) -> np.ndarray:
     spec, seed_idx, scales = args
     z = gen_fgn(FgnSpec(spec.hurst_z, spec.length,
@@ -403,12 +435,15 @@ def _rho_realization(args) -> np.ndarray:
                  derive_seed(spec.seed_base, seed_idx, 1)))
     x = contaminate(rx, z, spec.beta_x)
     y = contaminate(ry, z, spec.beta_y)
-    # stack (x, y, rx, ry, z) with force z, x|z and y|z being rows 5 and 6:
-    # rho_dcca(x, y), rho_dcca(rx, ry) and the partial rho_curve(x, y | z)
-    covs = window_covariances((x, y, rx, ry, z), scales, DetrendConfig(),
-                              _RHO_PAIRS, forces=(4,))
-    return np.stack([rho_values(covs, (3 * k, 3 * k + 1, 3 * k + 2), scales)
-                     for k in range(3)])
+    cfg = DetrendConfig()
+    covs = window_covariances((rx, ry, z, x, y), scales, cfg, _RHO_PAIRS,
+                              forces=(2,))
+    # rho is linear in the per-scale mean covariances, so the algebra acts
+    # on those: rho_dcca(x, y), rho_dcca(rx, ry) and rho_curve(x, y | z)
+    means = [_contaminated(f2.mean(axis=1, keepdims=True), cfg, spec.beta_x,
+                           spec.beta_y) for f2 in covs]
+    return np.stack([rho_values(means, which, scales)
+                     for which in ((5, 3, 4), (6, 0, 1), (7, 8, 9))])
 
 
 def run_rho_comparison(spec: RhoSpec, jobs: int = 1) -> RhoComparisonResult:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -57,6 +62,30 @@ def test_default_scale_grid_explicit_bounds():
     assert explicit.scales.tolist() == ScaleGrid.default(n).scales.tolist()
     narrow = ScaleGrid.default(n, count=5, s_min=16, s_max=256)
     assert narrow.scales.tolist() == [16, 32, 64, 128, 256]
+
+
+@pytest.mark.parametrize("s_min", [2, 4, 10, 16])
+@pytest.mark.parametrize("count", [1, 2, 5, 20, 60, 200])
+def test_default_scale_grid_drops_repeats_like_unique(count, s_min):
+    # the neighbour mask keeps what np.unique kept, including the dense
+    # low end where several log-spaced points round to one integer
+    for n in (4 * s_min, 100, 1000, 4096, 12345, 2 ** 16):
+        if n // 4 < s_min:
+            continue
+        raw = np.logspace(np.log10(s_min), np.log10(n // 4), count)
+        want = np.unique(np.rint(raw).astype(int))
+        got = ScaleGrid.default(n, count=count, s_min=s_min).scales
+        assert got.tolist() == want.tolist(), (n, count, s_min)
+
+
+def test_default_scale_grid_leaves_out_numpy_ma():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, dpxa.cli; from dpxa import ScaleGrid; "
+            "ScaleGrid.default(2 ** 14); print('numpy.ma' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("make", [ScaleGrid.default, ScaleGrid.dyadic])

@@ -3,8 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from dpxa import ConfigError, ContaminationSpec, DegenerateInputError
+from dpxa import ConfigError, ContaminationSpec, DegenerateInputError, \
+    QGrid, ScaleGrid, detrend, experiments
+from dpxa.detrend import DetrendConfig
 from dpxa.experiments import (
+    _EXPONENT_KEYS,
+    _SWEEP_PAIRS,
+    _contaminated,
+    _rho_realization,
+    _sweep_task,
     MF_PRESETS,
     MfSpec,
     RHO_PRESETS,
@@ -21,8 +28,12 @@ from dpxa.experiments import (
     write_rho_outputs,
     write_sweep_outputs,
 )
-from dpxa.generators import _bfbm_factor, _fgn_factor
+from dpxa.fluctuation import fluctuation_dcca, fluctuation_dfa, rho_values, \
+    window_covariances
+from dpxa.generators import BfbmSpec, FgnSpec, _bfbm_factor, _fgn_factor, \
+    contaminate, derive_seed, gen_bfbm_increments, gen_fgn
 from dpxa.io import jsonable
+from dpxa.scaling import fit_exponent
 
 BETAS = ContaminationSpec(2.0, 3.0)
 
@@ -202,3 +213,105 @@ def test_rerun_is_byte_identical(tmp_path):
     write_rho_outputs(run_rho_comparison(spec), second)
     for name in ("results.json", "rho.csv"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+# --------------------------------------------------------------------------- #
+# the linear-contamination pair algebra
+
+def _contaminated_stack(hurst, corr, length, seeds, beta_x, beta_y):
+    """(rx, ry, z, x, y) drawn as a contaminated realization draws them."""
+    hrx, hry, hz = hurst
+    z = gen_fgn(FgnSpec(hz, length, seeds[0]))
+    rx, ry = gen_bfbm_increments(BfbmSpec(hrx, hry, corr, length, seeds[1]))
+    return rx, ry, z, contaminate(rx, z, beta_x), contaminate(ry, z, beta_y)
+
+
+# the unequal slopes fail the algebra if b1 and b2 trade places
+ALGEBRA_BETAS = [(BETAS, BETAS),
+                 (ContaminationSpec(2.0, 3.0), ContaminationSpec(-7.0, -0.5))]
+
+
+@pytest.mark.parametrize("cancellation", [0.0, np.inf],
+                         ids=["all-explicit", "no-explicit"])
+@pytest.mark.parametrize("hz", [0.5, 0.95])
+@pytest.mark.parametrize("betas", ALGEBRA_BETAS, ids=["equal", "unequal"])
+def test_sweep_algebra_matches_direct_stack(monkeypatch, cancellation, hz,
+                                            betas):
+    # _CANCELLATION 0 sends every window to the explicit detrend, inf none
+    monkeypatch.setattr(detrend, "_CANCELLATION", cancellation)
+    stack = _contaminated_stack((0.3, 0.7, hz), 0.5, 2 ** 12, (21, 22),
+                                *betas)
+    grid = ScaleGrid.default(len(stack[0]))
+    cfg = DetrendConfig()
+    # the direct stack builds x and y: (rx, ry, z, x, y, x|z, y|z)
+    direct_pairs = ((0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (3, 4), (0, 1),
+                    (8, 9), (8, 8), (9, 9))
+    own = direct_pairs[:8]
+    direct = window_covariances(stack, grid, cfg, direct_pairs, forces=(2,))
+    algebra = window_covariances(stack, grid, cfg, _SWEEP_PAIRS, forces=(2,))
+    for want, f2 in zip(direct, algebra):
+        got = _contaminated(f2, cfg, *betas)
+        # each pair (i, j) judged on the scale sqrt(F2_ii F2_jj)
+        diag = {pair[0]: want[n] for n, pair in enumerate(direct_pairs)
+                if pair[0] == pair[1]}
+        scale = np.sqrt(np.stack([diag[i] * diag[j] for i, j in own]))
+        assert np.max(np.abs(got - want[:8]) / scale) <= 1e-12
+
+
+@pytest.mark.parametrize("cancellation", [0.0, np.inf],
+                         ids=["all-explicit", "no-explicit"])
+@pytest.mark.parametrize("betas", ALGEBRA_BETAS, ids=["equal", "unequal"])
+def test_rho_algebra_matches_direct_stack(monkeypatch, cancellation, betas):
+    monkeypatch.setattr(detrend, "_CANCELLATION", cancellation)
+    spec = RhoSpec(corr=0.7, hurst_x=0.1, hurst_y=0.1, hurst_z=0.95,
+                   length=2 ** 12, seeds=1, beta_x=betas[0],
+                   beta_y=betas[1], seed_base=9)
+    scales = spec.scales()
+    got = _rho_realization((spec, 0, scales))
+    # the direct stack (x, y, rx, ry, z) with force z: six built rows
+    rx, ry, z, x, y = _contaminated_stack(
+        (spec.hurst_x, spec.hurst_y, spec.hurst_z), spec.corr, spec.length,
+        [derive_seed(spec.seed_base, 0, n) for n in (0, 1)], *betas)
+    pairs = tuple((a + i, a + j) for a in (0, 2, 5)
+                  for i, j in ((0, 1), (0, 0), (1, 1)))
+    covs = window_covariances((x, y, rx, ry, z), scales, DetrendConfig(),
+                              pairs, forces=(4,))
+    want = np.stack([rho_values(covs, (3 * k, 3 * k + 1, 3 * k + 2), scales)
+                     for k in range(3)])
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_contaminated_realizations_build_five_rows(monkeypatch):
+    # x and y are never built as plain rows: the pairs of each realization
+    # name rx, ry, z, x|z and y|z only
+    named = []
+
+    def spy(series, scales, cfg, pairs, forces=()):
+        named.append({i for pair in pairs for i in pair})
+        return window_covariances(series, scales, cfg, pairs, forces)
+
+    monkeypatch.setattr(experiments, "window_covariances", spy)
+    spec = SWEEP_PRESETS["smoke"]
+    _sweep_task((0, spec.hurst_grid[0], 0, spec.corr, spec.length,
+                 spec.beta_x, spec.beta_y, spec.seed_base))
+    rho = RHO_PRESETS["smoke"]
+    _rho_realization((rho, 0, rho.scales()))
+    assert [len(rows) for rows in named] == [5, 5]
+
+
+def test_sweep_exponents_are_those_of_the_plain_estimators():
+    spec = SWEEP_PRESETS["smoke"]
+    t, real_idx = 0, 1
+    h = dict(zip(_EXPONENT_KEYS, _sweep_task(
+        (t, spec.hurst_grid[t], real_idx, spec.corr, spec.length,
+         spec.beta_x, spec.beta_y, spec.seed_base))))
+    _, _, _, x, y = _contaminated_stack(
+        spec.hurst_grid[t], spec.corr, spec.length,
+        [derive_seed(spec.seed_base, t, real_idx, n) for n in (0, 1)],
+        spec.beta_x, spec.beta_y)
+    grid, q2 = spec.scales(), QGrid.second_order()
+    for key, sf in (("h_x", fluctuation_dfa(x, grid, q2)),
+                    ("h_y", fluctuation_dfa(y, grid, q2)),
+                    ("h_xy", fluctuation_dcca(x, y, grid, q2))):
+        want = float(fit_exponent(sf).h[0])
+        assert abs(h[key] - want) <= 1e-12 * abs(want), key
