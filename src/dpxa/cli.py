@@ -35,7 +35,7 @@ from .generators import (
     gen_binomial,
     gen_fgn,
 )
-from .io import read_series_csv, write_json, write_series_csv, write_table_csv
+from .io import read_series_csv, write_json, write_table_csv
 from .scaling import full_fit
 
 # method -> (kind, multifractal, rho): the kind also names the columns the
@@ -139,16 +139,14 @@ def _cmd_gen(args) -> int:
     out = Path(args.out)
     if args.kind == "fgn":
         spec = FgnSpec(args.hurst, args.length, args.seed)
-        series = gen_fgn(spec)
-        write_series_csv(out, {"fgn": series.values})
+        names, series = ["fgn"], [gen_fgn(spec)]
     elif args.kind == "bfbm":
         spec = BfbmSpec(args.hx, args.hy, args.rho, args.length, args.seed)
-        rx, ry = gen_bfbm_increments(spec)
-        write_series_csv(out, {"x": rx.values, "y": ry.values})
+        names, series = ["x", "y"], gen_bfbm_increments(spec)
     else:
         spec = BinomialSpec(args.p, args.depth)
-        series = gen_binomial(spec)
-        write_series_csv(out, {"binomial": series.values})
+        names, series = ["binomial"], [gen_binomial(spec)]
+    write_table_csv(out, names, zip(*(s.values for s in series)))
     write_json(out.with_suffix(out.suffix + ".json"),
                {"kind": args.kind, **dataclasses.asdict(spec)})
     print(f"wrote {out}")

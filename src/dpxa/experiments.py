@@ -6,12 +6,14 @@ scale-by-scale comparison of the DCCA and DPXA correlation coefficients on
 contaminated bivariate FBM increments, and a multifractal recovery run on
 binomial measures masked with strong Gaussian noise.
 
-Every experiment is deterministic given ``seed_base``: sub-seeds are
-derived per (triple, realization, stream), each realization is one task
-that draws its series from the generators (whose cached seed-independent
-factors serve every realization of a configuration in a process), and
-aggregation order is fixed regardless of the parallelism degree, so
-rerunning a spec reproduces its result files byte for byte.
+Every experiment maps one realization function of ``(spec, i)``, with the
+spec bound by ``functools.partial``, over ``range(n)``: triple t of the
+sweep owns realizations [t R, (t + 1) R), and rho and mf read i as the
+seed index. Sub-seeds are derived per (triple, realization, stream) from
+``seed_base``, each realization draws from the generators (whose cached
+seed-independent factors serve every realization of a configuration in a
+process), and results are aggregated in index order whatever the
+parallelism degree, so rerunning a spec reproduces its files byte for byte.
 
 The sweep and the coefficient comparison contaminate their pair as
 x = b0 + b1 z + r_x and y = b0' + b2 z + r_y, with the intercepts and
@@ -28,6 +30,7 @@ needs ``with_intercept``, which every experiment uses.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +39,7 @@ from .core import QGrid, ScaleGrid
 from .detrend import DetrendConfig
 from .errors import ConfigError, DpxaError, InsufficientScalesError
 from .fluctuation import KIND_DCCA, KIND_DFA, KIND_DPXA, fluctuation_dcca, \
-    rho_values, surface, window_covariances
+    rho_values, scale_means, surface, window_covariances
 from .generators import (
     MAX_BINOMIAL_DEPTH,
     BfbmSpec,
@@ -75,7 +78,9 @@ MF_CENTER_TOL = 0.1
 # specs
 
 def _check_fields(spec, unit=(), positive=()) -> None:
-    """Named fields must lie in (0, 1) or be >= 1."""
+    """Named fields must lie in (0, 1) or be >= 1, and seed_base >= 0."""
+    if spec.seed_base < 0:
+        raise ConfigError(f"seed_base must be >= 0, got {spec.seed_base}")
     for name in unit:
         value = getattr(spec, name)
         if not 0.0 < value < 1.0:
@@ -84,12 +89,6 @@ def _check_fields(spec, unit=(), positive=()) -> None:
         if getattr(spec, name) < 1:
             raise ConfigError(f"{name} must be >= 1, got "
                               f"{getattr(spec, name)}")
-
-
-def _sweep_scales(length: int) -> ScaleGrid:
-    grid = ScaleGrid.default(length)
-    check_fit_scales(len(grid), grid.scales[0], grid.scales[-1])
-    return grid
 
 
 @dataclass(frozen=True)
@@ -122,7 +121,9 @@ class SweepSpec:
 
     def scales(self) -> ScaleGrid:
         """The scale grid of every realization."""
-        return _sweep_scales(self.length)
+        grid = ScaleGrid.default(self.length)
+        check_fit_scales(len(grid), grid.scales[0], grid.scales[-1])
+        return grid
 
 
 @dataclass(frozen=True)
@@ -328,8 +329,7 @@ _RHO_PAIRS = _SWEEP_PAIRS + ((8, 8), (9, 9))
 _SWEEP_KINDS = (KIND_DFA,) * 5 + (KIND_DCCA, KIND_DCCA, KIND_DPXA)
 
 
-def _contaminated(f2: np.ndarray, cfg: DetrendConfig,
-                  beta_x: ContaminationSpec,
+def _contaminated(f2: np.ndarray, beta_x: ContaminationSpec,
                   beta_y: ContaminationSpec) -> np.ndarray:
     """The covariance rows of the ``_BASE_PAIRS`` pick ``f2`` (any trailing
     rows pass through) as (rx rx, ry ry, z z, x x, y y, x y, rx ry, ...):
@@ -337,7 +337,6 @@ def _contaminated(f2: np.ndarray, cfg: DetrendConfig,
     F2_xx = F2_rxrx + 2 b1 F2_rxz + b1^2 F2_zz,
     F2_yy = F2_ryry + 2 b2 F2_ryz + b2^2 F2_zz,
     F2_xy = F2_rxry + b2 F2_rxz + b1 F2_zry + b1 b2 F2_zz."""
-    assert cfg.with_intercept, "the intercepts cancel only in centred windows"
     rxrx, ryry, zz, rxry, rxz, ryz = f2[:6]
     b1, b2 = beta_x.slope, beta_y.slope
     xx = rxrx + 2.0 * b1 * rxz + b1 * b1 * zz
@@ -346,21 +345,34 @@ def _contaminated(f2: np.ndarray, cfg: DetrendConfig,
     return np.stack([rxrx, ryry, zz, xx, yy, xy, rxry, *f2[6:]])
 
 
-def _sweep_task(task) -> tuple[float, ...]:
-    """Exponents of realization ``real_idx`` of triple ``t``."""
-    t, (hrx, hry, hz), real_idx, corr, length, beta_x, beta_y, seed_base = task
+def _contaminated_draw(spec, hurst, path, scales: ScaleGrid,
+                       pairs) -> list[np.ndarray]:
+    """Draw z ~ FGN(H_z) and (rx, ry) ~ bFBM(H_rx, H_ry, spec.corr) from
+    streams 0 and 1 of the seed address (spec.seed_base, *path),
+    contaminate them with the spec's betas, and return the
+    ``window_covariances`` of ``pairs`` of the stack (rx, ry, z, x, y) with
+    force z."""
+    hrx, hry, hz = hurst
+    z_seed, r_seed = (derive_seed(spec.seed_base, *path, n) for n in (0, 1))
+    z = gen_fgn(FgnSpec(hz, spec.length, z_seed))
+    rx, ry = gen_bfbm_increments(BfbmSpec(hrx, hry, spec.corr, spec.length,
+                                          r_seed))
+    cfg = DetrendConfig()
+    assert cfg.with_intercept, "the intercepts cancel only in centred windows"
+    stack = (rx, ry, z, contaminate(rx, z, spec.beta_x),
+             contaminate(ry, z, spec.beta_y))
+    return window_covariances(stack, scales, cfg, pairs, forces=(2,))
+
+
+def _sweep_realization(spec: SweepSpec, i: int) -> tuple[float, ...]:
+    """Exponents of realization i % R of triple i // R, R realizations."""
+    t, real_idx = divmod(i, spec.realizations)
+    hrx, hry, hz = spec.hurst_grid[t]
     try:
-        z = gen_fgn(FgnSpec(hz, length,
-                            derive_seed(seed_base, t, real_idx, 0)))
-        rx, ry = gen_bfbm_increments(BfbmSpec(
-            hrx, hry, corr, length, derive_seed(seed_base, t, real_idx, 1)))
-        x = contaminate(rx, z, beta_x)
-        y = contaminate(ry, z, beta_y)
-        grid = _sweep_scales(length)
-        cfg = DetrendConfig()
-        covs = [_contaminated(f2, cfg, beta_x, beta_y) for f2 in
-                window_covariances((rx, ry, z, x, y), grid, cfg,
-                                   _SWEEP_PAIRS, forces=(2,))]
+        grid = spec.scales()
+        covs = _contaminated_draw(spec, (hrx, hry, hz), (t, real_idx), grid,
+                                  _SWEEP_PAIRS)
+        covs = [_contaminated(f2, spec.beta_x, spec.beta_y) for f2 in covs]
         return tuple(float(fit_exponent(sf).h[0]) for sf in
                      surface(covs, grid, QGrid.second_order(), _SWEEP_KINDS))
     except DpxaError as exc:
@@ -381,11 +393,9 @@ def _map_tasks(fn, tasks, jobs: int):
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     """Run the exponent-recovery sweep and fit the recovery regression."""
-    tasks = [(t, triple, real_idx, spec.corr, spec.length, spec.beta_x,
-              spec.beta_y, spec.seed_base)
-             for t, triple in enumerate(spec.hurst_grid)
-             for real_idx in range(spec.realizations)]
-    raw = np.asarray(_map_tasks(_sweep_task, tasks, jobs))
+    count = len(spec.hurst_grid) * spec.realizations
+    raw = np.asarray(_map_tasks(partial(_sweep_realization, spec),
+                                range(count), jobs))
     per_triple = raw.reshape(len(spec.hurst_grid), spec.realizations,
                              len(_EXPONENT_KEYS)).mean(axis=1)
 
@@ -426,32 +436,23 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
 # --------------------------------------------------------------------------- #
 # coefficient comparison
 
-def _rho_realization(args) -> np.ndarray:
-    spec, seed_idx, scales = args
-    z = gen_fgn(FgnSpec(spec.hurst_z, spec.length,
-                        derive_seed(spec.seed_base, seed_idx, 0)))
-    rx, ry = gen_bfbm_increments(
-        BfbmSpec(spec.hurst_x, spec.hurst_y, spec.corr, spec.length,
-                 derive_seed(spec.seed_base, seed_idx, 1)))
-    x = contaminate(rx, z, spec.beta_x)
-    y = contaminate(ry, z, spec.beta_y)
-    cfg = DetrendConfig()
-    covs = window_covariances((rx, ry, z, x, y), scales, cfg, _RHO_PAIRS,
-                              forces=(2,))
+def _rho_realization(spec: RhoSpec, seed_idx: int) -> np.ndarray:
+    scales = spec.scales()
+    covs = _contaminated_draw(spec, (spec.hurst_x, spec.hurst_y,
+                                     spec.hurst_z), (seed_idx,), scales,
+                              _RHO_PAIRS)
     # rho is linear in the per-scale mean covariances, so the algebra acts
     # on those: rho_dcca(x, y), rho_dcca(rx, ry) and rho_curve(x, y | z)
-    means = [_contaminated(f2.mean(axis=1, keepdims=True), cfg, spec.beta_x,
-                           spec.beta_y) for f2 in covs]
+    means = _contaminated(scale_means(covs), spec.beta_x, spec.beta_y)
     return np.stack([rho_values(means, which, scales)
                      for which in ((5, 3, 4), (6, 0, 1), (7, 8, 9))])
 
 
 def run_rho_comparison(spec: RhoSpec, jobs: int = 1) -> RhoComparisonResult:
     """Seed-averaged DCCA/DPXA coefficient curves for the additive model."""
-    scales = spec.scales()
-    tasks = [(spec, k, scales) for k in range(spec.seeds)]
-    curves = np.mean(_map_tasks(_rho_realization, tasks, jobs), axis=0)
-    return RhoComparisonResult(spec, scales.scales.copy(), curves[0],
+    curves = np.mean(_map_tasks(partial(_rho_realization, spec),
+                                range(spec.seeds), jobs), axis=0)
+    return RhoComparisonResult(spec, spec.scales().scales.copy(), curves[0],
                                curves[1], curves[2])
 
 
@@ -466,9 +467,9 @@ def _averaged_fit(orders: QGrid, fits: list[ScalingFit]) -> ScalingFit:
     return legendre(mass_exponents(fit))
 
 
-def _mf_realization(args) -> tuple[ScalingFit, ScalingFit, float]:
-    spec, seed_idx, scales, orders = args
-    length = 2 ** spec.depth
+def _mf_realization(spec: MfSpec,
+                    seed_idx: int) -> tuple[ScalingFit, ScalingFit, float]:
+    scales, orders, length = spec.scales(), QGrid.default(), 2 ** spec.depth
     rx = gen_binomial(BinomialSpec(spec.p_x, spec.depth))
     ry = gen_binomial(BinomialSpec(spec.p_y, spec.depth))
     z = gen_fgn(FgnSpec(spec.noise_hurst, length,
@@ -499,8 +500,8 @@ def run_mf_recovery(spec: MfSpec, jobs: int = 1) -> MfRecoveryResult:
     clean = legendre(mass_exponents(
         fit_exponent(fluctuation_dcca(rx, ry, scales, orders, cfg))))
 
-    tasks = [(spec, k, scales, orders) for k in range(spec.seeds)]
-    outputs = _map_tasks(_mf_realization, tasks, jobs)
+    outputs = _map_tasks(partial(_mf_realization, spec), range(spec.seeds),
+                         jobs)
     fits = {
         "mfdcca_xy": _averaged_fit(orders, [out[0] for out in outputs]),
         "mfdpxa_xyz": _averaged_fit(orders, [out[1] for out in outputs]),
@@ -534,13 +535,13 @@ def summarize_sweep(result: SweepResult) -> str:
                               "coef_h_z"), SWEEP_EXPECTED_COEFFS):
         ok = abs(reg[key] - expected) <= SWEEP_COEFF_TOL
         lines.append(_check(f"{key} (expected {expected:g})", reg[key], ok))
-    eligible = [e for e in result.relative_errors
+    eligible = [abs(e["rel_err"]) for e in result.relative_errors
                 if min(e["H_rx"], e["H_ry"]) >= 0.2]
-    worst = max(abs(e["rel_err"]) for e in eligible)
-    lines.append(_check(
-        f"max |rel err| over {len(eligible)} pairs with min(H) >= 0.2 "
-        f"(tolerance {SWEEP_REL_ERR_TOL:g})", worst,
-        worst < SWEEP_REL_ERR_TOL))
+    worst = max(eligible, default=None)
+    label = (f"max |rel err| over {len(eligible)} pairs with min(H) >= 0.2 "
+             f"(tolerance {SWEEP_REL_ERR_TOL:g})")
+    lines.append(f"  {label}: not evaluated" if worst is None else
+                 _check(label, worst, worst < SWEEP_REL_ERR_TOL))
     drift = max(abs(t["h_rxry"] - 0.5 * (t["h_rx"] + t["h_ry"]))
                 for t in result.triples)
     lines.append(_check(

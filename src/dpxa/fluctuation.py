@@ -136,32 +136,34 @@ def surface(covs: list[np.ndarray], scales: ScaleGrid, orders: QGrid,
             else:
                 moments = np.add.reduceat(absf2 ** (q / 2.0), starts, axis=1)
                 F[:, i] = (moments / windows) ** (1.0 / q)
+    # not ``scale_means``: the two sums may differ in the last bits, which
+    # would move 12-digit cells of the analyze outputs
     cov2 = np.add.reduceat(f2, starts, axis=1) / windows
     return [FluctuationSurface(scales, orders, F[n], cov2[n], kind,
                                windows - live[n])
             for n, kind in enumerate(kinds)]
 
 
-def rho_values(covs: list[np.ndarray], which, scales: ScaleGrid) -> np.ndarray:
-    """rho(s) from the ``window_covariances`` pairs (x, y), (x, x), (y, y),
-    given by their three indices ``which``."""
-    i_xy, i_xx, i_yy = which
-    rho = np.empty(len(scales))
-    for j, s in enumerate(scales.scales):
-        cov_xy, var_x, var_y = (float(np.mean(covs[j][i]))
-                                for i in (i_xy, i_xx, i_yy))
+def scale_means(covs: list[np.ndarray]) -> np.ndarray:
+    """The (pairs, scales) signed means of ``window_covariances`` output."""
+    return np.stack([f2.mean(axis=1) for f2 in covs], axis=1)
+
+
+def rho_values(means: np.ndarray, which, scales: ScaleGrid) -> np.ndarray:
+    """rho(s) from the ``scale_means`` rows of the pairs (x, y), (x, x) and
+    (y, y), given by their three indices ``which``."""
+    cov_xy, var_x, var_y = means[list(which)]
+    with np.errstate(divide="ignore", invalid="ignore"):
         denom = np.sqrt(var_x * var_y)
-        if denom == 0.0:
-            raise DegenerateInputError(
-                f"constant residuals give a zero denominator at scale {s}"
-            )
-        value = cov_xy / denom
-        if abs(value) > 1.0 + 1e-9:
-            raise DegenerateInputError(
-                f"correlation {value} outside [-1, 1] at scale {s}"
-            )
-        rho[j] = min(1.0, max(-1.0, value))
-    return rho
+        rho = cov_xy / denom
+    # a zero denominator leaves an infinite or NaN rho, caught here too
+    bad = np.flatnonzero(~(np.abs(rho) <= 1.0 + 1e-9))
+    if bad.size:
+        j = bad[0]
+        what = (f"correlation {float(rho[j])} outside [-1, 1]" if denom[j]
+                else "constant residuals give a zero denominator")
+        raise DegenerateInputError(f"{what} at scale {scales.scales[j]}")
+    return np.clip(rho, -1.0, 1.0)
 
 
 def fluctuation_dpxa(x, y, forces: ForceMatrix | None, scales: ScaleGrid,
@@ -208,7 +210,7 @@ def rho_curve(x, y, forces: ForceMatrix | None, scales: ScaleGrid,
     stack, zrows, b = _with_forces((as_series(x), as_series(y)), forces)
     covs = window_covariances(stack, scales, cfg,
                               ((b, b + 1), (b, b), (b + 1, b + 1)), zrows)
-    return RhoCurve(scales, rho_values(covs, (0, 1, 2), scales),
+    return RhoCurve(scales, rho_values(scale_means(covs), (0, 1, 2), scales),
                     KIND_DCCA if forces is None else KIND_DPXA)
 
 

@@ -77,6 +77,8 @@ class FgnSpec:
         _check_hurst(self.hurst, "hurst")
         if self.length < 1:
             raise ConfigError(f"length must be >= 1, got {self.length}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -102,6 +104,8 @@ class BfbmSpec:
             raise ConfigError(f"corr must lie in [-1, 1], got {self.corr}")
         if self.length < 1:
             raise ConfigError(f"length must be >= 1, got {self.length}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -173,17 +173,6 @@ def _read_rows(path: Path, handle, header: list[str]) -> dict[str, np.ndarray]:
     return {name: np.asarray(col) for name, col in zip(header, columns)}
 
 
-def write_series_csv(path, columns: dict[str, np.ndarray]) -> None:
-    path = Path(path)
-    arrays = [np.asarray(col) for col in columns.values()]
-    length = arrays[0].size
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(columns.keys())
-        for i in range(length):
-            writer.writerow([fmt(arr[i]) for arr in arrays])
-
-
 def _cell(value) -> str:
     if isinstance(value, str):
         return value

@@ -13,11 +13,15 @@ from dpxa import ForceMatrix, QGrid, ScaleGrid, cli, fluctuation_dcca, \
     fluctuation_dfa, fluctuation_dpxa, rho_curve, rho_dcca
 from dpxa.cli import main
 from dpxa.generators import BfbmSpec
-from dpxa.io import read_series_csv, write_series_csv, write_table_csv
+from dpxa.io import read_series_csv, write_table_csv
 
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def write_columns(path, columns: dict) -> None:
+    write_table_csv(path, list(columns), zip(*columns.values()))
 
 
 def test_import_leaves_out_the_process_pool():
@@ -40,6 +44,19 @@ def test_gen_fgn_roundtrip(tmp_path):
     assert cols["fgn"].size == 4096
     meta = json.loads((tmp_path / "fgn.csv.json").read_text())
     assert meta == {"hurst": 0.7, "kind": "fgn", "length": 4096, "seed": 1}
+
+
+@pytest.mark.parametrize("kind, flags", [
+    ("fgn", ["--hurst", 0.5]),
+    ("bfbm", ["--hx", 0.5, "--hy", 0.5, "--rho", 0.1]),
+])
+def test_gen_negative_seed_is_config_error(tmp_path, capsys, kind, flags):
+    out = tmp_path / "g.csv"
+    assert run(["gen", kind, *flags, "--length", 16, "--seed", -3,
+                "--out", out]) == 4
+    assert capsys.readouterr().err == \
+        "dpxa: error: seed must be >= 0, got -3\n"
+    assert not out.exists()
 
 
 def test_gen_is_deterministic(tmp_path):
@@ -88,7 +105,7 @@ def test_analyze_dpxa_recovers_partial_exponent(tmp_path):
     rx, ry = gen_bfbm_increments(BfbmSpec(0.3, 0.3, 0.6, n, 22))
     betas = ContaminationSpec(2.0, 3.0)
     src = tmp_path / "model.csv"
-    write_series_csv(src, {
+    write_columns(src, {
         "x": contaminate(rx, z, betas).values,
         "y": contaminate(ry, z, betas).values,
         "z": z.values,
@@ -279,6 +296,9 @@ MF_SPEC = {"p_x": 0.3, "p_y": 0.4, "depth": 10, "seeds": 1,
     ("mf", MF_SPEC, "noise_hurst", 0, "noise_hurst must lie in (0, 1)"),
     ("mf", MF_SPEC, "beta_y", {"intercept": 1}, "key 'beta_y': cannot "
      "interpret"),
+    ("rho", RHO_SPEC, "seed_base", -1, "seed_base must be >= 0, got -1"),
+    ("sweep", SWEEP_SPEC, "seed_base", -1, "seed_base must be >= 0, got -1"),
+    ("mf", MF_SPEC, "seed_base", -1, "seed_base must be >= 0, got -1"),
     # a spec too short for its own scale grid fails before any run
     ("mf", MF_SPEC, "depth", 2, "no scales in [s_min, s_max] = [8, 1]"),
     ("mf", MF_SPEC, "depth", 7,
@@ -299,6 +319,21 @@ def test_bad_spec_field_is_config_error(tmp_path, capsys, name, base, key,
                 "--out", tmp_path / "out"]) == 4
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_sweep_with_no_pair_for_the_relative_error_check(tmp_path):
+    # min(H) < 0.2 for the only pair: the check is reported, not passed
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**SWEEP_SPEC, "length": 1024,
+                                "hurst_grid": [[0.1, 0.15, 0.5]]}))
+    out = tmp_path / "out"
+    assert run(["experiment", "sweep", "--spec", path, "--out", out,
+                "--jobs", 1]) == 0
+    summary = (out / "summary.txt").read_text()
+    assert "max |rel err| over 0 pairs with min(H) >= 0.2 (tolerance " \
+        "0.1): not evaluated\n" in summary
+    line = next(ln for ln in summary.splitlines() if "rel err" in ln)
+    assert "PASS" not in line
 
 
 def test_fit_bounds_of_zero_are_used_as_given(tmp_path, capsys):
@@ -387,7 +422,7 @@ UNUSED_BESIDE = {"--x": (["--col", "x"], "--col"),
 def test_unused_flag_is_config_error(tmp_path, capsys, method, flag):
     src = tmp_path / "in.csv"
     rng = np.random.default_rng(4)
-    write_series_csv(src, {c: rng.standard_normal(1024) for c in "xyz"})
+    write_columns(src, {c: rng.standard_normal(1024) for c in "xyz"})
     argv = ["analyze", method, src]
     if flag != "--x":
         argv += ["--x", "x"]
@@ -424,7 +459,7 @@ def test_tuning_flags_default_to_none():
 def test_missing_column_flag_names_the_method(tmp_path, capsys, method,
                                               given, flag):
     src = tmp_path / "in.csv"
-    write_series_csv(src, {"x": np.arange(64.0), "y": np.ones(64)})
+    write_columns(src, {"x": np.arange(64.0), "y": np.ones(64)})
     assert run(["analyze", method, src, *given,
                 "--out", tmp_path / "run"]) == 4
     assert capsys.readouterr().err == \
@@ -451,8 +486,8 @@ def test_method_runs_its_estimator(tmp_path, method):
     estimator, read = ESTIMATORS[method.removeprefix("mf")]
     src = tmp_path / "in.csv"
     rng = np.random.default_rng(11)
-    write_series_csv(src, {c: rng.standard_normal(2048)
-                           for c in ("w", "x", "y", "z")})
+    write_columns(src, {c: rng.standard_normal(2048)
+                        for c in ("w", "x", "y", "z")})
     argv = ["--col", "x"] if read == ("x",) else \
         [a for c in read for a in (f"--{c}", c)]
     assert run(["analyze", method, src, *argv,

@@ -1,4 +1,6 @@
 import json
+import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,8 +12,9 @@ from dpxa.experiments import (
     _EXPONENT_KEYS,
     _SWEEP_PAIRS,
     _contaminated,
+    _mf_realization,
     _rho_realization,
-    _sweep_task,
+    _sweep_realization,
     MF_PRESETS,
     MfSpec,
     RHO_PRESETS,
@@ -29,7 +32,7 @@ from dpxa.experiments import (
     write_sweep_outputs,
 )
 from dpxa.fluctuation import fluctuation_dcca, fluctuation_dfa, rho_values, \
-    window_covariances
+    scale_means, window_covariances
 from dpxa.generators import BfbmSpec, FgnSpec, _bfbm_factor, _fgn_factor, \
     contaminate, derive_seed, gen_bfbm_increments, gen_fgn
 from dpxa.io import jsonable
@@ -250,7 +253,7 @@ def test_sweep_algebra_matches_direct_stack(monkeypatch, cancellation, hz,
     direct = window_covariances(stack, grid, cfg, direct_pairs, forces=(2,))
     algebra = window_covariances(stack, grid, cfg, _SWEEP_PAIRS, forces=(2,))
     for want, f2 in zip(direct, algebra):
-        got = _contaminated(f2, cfg, *betas)
+        got = _contaminated(f2, *betas)
         # each pair (i, j) judged on the scale sqrt(F2_ii F2_jj)
         diag = {pair[0]: want[n] for n, pair in enumerate(direct_pairs)
                 if pair[0] == pair[1]}
@@ -267,7 +270,7 @@ def test_rho_algebra_matches_direct_stack(monkeypatch, cancellation, betas):
                    length=2 ** 12, seeds=1, beta_x=betas[0],
                    beta_y=betas[1], seed_base=9)
     scales = spec.scales()
-    got = _rho_realization((spec, 0, scales))
+    got = _rho_realization(spec, 0)
     # the direct stack (x, y, rx, ry, z) with force z: six built rows
     rx, ry, z, x, y = _contaminated_stack(
         (spec.hurst_x, spec.hurst_y, spec.hurst_z), spec.corr, spec.length,
@@ -276,7 +279,8 @@ def test_rho_algebra_matches_direct_stack(monkeypatch, cancellation, betas):
                   for i, j in ((0, 1), (0, 0), (1, 1)))
     covs = window_covariances((x, y, rx, ry, z), scales, DetrendConfig(),
                               pairs, forces=(4,))
-    want = np.stack([rho_values(covs, (3 * k, 3 * k + 1, 3 * k + 2), scales)
+    means = scale_means(covs)
+    want = np.stack([rho_values(means, (3 * k, 3 * k + 1, 3 * k + 2), scales)
                      for k in range(3)])
     assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -292,19 +296,16 @@ def test_contaminated_realizations_build_five_rows(monkeypatch):
 
     monkeypatch.setattr(experiments, "window_covariances", spy)
     spec = SWEEP_PRESETS["smoke"]
-    _sweep_task((0, spec.hurst_grid[0], 0, spec.corr, spec.length,
-                 spec.beta_x, spec.beta_y, spec.seed_base))
-    rho = RHO_PRESETS["smoke"]
-    _rho_realization((rho, 0, rho.scales()))
+    _sweep_realization(spec, 0)
+    _rho_realization(RHO_PRESETS["smoke"], 0)
     assert [len(rows) for rows in named] == [5, 5]
 
 
 def test_sweep_exponents_are_those_of_the_plain_estimators():
     spec = SWEEP_PRESETS["smoke"]
     t, real_idx = 0, 1
-    h = dict(zip(_EXPONENT_KEYS, _sweep_task(
-        (t, spec.hurst_grid[t], real_idx, spec.corr, spec.length,
-         spec.beta_x, spec.beta_y, spec.seed_base))))
+    h = dict(zip(_EXPONENT_KEYS, _sweep_realization(
+        spec, t * spec.realizations + real_idx)))
     _, _, _, x, y = _contaminated_stack(
         spec.hurst_grid[t], spec.corr, spec.length,
         [derive_seed(spec.seed_base, t, real_idx, n) for n in (0, 1)],
@@ -315,3 +316,85 @@ def test_sweep_exponents_are_those_of_the_plain_estimators():
                     ("h_xy", fluctuation_dcca(x, y, grid, q2))):
         want = float(fit_exponent(sf).h[0])
         assert abs(h[key] - want) <= 1e-12 * abs(want), key
+
+
+# --------------------------------------------------------------------------- #
+# one realization shape
+
+TWO_TRIPLES = SweepSpec(((0.5, 0.5, 0.5), (0.4, 0.6, 0.5)), realizations=2,
+                        length=2 ** 10, beta_x=BETAS, beta_y=BETAS)
+
+
+@pytest.mark.parametrize("run, spec, realization, count", [
+    (run_sweep, TWO_TRIPLES, _sweep_realization, 4),
+    (run_rho_comparison, RHO_PRESETS["smoke"], _rho_realization, 2),
+    (run_mf_recovery, MF_PRESETS["smoke"], _mf_realization, 2),
+], ids=["sweep", "rho", "mf"])
+def test_runs_map_a_spec_bound_realization_over_an_index_range(
+        monkeypatch, run, spec, realization, count):
+    calls = []
+    original = experiments._map_tasks
+
+    def spy(fn, tasks, jobs):
+        calls.append((fn, tasks))
+        return original(fn, tasks, jobs)
+
+    monkeypatch.setattr(experiments, "_map_tasks", spy)
+    run(spec)
+    [(fn, tasks)] = calls
+    assert tasks == range(count)
+    assert isinstance(fn, partial)
+    assert (fn.func, fn.args, fn.keywords) == (realization, (spec,), {})
+
+
+def test_sweep_index_splits_into_triple_and_realization():
+    # index t R + r is realization r of triple t ...
+    spec, t, r = TWO_TRIPLES, 1, 0
+    h_x = _sweep_realization(spec, t * spec.realizations + r)[
+        _EXPONENT_KEYS.index("h_x")]
+    _, _, _, x, _ = _contaminated_stack(
+        spec.hurst_grid[t], spec.corr, spec.length,
+        [derive_seed(spec.seed_base, t, r, n) for n in (0, 1)],
+        spec.beta_x, spec.beta_y)
+    want = float(fit_exponent(fluctuation_dfa(
+        x, spec.scales(), QGrid.second_order())).h[0])
+    assert abs(h_x - want) <= 1e-12 * abs(want)
+    # ... so triple t averages the indices [t R, (t + 1) R)
+    raw = [_sweep_realization(spec, i) for i in range(4)]
+    for t, entry in enumerate(run_sweep(spec).triples):
+        mean = np.mean(raw[2 * t:2 * t + 2], axis=0)
+        assert [entry[k] for k in _EXPONENT_KEYS] == mean.tolist()
+
+
+# --------------------------------------------------------------------------- #
+# rho from per-scale means
+
+RHO_SCALES = ScaleGrid(np.array([10, 20, 40]))
+
+
+@pytest.mark.parametrize("cov_xy, var_x, message", [
+    ([0.5, 0.0, 0.0], [1.0, 0.0, 0.0],
+     "constant residuals give a zero denominator at scale 20"),
+    ([0.5, 1.5, -2.0], [1.0, 1.0, 1.0],
+     "correlation 1.5 outside [-1, 1] at scale 20"),
+    # the first offending scale decides which of the two is raised
+    ([0.5, 1.5, 0.0], [1.0, 1.0, 0.0],
+     "correlation 1.5 outside [-1, 1] at scale 20"),
+    ([0.0, 1.5, 0.5], [0.0, 1.0, 1.0],
+     "constant residuals give a zero denominator at scale 10"),
+    # a negative variance product is not clipped to -1
+    ([0.5, 0.5, 0.5], [1.0, -1.0, 1.0],
+     "correlation nan outside [-1, 1] at scale 20"),
+], ids=["zero", "outside", "outside-first", "zero-first", "nan"])
+def test_rho_values_names_the_first_offending_scale(cov_xy, var_x, message):
+    means = np.array([cov_xy, var_x, [1.0, 1.0, 1.0]])
+    with pytest.raises(DegenerateInputError,
+                       match=f"^{re.escape(message)}$"):
+        rho_values(means, (0, 1, 2), RHO_SCALES)
+
+
+def test_rho_values_clips_within_tolerance():
+    means = np.array([[1.0 + 5e-10, -1.0 - 5e-10, 0.25], [1.0] * 3,
+                      [1.0] * 3])
+    assert rho_values(means, (0, 1, 2), RHO_SCALES).tolist() == \
+        [1.0, -1.0, 0.25]
