@@ -296,9 +296,6 @@ MF_SPEC = {"p_x": 0.3, "p_y": 0.4, "depth": 10, "seeds": 1,
     ("mf", MF_SPEC, "noise_hurst", 0, "noise_hurst must lie in (0, 1)"),
     ("mf", MF_SPEC, "beta_y", {"intercept": 1}, "key 'beta_y': cannot "
      "interpret"),
-    ("rho", RHO_SPEC, "seed_base", -1, "seed_base must be >= 0, got -1"),
-    ("sweep", SWEEP_SPEC, "seed_base", -1, "seed_base must be >= 0, got -1"),
-    ("mf", MF_SPEC, "seed_base", -1, "seed_base must be >= 0, got -1"),
     # a spec too short for its own scale grid fails before any run
     ("mf", MF_SPEC, "depth", 2, "no scales in [s_min, s_max] = [8, 1]"),
     ("mf", MF_SPEC, "depth", 7,
@@ -310,6 +307,10 @@ MF_SPEC = {"p_x": 0.3, "p_y": 0.4, "depth": 10, "seeds": 1,
      "no scales in [s_min, s_max] = [10, 7]"),
     ("sweep", SWEEP_SPEC, "length", 44,
      "only 2 scales inside [10, 11]; need at least 4"),
+    # a negative seed base is rejected like any other bad field
+    ("rho", RHO_SPEC, "seed_base", -1, "seed_base must be >= 0, got -1"),
+    ("sweep", SWEEP_SPEC, "seed_base", -1, "seed_base must be >= 0, got -1"),
+    ("mf", MF_SPEC, "seed_base", -1, "seed_base must be >= 0, got -1"),
 ])
 def test_bad_spec_field_is_config_error(tmp_path, capsys, name, base, key,
                                         value, message):
