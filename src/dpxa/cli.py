@@ -274,8 +274,9 @@ def _cmd_analyze(args) -> int:
         },
     }
     write_json(f"{prefix}_fit.json", payload)
-    h2 = fit.h[np.argmin(np.abs(orders.orders - 2.0))]
-    print(f"wrote {prefix}_fluct.csv and {prefix}_fit.json (h(2) = {h2:.4f})")
+    j = int(np.argmin(np.abs(orders.orders - 2.0)))
+    print(f"wrote {prefix}_fluct.csv and {prefix}_fit.json "
+          f"(h({orders.orders[j]:g}) = {fit.h[j]:.4f})")
     return 0
 
 

@@ -6,12 +6,13 @@ remove the force regression from the increments, cumulate the residuals
 into a disturbance profile, remove its local trend (polynomial fit or
 centred moving average of length s) and average products of two detrended
 profiles. So each estimator is a pair of rows of one stack, and
-``window_products`` takes these steps for every pair and size in one
-call. The stack holds k distinct series, some of them force columns; a
-pair index i < k names series i, and k + i its residual on the forces.
-Only the named rows are built, and each series is centred once per
-window: a residual row copies its series' centred windows, and forces the
-pairs name plain (the sweep's z) lend theirs to the regression.
+``window_products`` takes these steps for every pair and size in one call,
+which returns one ``WindowCovariances`` record. The stack holds k distinct
+series, some of them force columns; a pair index i < k names series i, and
+k + i its residual on the forces. Only the named rows are built, and each
+series is centred once per window: a residual row copies its series'
+centred windows, and forces the pairs name plain (the sweep's z) lend
+theirs to the regression.
 
 The forces go before the cumsum: with an intercept the window residual is
 (x - mean x) - b (z - mean z), with b from the p x p centred force
@@ -260,6 +261,26 @@ def _products(P: np.ndarray, pairs, norms: np.ndarray | None = None
                      for i, j in pairs])
 
 
+@dataclass(frozen=True, eq=False)
+class WindowCovariances:
+    """Window covariances of pairs of stack rows: ``f2`` is (pairs, W),
+    scale j taking ``windows[j]`` consecutive columns, of which
+    ``deficient[j]`` have a rank-deficient force design."""
+
+    f2: np.ndarray
+    windows: np.ndarray
+    deficient: np.ndarray
+
+    def sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-scale sums of ``values`` (..., W) over the windows."""
+        return np.add.reduceat(values, np.cumsum(self.windows)
+                               - self.windows, axis=-1)
+
+    def means(self) -> np.ndarray:
+        """The (pairs, scales) signed mean covariances."""
+        return self.sums(self.f2) / self.windows
+
+
 def _block(rows) -> np.ndarray:
     """The given equal-shape arrays as one array along a new first axis:
     a view of a single array, a copy of several."""
@@ -267,7 +288,7 @@ def _block(rows) -> np.ndarray:
 
 
 def window_products(rows, sizes, cfg: DetrendConfig, pairs, forces=()
-                    ) -> tuple[list[np.ndarray], int]:
+                    ) -> WindowCovariances:
     """Window covariances of pairs of stack rows at every window size.
 
     ``rows`` holds k distinct equal-length series (a (k, T) array or a
@@ -280,10 +301,10 @@ def window_products(rows, sizes, cfg: DetrendConfig, pairs, forces=()
     row copies its series' centred windows, and when the pairs name every
     force plain, the regression takes those rows' centred windows. The
     rows are cumulated and detrended together, in one buffer that serves
-    every size. Returns, per size, the (len(pairs), T // s) signed mean
-    products of the detrended profiles of each pair (points beyond the
-    last whole window are excluded), and the number of windows whose
-    force design is rank deficient, over all sizes.
+    every size. Returns the signed mean products of the detrended profiles
+    of each pair in the T // s windows of each size s (points beyond the
+    last whole window are excluded), with the per-size counts of windows
+    and of rank-deficient force designs.
     """
     rows = list(rows)
     k, T = len(rows), len(rows[0])
@@ -301,8 +322,11 @@ def window_products(rows, sizes, cfg: DetrendConfig, pairs, forces=()
     work = np.empty((2 if moving else 1) * r * T)
     F = _block([rows[f] for f in forces]) if forces and plain < r else None
     lent = all(f in slot for f in forces)
-    out, deficient = [], 0
-    for size in sizes:
+    windows = np.array([T // size for size in sizes])
+    out = np.empty((len(pairs), windows.sum()))
+    deficient = np.zeros(len(sizes), dtype=int)
+    for j, (size, dest) in enumerate(zip(sizes, np.split(
+            out, np.cumsum(windows)[:-1], axis=1))):
         M = T // size
         n = r * M * size
         A = work[:n].reshape(r, M, size)
@@ -323,19 +347,20 @@ def window_products(rows, sizes, cfg: DetrendConfig, pairs, forces=()
                 Zc = _block([A[slot[f]] for f in forces])
             else:
                 Zc = Z - Z.mean(axis=2, keepdims=True)
-            deficient += _remove_forces(A[plain:], Z, Zc, cfg.with_intercept)
+            deficient[j] = _remove_forces(A[plain:], Z, Zc, cfg.with_intercept)
         _cumulate(A)
         flat = A.reshape(r * M, size)
         if moving:
             _subtract_moving_average(flat, work[n: 2 * n].reshape(r * M, size))
-            out.append(_products(A, pairs) / size)
+            np.divide(_products(A, pairs), size, out=dest)
             continue
         # sum (P - QQ'P)_i (P - QQ'P)_j = <P_i, P_j> - <c_i, c_j>, c = Q'P
         Q = _projection_basis(size, cfg.poly_order)
         c = (flat @ Q).reshape(r, M, Q.shape[1])
         norms = np.einsum("kms,kms->km", A, A)
         trends = np.einsum("kmd,kmd->km", c, c)
-        f2 = _products(A, pairs, norms) - _products(c, pairs, trends)
+        f2 = np.subtract(_products(A, pairs, norms),
+                         _products(c, pairs, trends), out=dest)
         # the difference loses up to 1.2e-15 * <P, P> / F^2 of F^2: windows
         # where a trend carries most of a profile are detrended explicitly
         bad = np.flatnonzero(np.any(norms > _CANCELLATION * (norms - trends),
@@ -344,5 +369,5 @@ def window_products(rows, sizes, cfg: DetrendConfig, pairs, forces=()
             R = A[:, bad]
             R -= (R @ Q) @ Q.T
             f2[:, bad] = _products(R, pairs)
-        out.append(f2 / size)
-    return out, deficient
+        f2 /= size
+    return WindowCovariances(out, windows, deficient)

@@ -8,16 +8,20 @@ names the residual of series i on the forces: DFA of x is the pair
 rho(s) the pairs (x, y), (x, x) and (y, y) of one family. The public
 functions append a ``ForceMatrix``'s columns to the stack as rows. The
 signed mean product of two detrended profiles in window v is its
-covariance F_v^2. ``surface`` turns every pair of one
-``window_covariances`` result into its F(q, s) surface, with one pass
-over the windows of all pairs and scales per order q. Aggregation keeps
-two views of F_v^2:
+covariance F_v^2. ``window_covariances`` returns them as one
+``WindowCovariances`` record, whose ``sums`` and ``means`` reduce per scale.
+``surface`` turns every pair of the record into its F(q, s) surface, with
+one pass over the windows of all pairs and scales per order q.
+Aggregation keeps two views of F_v^2:
 
 * the exponent pipeline uses |F_v^2|, giving F(q, s) = [mean_v
   |F_v^2|^(q/2)]^(1/q) for q != 0 and the logarithmic average
   exp(mean_v ln |F_v^2|^(1/2)) at q = 0, so F(q, s) is always defined;
 * the signed mean of F_v^2 is kept per scale (``cov2``) because the
   correlation coefficient rho(s) needs the sign to be able to go negative.
+
+A DPXA surface or curve counts per scale the windows whose force design
+is rank deficient; other kinds regress no row and count zeros.
 
 Without forces the pipeline reduces exactly to detrended cross-correlation
 analysis, and with identical inputs to plain detrended fluctuation
@@ -32,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import QGrid, ScaleGrid, _frozen_array, as_series
-from .detrend import DetrendConfig, ForceMatrix, window_products
+from .detrend import DetrendConfig, ForceMatrix, WindowCovariances, \
+    window_products
 from .errors import DegenerateInputError, RankDeficiencyWarning, ShapeError
 
 KIND_DFA = "DFA"
@@ -54,12 +59,14 @@ class FluctuationSurface:
     cov2: np.ndarray         # shape (len(scales),), signed
     kind: str
     zero_windows: np.ndarray  # per-scale count of exactly degenerate windows
+    deficient_windows: np.ndarray  # per-scale count of rank-deficient ones
 
     def __post_init__(self):
         object.__setattr__(self, "F", _frozen_array(self.F))
         object.__setattr__(self, "cov2", _frozen_array(self.cov2))
-        object.__setattr__(self, "zero_windows",
-                           _frozen_array(self.zero_windows, dtype=int))
+        for name in ("zero_windows", "deficient_windows"):
+            object.__setattr__(self, name,
+                               _frozen_array(getattr(self, name), dtype=int))
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,33 +76,35 @@ class RhoCurve:
     scales: ScaleGrid
     rho: np.ndarray
     kind: str
+    deficient_windows: np.ndarray  # per-scale count of rank-deficient ones
 
     def __post_init__(self):
         object.__setattr__(self, "rho", _frozen_array(self.rho))
+        object.__setattr__(self, "deficient_windows",
+                           _frozen_array(self.deficient_windows, dtype=int))
 
 
 def window_covariances(series, scales: ScaleGrid, cfg: DetrendConfig, pairs,
-                       forces=()) -> list[np.ndarray]:
-    """Per-scale (len(pairs), M) window covariances of pairs of rows of the
-    stack of k equal-length ``series``, of which ``forces`` index the
-    force columns: pair index i < k names series i, and k + i its residual
-    on the forces (see ``detrend.window_products``). Rank-deficient windows
+                       forces=()) -> WindowCovariances:
+    """The window covariances at every scale of pairs of rows of the stack
+    of k equal-length ``series``, of which ``forces`` index the force
+    columns: pair index i < k names series i, and k + i its residual on
+    the forces (see ``detrend.window_products``). Rank-deficient windows
     raise one RankDeficiencyWarning for the whole call."""
     rows = [as_series(s).values for s in series]
     lengths = {row.size for row in rows}
     if len(lengths) > 1:
         raise ShapeError(f"series lengths differ: {sorted(lengths)}")
     scales.check_series_length(rows[0].size)
-    out, deficient = window_products(rows, scales.scales, cfg, pairs, forces)
-    if deficient:
-        windows = sum(f2.shape[1] for f2 in out)
+    covs = window_products(rows, scales.scales, cfg, pairs, forces)
+    if covs.deficient.any():
         warnings.warn(
-            f"rank-deficient design in {deficient} of {windows} windows; "
-            "minimum-norm solution used",
+            f"rank-deficient design in {covs.deficient.sum()} of "
+            f"{covs.windows.sum()} windows; minimum-norm solution used",
             RankDeficiencyWarning,
             stacklevel=3,
         )
-    return out
+    return covs
 
 
 def _with_forces(series: tuple, forces: ForceMatrix | None):
@@ -108,20 +117,17 @@ def _with_forces(series: tuple, forces: ForceMatrix | None):
     return series + tuple(forces.data.T), tuple(range(len(series), k)), k
 
 
-def surface(covs: list[np.ndarray], scales: ScaleGrid, orders: QGrid,
+def surface(covs: WindowCovariances, scales: ScaleGrid, orders: QGrid,
             kinds) -> list[FluctuationSurface]:
-    """F(q, s) of every pair of ``window_covariances`` output, one surface
-    per pair, labelled by ``kinds``."""
-    windows = np.array([f2.shape[1] for f2 in covs])
-    starts = np.cumsum(windows) - windows
-    f2 = np.concatenate(covs, axis=1)
-    absf2 = np.abs(f2)
+    """F(q, s) of every pair of a ``window_covariances`` record, one
+    surface per pair, labelled by ``kinds``."""
+    absf2 = np.abs(covs.f2)
     nonzero = absf2 > 0.0
-    live = np.add.reduceat(nonzero, starts, axis=1, dtype=int)
+    live = covs.sums(nonzero)
     if not live.all():
         j = int(np.flatnonzero(~live.all(axis=0))[0])
         raise DegenerateInputError(
-            f"all {windows[j]} windows are exactly degenerate at scale "
+            f"all {covs.windows[j]} windows are exactly degenerate at scale "
             f"{scales.scales[j]}"
         )
     qs = orders.orders.tolist()
@@ -131,27 +137,20 @@ def surface(covs: list[np.ndarray], scales: ScaleGrid, orders: QGrid,
             if abs(q) <= Q_ZERO_TOL:
                 # the logarithmic average skips exactly degenerate windows
                 logs = np.where(nonzero, np.log(absf2), 0.0)
-                F[:, i] = np.exp(0.5 * np.add.reduceat(logs, starts, axis=1)
-                                 / live)
+                F[:, i] = np.exp(0.5 * covs.sums(logs) / live)
             else:
-                moments = np.add.reduceat(absf2 ** (q / 2.0), starts, axis=1)
-                F[:, i] = (moments / windows) ** (1.0 / q)
-    # not ``scale_means``: the two sums may differ in the last bits, which
-    # would move 12-digit cells of the analyze outputs
-    cov2 = np.add.reduceat(f2, starts, axis=1) / windows
+                F[:, i] = (covs.sums(absf2 ** (q / 2.0)) / covs.windows) \
+                    ** (1.0 / q)
+    cov2 = covs.means()
     return [FluctuationSurface(scales, orders, F[n], cov2[n], kind,
-                               windows - live[n])
+                               covs.windows - live[n],
+                               covs.deficient * (kind == KIND_DPXA))
             for n, kind in enumerate(kinds)]
 
 
-def scale_means(covs: list[np.ndarray]) -> np.ndarray:
-    """The (pairs, scales) signed means of ``window_covariances`` output."""
-    return np.stack([f2.mean(axis=1) for f2 in covs], axis=1)
-
-
 def rho_values(means: np.ndarray, which, scales: ScaleGrid) -> np.ndarray:
-    """rho(s) from the ``scale_means`` rows of the pairs (x, y), (x, x) and
-    (y, y), given by their three indices ``which``."""
+    """rho(s) from the (pairs, scales) mean covariances ``means``: the rows
+    ``which`` of the pairs (x, y), (x, x) and (y, y)."""
     cov_xy, var_x, var_y = means[list(which)]
     with np.errstate(divide="ignore", invalid="ignore"):
         denom = np.sqrt(var_x * var_y)
@@ -210,8 +209,9 @@ def rho_curve(x, y, forces: ForceMatrix | None, scales: ScaleGrid,
     stack, zrows, b = _with_forces((as_series(x), as_series(y)), forces)
     covs = window_covariances(stack, scales, cfg,
                               ((b, b + 1), (b, b), (b + 1, b + 1)), zrows)
-    return RhoCurve(scales, rho_values(scale_means(covs), (0, 1, 2), scales),
-                    KIND_DCCA if forces is None else KIND_DPXA)
+    return RhoCurve(scales, rho_values(covs.means(), (0, 1, 2), scales),
+                    KIND_DCCA if forces is None else KIND_DPXA,
+                    covs.deficient)
 
 
 def rho_dcca(x, y, scales: ScaleGrid,

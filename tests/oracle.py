@@ -85,8 +85,9 @@ def window_cov(rx, ry) -> float:
 
 
 def oracle_products(rows, Z, s, cfg, pairs, regressed=0):
-    """``window_products`` rebuilt window by window: window_ols -> profile
-    -> local_trend -> window_cov. The last ``regressed`` of the k rows are
+    """The (pairs, T // s) ``f2`` of ``window_products`` at the one size s,
+    rebuilt window by window: window_ols -> profile -> local_trend ->
+    window_cov. The last ``regressed`` of the k rows are
     regressed on the (T, p) force columns Z; pair indices name the rows
     as given."""
     k, T = rows.shape

@@ -99,6 +99,20 @@ def test_analyze_dfa_on_generated_noise(tmp_path):
     assert (tmp_path / "run_fluct.csv").read_text().startswith("scale,cov2,")
 
 
+def test_analyze_labels_h_with_the_order_it_reports(tmp_path, capsys):
+    # four orders from -4 to 4 leave out 2: the nearest is 4/3
+    src = tmp_path / "fgn.csv"
+    run(["gen", "fgn", "--hurst", 0.5, "--length", 4096, "--seed", 1,
+         "--out", src])
+    capsys.readouterr()
+    assert run(["analyze", "mfdfa", src, "--col", "fgn", "--q-count", 4,
+                "--out", tmp_path / "run"]) == 0
+    fit = json.loads((tmp_path / "run_fit.json").read_text())["fit"]
+    assert fit["q"][2] == pytest.approx(4.0 / 3.0)
+    assert capsys.readouterr().out.endswith(
+        f"(h(1.33333) = {fit['h'][2]:.4f})\n")
+
+
 def test_analyze_dpxa_recovers_partial_exponent(tmp_path):
     n = 2 ** 13
     z = gen_fgn(FgnSpec(0.9, n, 21))

@@ -212,10 +212,11 @@ def test_batched_engine_matches_single_window_ops(seed):
     Z = rng.standard_normal((T, 2))
     cfg = DetrendConfig(poly_order=1)
     pairs = ((0, 0), (0, 1), (1, 1))
-    (batched,), deficient = kernel(rows, Z, (s,), cfg, pairs, regressed=2)
-    assert deficient == 0
+    covs = kernel(rows, Z, (s,), cfg, pairs, regressed=2)
+    assert covs.windows.tolist() == [T // s]
+    assert covs.deficient.tolist() == [0]
     expected = oracle_products(rows, Z, s, cfg, pairs, regressed=2)
-    assert np.allclose(batched, expected, atol=1e-10)
+    assert np.allclose(covs.f2, expected, atol=1e-10)
 
 
 @settings(max_examples=120, deadline=None)
@@ -243,9 +244,13 @@ def test_kernel_matches_single_window_oracle(seed, s, windows, extra, p,
         with pytest.raises(WindowTooSmallError):
             kernel(rows, Z, (s,), cfg, pairs, regressed=2)
         return
-    (got,), bad = kernel(rows, Z, (s,), cfg, pairs, regressed=2)
-    # the buffer left dirty by a larger size changes nothing
-    (_, again), _ = kernel(rows, Z, (T, s), cfg, pairs, regressed=2)
+    covs = kernel(rows, Z, (s,), cfg, pairs, regressed=2)
+    got = covs.f2
+    # the buffer left dirty by a larger size changes nothing; a window as
+    # long as the series takes the first column
+    both = kernel(rows, Z, (T, s), cfg, pairs, regressed=2)
+    assert both.windows.tolist() == [1, windows]
+    _, again = np.split(both.f2, np.cumsum(both.windows)[:-1], axis=1)
     assert np.array_equal(again, got)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RankDeficiencyWarning)
@@ -253,7 +258,9 @@ def test_kernel_matches_single_window_oracle(seed, s, windows, extra, p,
     assert np.allclose(got, expected, rtol=0, atol=1e-10)
     rank_deficient = (deficient == "duplicate" and p >= 2
                       or deficient == "constant" and p and with_intercept)
-    assert bad == (windows if rank_deficient else 0)
+    assert covs.deficient.tolist() == [windows if rank_deficient else 0]
+    assert both.deficient.tolist() == [int(rank_deficient)] + \
+        covs.deficient.tolist()
 
 
 def test_kernel_plain_rows_ignore_forces():
@@ -263,9 +270,9 @@ def test_kernel_plain_rows_ignore_forces():
     cfg = DetrendConfig()
     pairs = ((0, 0), (0, 1))
     # the residual of row 2 is built beside the plain rows
-    (with_forces,), _ = window_products(np.vstack([rows, Z.T]), (30,), cfg,
-                                        pairs + ((6, 6),), (3,))
-    (without,), _ = window_products(rows, (30,), cfg, pairs)
+    with_forces = window_products(np.vstack([rows, Z.T]), (30,), cfg,
+                                  pairs + ((6, 6),), (3,)).f2
+    without = window_products(rows, (30,), cfg, pairs).f2
     assert np.array_equal(with_forces[:2], without)
 
 
@@ -293,9 +300,10 @@ def test_projection_products_match_extended_precision(order):
     k = rows.shape[0]
     pairs = [(i, j) for i in range(k) for j in range(i, k)]
     sizes = (10, 104, 1000, 16384)
-    covs, _ = window_products(rows, sizes, DetrendConfig(poly_order=order),
-                              pairs)
-    for s, got in zip(sizes, covs):
+    covs = window_products(rows, sizes, DetrendConfig(poly_order=order),
+                           pairs)
+    for s, got in zip(sizes, np.split(covs.f2, np.cumsum(covs.windows)[:-1],
+                                      axis=1)):
         want, own = longdouble_products(rows, s, order, pairs)
         scale = np.sqrt(np.stack([own[i] * own[j] for i, j in pairs]))
         err = (np.abs(got - want) / scale).astype(float)
@@ -342,5 +350,4 @@ def test_force_matching_a_row_matches_unshared_bitwise(cfg, p):
         copies, grid, cfg,
         [(i + m - k if i >= k else i, j + m - k if j >= k else j)
          for i, j in pairs], tuple(range(k, m)))
-    for a, b in zip(shared, unshared):
-        assert a.tobytes() == b.tobytes()
+    assert shared.f2.tobytes() == unshared.f2.tobytes()

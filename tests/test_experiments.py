@@ -20,6 +20,7 @@ from dpxa.experiments import (
     RHO_PRESETS,
     RhoSpec,
     SWEEP_PRESETS,
+    SweepResult,
     SweepSpec,
     run_mf_recovery,
     run_rho_comparison,
@@ -32,7 +33,7 @@ from dpxa.experiments import (
     write_sweep_outputs,
 )
 from dpxa.fluctuation import fluctuation_dcca, fluctuation_dfa, rho_values, \
-    scale_means, window_covariances
+    window_covariances
 from dpxa.generators import BfbmSpec, FgnSpec, _bfbm_factor, _fgn_factor, \
     contaminate, derive_seed, gen_bfbm_increments, gen_fgn
 from dpxa.io import jsonable
@@ -78,6 +79,77 @@ def test_sweep_determinism_across_jobs():
     a = run_sweep(spec, jobs=1)
     b = run_sweep(spec, jobs=2)
     assert result_bytes(a) == result_bytes(b)
+
+
+def test_pool_is_capped_at_the_task_count(monkeypatch):
+    # a fork pool starts every worker at the first submit; this fake
+    # starts no process and maps in this one
+    import concurrent.futures
+
+    workers = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    spec = SWEEP_PRESETS["smoke"]
+    serial = run_sweep(spec, jobs=1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        SerialPool)
+    capped = run_sweep(spec, jobs=64)
+    assert workers == [2]
+    assert result_bytes(capped) == result_bytes(serial)
+
+
+_REGRESSION_KEYS = ("intercept", "coef_h_rx", "coef_h_ry", "coef_h_z")
+
+
+def _regression_lines(summary: str) -> list[str]:
+    return [line for line in summary.splitlines()
+            if line.lstrip().startswith(_REGRESSION_KEYS)]
+
+
+def test_smoke_sweep_summary_leaves_the_regression_unevaluated():
+    # one triple cannot determine four coefficients
+    lines = _regression_lines(summarize_sweep(run_sweep(
+        SWEEP_PRESETS["smoke"])))
+    assert len(lines) == 4
+    assert all(line.endswith(": not evaluated") for line in lines)
+
+
+@pytest.mark.parametrize("grid, determined", [
+    (((0.2, 0.4, 0.5), (0.4, 0.4, 0.5), (0.2, 0.6, 0.5), (0.6, 0.6, 0.5)),
+     False),
+    (((0.2, 0.4, 0.2), (0.4, 0.4, 0.5), (0.2, 0.6, 0.8), (0.6, 0.6, 0.2)),
+     True),
+], ids=["coplanar", "full-rank"])
+def test_sweep_summary_judges_the_regression_of_a_determined_grid(
+        grid, determined):
+    spec = SweepSpec(grid, realizations=1, length=2 ** 10, beta_x=BETAS,
+                     beta_y=BETAS)
+    triples = [{"H_rx": a, "H_ry": b, "H_z": c, "h_rx": a, "h_ry": b,
+                "h_rxry": 0.5 * (a + b)} for a, b, c in grid]
+    regression = dict(zip(_REGRESSION_KEYS, (0.3, 0.5, 0.5, 0.0)))
+    lines = _regression_lines(summarize_sweep(
+        SweepResult(spec, triples, regression, [])))
+    if determined:
+        assert lines == [
+            "  intercept (expected 0): 0.3000 -> FAIL",
+            "  coef_h_rx (expected 0.5): 0.5000 -> PASS",
+            "  coef_h_ry (expected 0.5): 0.5000 -> PASS",
+            "  coef_h_z (expected 0): 0.0000 -> PASS"]
+    else:
+        assert all(line.endswith(": not evaluated") for line in lines)
+        assert len(lines) == 4
 
 
 def test_sweep_files_byte_identical_across_jobs(tmp_path):
@@ -252,7 +324,9 @@ def test_sweep_algebra_matches_direct_stack(monkeypatch, cancellation, hz,
     own = direct_pairs[:8]
     direct = window_covariances(stack, grid, cfg, direct_pairs, forces=(2,))
     algebra = window_covariances(stack, grid, cfg, _SWEEP_PAIRS, forces=(2,))
-    for want, f2 in zip(direct, algebra):
+    split = np.cumsum(direct.windows)[:-1]
+    for want, f2 in zip(np.split(direct.f2, split, axis=1),
+                        np.split(algebra.f2, split, axis=1)):
         got = _contaminated(f2, *betas)
         # each pair (i, j) judged on the scale sqrt(F2_ii F2_jj)
         diag = {pair[0]: want[n] for n, pair in enumerate(direct_pairs)
@@ -279,7 +353,7 @@ def test_rho_algebra_matches_direct_stack(monkeypatch, cancellation, betas):
                   for i, j in ((0, 1), (0, 0), (1, 1)))
     covs = window_covariances((x, y, rx, ry, z), scales, DetrendConfig(),
                               pairs, forces=(4,))
-    means = scale_means(covs)
+    means = covs.means()
     want = np.stack([rho_values(means, (3 * k, 3 * k + 1, 3 * k + 2), scales)
                      for k in range(3)])
     assert np.max(np.abs(got - want)) <= 1e-12

@@ -266,9 +266,10 @@ def test_dpxa_on_masked_binomial_matches_extended_precision():
     x = 2.0 + 3.0 * z + gen_binomial(BinomialSpec(0.3, depth)).values
     y = 2.0 + 3.0 * z + gen_binomial(BinomialSpec(0.4, depth)).values
     sizes = (16, 256, 4096)
-    covs, _ = window_products((x, y, z), sizes, DetrendConfig(), ((3, 4),),
-                              (2,))
-    for s, f2 in zip(sizes, covs):
+    covs = window_products((x, y, z), sizes, DetrendConfig(), ((3, 4),),
+                           (2,))
+    for s, f2 in zip(sizes, np.split(covs.f2, np.cumsum(covs.windows)[:-1],
+                                     axis=1)):
         ref = _longdouble_dpxa_products(x, y, z, s)
         rel = np.abs(f2[0] - ref) / np.abs(ref)
         assert float(np.max(rel)) <= 2e-8, s
@@ -318,6 +319,29 @@ def test_rank_deficiency_warns_once_per_call():
         assert match and int(match[1]) == int(match[2]) == windows
 
 
+def test_deficient_windows_counted_per_scale():
+    # z is constant on its first 1000 points: the windows that lie there
+    # duplicate the intercept, 1000 // s of them at scale s
+    from dpxa.errors import RankDeficiencyWarning
+
+    rng = np.random.default_rng(13)
+    n = 4000
+    x, y, z = rng.standard_normal((3, n))
+    z[:1000] = 1.5
+    grid, q2 = ScaleGrid.default(n), QGrid.second_order()
+    forces = ForceMatrix.from_series([z])
+    want = [1000 // int(s) for s in grid.scales]
+    with pytest.warns(RankDeficiencyWarning, match=r" 451 of 1829 windows"):
+        dpxa = fluctuation_dpxa(x, y, forces, grid, q2)
+    with pytest.warns(RankDeficiencyWarning, match=r" 451 of 1829 windows"):
+        curve = rho_curve(x, y, forces, grid)
+    assert dpxa.deficient_windows.tolist() == want
+    assert curve.deficient_windows.tolist() == want
+    assert sum(want) == 451
+    dcca = fluctuation_dpxa(x, y, None, grid, q2)
+    assert dcca.deficient_windows.tolist() == [0] * len(grid)
+
+
 @pytest.mark.parametrize("cfg", [
     DetrendConfig(), DetrendConfig(poly_order=2),
     DetrendConfig(method="moving_average"),
@@ -350,11 +374,12 @@ def test_repeated_series_matches_copies_bitwise(cfg):
             plain + ((m + k, m + k + 1), (m + k, m + k), (0, m + k + 1),
                      (2, m + k)),
             tuple(range(k + 2, m)))
-        for a, b in zip(shared, copies):
-            assert a.tobytes() == b.tobytes()
+        assert shared.f2.tobytes() == copies.f2.tobytes()
 
 
 def test_surfaces_of_several_pairs_equal_each_alone():
+    from dataclasses import replace
+
     from dpxa.fluctuation import surface, window_covariances
 
     rng = np.random.default_rng(15)
@@ -368,7 +393,7 @@ def test_surfaces_of_several_pairs_equal_each_alone():
     covs = window_covariances((x, y), grid, DetrendConfig(), pairs)
     together = surface(covs, grid, orders, kinds)
     for n_, (kind, got) in enumerate(zip(kinds, together)):
-        alone = surface([c[n_:n_ + 1] for c in covs], grid, orders,
+        alone = surface(replace(covs, f2=covs.f2[n_:n_ + 1]), grid, orders,
                         (kind,))[0]
         assert got.kind == kind
         assert np.array_equal(got.F, alone.F)

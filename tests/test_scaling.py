@@ -32,8 +32,8 @@ def synthetic_surface(scales, orders, F, cov2=None):
     F = np.asarray(F, float)
     if cov2 is None:
         cov2 = F[-1] ** 2
-    return FluctuationSurface(scales, orders, F, cov2, "DFA",
-                              np.zeros(len(scales), dtype=int))
+    zeros = np.zeros(len(scales), dtype=int)
+    return FluctuationSurface(scales, orders, F, cov2, "DFA", zeros, zeros)
 
 
 def test_exact_power_law():
