@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -127,7 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--preset", help="named preset configuration")
     group.add_argument("--spec", help="JSON spec file")
     exp.add_argument("--out", required=True, help="output directory")
-    exp.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    exp.add_argument("--jobs", type=int, default=experiments.usable_cpus(),
+                     help="worker processes, at most the usable CPUs "
+                     "(default: all of them)")
 
     return parser
 

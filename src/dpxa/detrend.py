@@ -16,13 +16,22 @@ theirs to the regression.
 
 The forces go before the cumsum: with an intercept the window residual is
 (x - mean x) - b (z - mean z), with b from the p x p centred force
-moments (Cholesky; a division for one force). Removing b z after the
-cumsum, from Gram products of detrended profiles, subtracts nearly equal
-large numbers: on a binomial measure masked by 3 z it is off by 8% at
-s = 16. Rank-deficient windows fall back to a least-squares solve, whose
-residual is unique even where b is not. Windows of at most 32 points are
+moments (Cholesky; for one force, the two divisions by sqrt(C) that its
+substitutions make). Removing b z after the cumsum, from Gram products of
+detrended profiles, subtracts nearly equal large numbers: on a binomial
+measure masked by 3 z it is off by 8% at s = 16. Rank-deficient windows
+fall back to a least-squares solve, whose residual is unique even where b
+is not; the masked coefficients and the scan for such windows are built
+only when some window fails a guard. Windows of at most 32 points are
 cumulated a column at a time, which adds in np.cumsum's order and is
 faster there.
+
+At the sweep's N = 2^14 much of a call is numpy dispatch rather than
+arithmetic, so the kernel calls the ufunc reductions that ndarray.mean,
+np.any and np.all wrap, and np.einsum writes each pair's products straight
+into its row of the returned record. Each floating-point operation and its
+order are those of the plain calls, so the covariances are bitwise the
+same.
 
 The polynomial trend is never formed. With Q an orthonormal basis of the
 polynomials of the fit order on the box and c = Q'P the projection
@@ -191,9 +200,18 @@ def _cumulate(A: np.ndarray) -> None:
 def _solve_moments(C: np.ndarray, B: np.ndarray) -> tuple[np.ndarray,
                                                           np.ndarray]:
     """Cholesky solve of C b = B in every window, for C (M, p, p) and B
-    (M, p, r); with p = 1 it is a division. Also returns which windows
-    pass the pivot guard; the others' coefficients are meaningless."""
+    (M, p, r). Also returns which windows pass the pivot guard; the
+    others' coefficients are meaningless. With p = 1 the factor is sqrt(C)
+    and the substitutions are the two divisions B / sqrt(C) / sqrt(C),
+    which are taken directly."""
     p = C.shape[1]
+    if p == 1:
+        ok = (C > _COLLINEAR * C)[:, 0, 0]
+        root = np.sqrt(C if np.logical_and.reduce(ok)
+                       else np.where(ok[:, None, None], C, 1.0))
+        b = B / root
+        b /= root
+        return b, ok
     L = np.zeros_like(C)
     ok = np.ones(C.shape[0], dtype=bool)
     # sums over k < j are empty at j = 0 and those over k > j at j = p - 1;
@@ -237,12 +255,15 @@ def _remove_forces(A: np.ndarray, Z: np.ndarray, Zc: np.ndarray,
     b, ok = _solve_moments(C, np.einsum("ims,rms->mir", Zc, A))
     # a force that is constant within a window (up to rounding) vanishes
     # once centred: that column duplicates the intercept
-    diag = np.diagonal(C, axis1=1, axis2=2)
+    diag = C.diagonal(0, 1, 2)
     raw = np.einsum("ims,ims->mi", Z, Z) if with_intercept else diag
-    ok &= np.all(diag > _VANISHING * raw, axis=1)
-    A -= np.einsum("ims,mir->rms", Zc, np.where(ok[:, None, None], b, 0.0))
+    ok &= np.logical_and.reduce(diag > _VANISHING * raw, axis=1)
+    failed = (~ok).nonzero()[0]
+    if failed.size:
+        b = np.where(ok[:, None, None], b, 0.0)
+    A -= np.einsum("ims,mir->rms", Zc, b)
     deficient = 0
-    for m in np.flatnonzero(~ok):
+    for m in failed:
         # the residual is unique even where b is not
         design = np.column_stack([np.ones(s), Z[:, m].T]) if with_intercept \
             else Z[:, m].T
@@ -252,13 +273,26 @@ def _remove_forces(A: np.ndarray, Z: np.ndarray, Zc: np.ndarray,
     return deficient
 
 
-def _products(P: np.ndarray, pairs, norms: np.ndarray | None = None
-              ) -> np.ndarray:
-    """sum_s P[i, m, s] P[j, m, s] for each pair (i, j) and window m; the
-    diagonal pairs are taken from the (k, M) ``norms`` when given."""
-    return np.stack([norms[i] if norms is not None and i == j
-                     else np.einsum("ms,ms->m", P[i], P[j])
-                     for i, j in pairs])
+def _products(P: np.ndarray, pairs, out: np.ndarray,
+              norms: np.ndarray | None = None) -> np.ndarray:
+    """Write sum_s P[i, m, s] P[j, m, s] of pair n = (i, j) and window m to
+    out[n, m] of the (pairs, M) ``out``, which may be rows of the record's
+    ``f2``, and return ``out``; the diagonal pairs are copied from the
+    (k, M) ``norms`` when given."""
+    for n, (i, j) in enumerate(pairs):
+        if norms is not None and i == j:
+            out[n] = norms[i]
+        else:
+            np.einsum("ms,ms->m", P[i], P[j], out=out[n])
+    return out
+
+
+def _centre(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """X minus its mean along the last axis, into ``out`` when given: the
+    sum and division of ``ndarray.mean``, without its dispatch."""
+    mean = np.add.reduce(X, axis=-1, keepdims=True)
+    mean /= X.shape[-1]
+    return np.subtract(X, mean, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,7 +370,7 @@ def window_products(rows, sizes, cfg: DetrendConfig, pairs, forces=()
                 continue
             X = rows[i - k if i >= k else i][: M * size].reshape(M, size)
             if cfg.with_intercept:
-                np.subtract(X, X.mean(axis=1, keepdims=True), out=A[a])
+                _centre(X, A[a])
             else:
                 A[a] = X
         if F is not None:
@@ -346,28 +380,30 @@ def window_products(rows, sizes, cfg: DetrendConfig, pairs, forces=()
             elif lent:
                 Zc = _block([A[slot[f]] for f in forces])
             else:
-                Zc = Z - Z.mean(axis=2, keepdims=True)
+                Zc = _centre(Z)
             deficient[j] = _remove_forces(A[plain:], Z, Zc, cfg.with_intercept)
         _cumulate(A)
         flat = A.reshape(r * M, size)
         if moving:
             _subtract_moving_average(flat, work[n: 2 * n].reshape(r * M, size))
-            np.divide(_products(A, pairs), size, out=dest)
-            continue
-        # sum (P - QQ'P)_i (P - QQ'P)_j = <P_i, P_j> - <c_i, c_j>, c = Q'P
-        Q = _projection_basis(size, cfg.poly_order)
-        c = (flat @ Q).reshape(r, M, Q.shape[1])
-        norms = np.einsum("kms,kms->km", A, A)
-        trends = np.einsum("kmd,kmd->km", c, c)
-        f2 = np.subtract(_products(A, pairs, norms),
-                         _products(c, pairs, trends), out=dest)
-        # the difference loses up to 1.2e-15 * <P, P> / F^2 of F^2: windows
-        # where a trend carries most of a profile are detrended explicitly
-        bad = np.flatnonzero(np.any(norms > _CANCELLATION * (norms - trends),
-                                    axis=0))
-        if bad.size:
-            R = A[:, bad]
-            R -= (R @ Q) @ Q.T
-            f2[:, bad] = _products(R, pairs)
+            f2 = _products(A, pairs, dest)
+        else:
+            # sum (P - QQ'P)_i (P - QQ'P)_j = <P_i, P_j> - <c_i, c_j>, c = Q'P
+            Q = _projection_basis(size, cfg.poly_order)
+            c = (flat @ Q).reshape(r, M, Q.shape[1])
+            norms = np.einsum("kms,kms->km", A, A)
+            trends = np.einsum("kmd,kmd->km", c, c)
+            f2 = _products(A, pairs, dest, norms)
+            f2 -= _products(c, pairs, np.empty((len(pairs), M)), trends)
+            # the difference loses up to 1.2e-15 * <P, P> / F^2 of F^2:
+            # windows where a trend carries most of a profile are detrended
+            # explicitly
+            bad = np.logical_or.reduce(
+                norms > _CANCELLATION * (norms - trends), axis=0).nonzero()[0]
+            if bad.size:
+                R = A[:, bad]
+                R -= (R @ Q) @ Q.T
+                f2[:, bad] = _products(R, pairs,
+                                       np.empty((len(pairs), bad.size)))
         f2 /= size
     return WindowCovariances(out, windows, deficient)

@@ -29,6 +29,7 @@ needs ``with_intercept``, which every experiment uses.
 
 from __future__ import annotations
 
+import os
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -57,6 +58,7 @@ from .scaling import (
     ScalingFit,
     check_fit_scales,
     fit_exponent,
+    fit_slopes,
     joint_binomial_mass_exponent,
     legendre,
     mass_exponents,
@@ -374,17 +376,31 @@ def _sweep_realization(spec: SweepSpec, i: int) -> tuple[float, ...]:
                                   _SWEEP_PAIRS)
         covs = replace(covs, f2=_contaminated(covs.f2, spec.beta_x,
                                               spec.beta_y))
-        return tuple(float(fit_exponent(sf).h[0]) for sf in
-                     surface(covs, grid, QGrid.second_order(), _SWEEP_KINDS))
+        q2 = QGrid.second_order()
+        # the eight q = 2 rows in one least-squares pass
+        F = np.concatenate([sf.F for sf in
+                            surface(covs, grid, q2, _SWEEP_KINDS)])
+        h, _, _ = fit_slopes(grid.scales, F, q2.orders.repeat(len(F)),
+                             np.ones(len(grid), dtype=bool))
+        return tuple(h.tolist())
     except DpxaError as exc:
         raise type(exc)(
             f"triple ({hrx:g}, {hry:g}, {hz:g}) realization {real_idx}: {exc}"
         ) from exc
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _map_tasks(fn, tasks, jobs: int):
-    # a fork pool starts every worker at the first submit
-    jobs = min(jobs, len(tasks))
+    # a fork pool starts every worker at the first submit, and workers
+    # beyond the usable CPUs only wait for them
+    jobs = min(jobs, len(tasks), usable_cpus())
     if jobs <= 1:
         return [fn(t) for t in tasks]
     # imported here: the pool's modules would slow every start of the CLI

@@ -75,9 +75,22 @@ def fit_exponent(surface: FluctuationSurface,
             raise ConfigError(f"empty fit range [{lo}, {hi}]")
     in_range = (scales >= lo) & (scales <= hi)
     check_fit_scales(int(in_range.sum()), lo, hi)
+    h, stderr, r2 = fit_slopes(scales, surface.F, surface.orders.orders,
+                               in_range)
+    return ScalingFit(surface.orders, h, stderr, r2, (lo, hi))
 
-    qs = surface.orders.orders
-    usable = in_range & np.isfinite(surface.F) & (surface.F > 0.0)
+
+def fit_slopes(scales: np.ndarray, F: np.ndarray, qs,
+               in_range: np.ndarray):
+    """Slopes of ln F against ln s for the rows of F (rows, scales), each
+    row over the scales of the ``in_range`` mask where it is positive and
+    finite; ``qs`` holds each row's order q, for the messages. Returns the
+    slopes, their standard errors and R^2.
+
+    Excluded points raise an ExcludedScaleWarning per row; fewer than four
+    usable points in a row is an error.
+    """
+    usable = in_range & np.isfinite(F) & (F > 0.0)
     counts = usable.sum(axis=1)
     for q, n in zip(qs, counts):
         dropped = int(in_range.sum()) - int(n)
@@ -86,16 +99,16 @@ def fit_exponent(surface: FluctuationSurface,
                 f"excluded {dropped} non-positive F(q={q:g}, s) points "
                 "from the fit",
                 ExcludedScaleWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
         if n < MIN_FIT_SCALES:
             raise InsufficientScalesError(
                 f"only {int(n)} usable scales for q={q:g}"
             )
-    # ordinary least squares of ln F on ln s for every q at once, each row
-    # over its own usable scales; same estimates as a per-q linregress
+    # ordinary least squares of ln F on ln s for every row at once, each
+    # over its own usable scales; same estimates as a per-row linregress
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_f = np.where(usable, np.log(surface.F), 0.0)
+        log_f = np.where(usable, np.log(F), 0.0)
     log_s = np.where(usable, np.log(scales.astype(float)), 0.0)
     dx = np.where(usable, log_s - (log_s.sum(1) / counts)[:, None], 0.0)
     dy = np.where(usable, log_f - (log_f.sum(1) / counts)[:, None], 0.0)
@@ -104,7 +117,7 @@ def fit_exponent(surface: FluctuationSurface,
     with np.errstate(divide="ignore", invalid="ignore"):
         r2 = np.clip(sxy / np.sqrt(sxx * syy), -1.0, 1.0) ** 2
     stderr = np.sqrt((1.0 - r2) * syy / sxx / (counts - 2))
-    return ScalingFit(surface.orders, h, stderr, r2, (lo, hi))
+    return h, stderr, r2
 
 
 def mass_exponents(fit: ScalingFit) -> ScalingFit:

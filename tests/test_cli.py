@@ -541,6 +541,13 @@ def test_binomial_depth_over_limit_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_jobs_default_to_the_usable_cpus(monkeypatch):
+    monkeypatch.setattr(cli.experiments, "usable_cpus", lambda: 3)
+    args = cli.build_parser().parse_args(
+        ["experiment", "sweep", "--preset", "smoke", "--out", "o"])
+    assert args.jobs == 3
+
+
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_jobs_below_one_is_config_error(tmp_path, capsys, jobs):
     assert run(["experiment", "rho", "--preset", "smoke", "--jobs", jobs,

@@ -11,7 +11,8 @@ from dpxa import (
     ShapeError,
     WindowTooSmallError,
 )
-from dpxa.detrend import _cumulate, _projection_basis, window_products
+from dpxa.detrend import _cumulate, _projection_basis, _solve_moments, \
+    window_products
 from dpxa.errors import RankDeficiencyWarning
 from oracle import (longdouble_products, local_trend, oracle_products, profile,
                     window_ols)
@@ -351,3 +352,75 @@ def test_force_matching_a_row_matches_unshared_bitwise(cfg, p):
         [(i + m - k if i >= k else i, j + m - k if j >= k else j)
          for i, j in pairs], tuple(range(k, m)))
     assert shared.f2.tobytes() == unshared.f2.tobytes()
+
+
+def test_one_force_solve_is_two_divisions():
+    # the p = 1 Cholesky factor is sqrt(C), and its forward and back
+    # substitutions are one division by it each
+    rng = np.random.default_rng(8)
+    C = rng.uniform(0.0, 5.0, (40, 1, 1)) ** 2
+    C[[3, 17]] = 0.0
+    B = rng.standard_normal((40, 1, 3))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = B / np.sqrt(C) / np.sqrt(C)
+    b, ok = _solve_moments(C, B)
+    assert np.flatnonzero(~ok).tolist() == [3, 17]
+    assert b[ok].tobytes() == want[ok].tobytes()
+    # where every pivot passes no window is set aside
+    live = ok
+    b, ok = _solve_moments(C[live], B[live])
+    assert ok.all() and b.tobytes() == want[live].tobytes()
+
+
+@pytest.mark.parametrize("constant", [0, 60, 75, 300])
+def test_least_squares_runs_only_in_failed_windows(monkeypatch, constant):
+    # a force constant on its first points fails the guard in the size-30
+    # windows it covers whole, not in one where it varies on half; the
+    # lstsq fallback runs once in each failed window and nowhere else
+    rng = np.random.default_rng(4)
+    rows = rng.standard_normal((3, 300))
+    rows[2, :constant] = 0.7
+    solved = []
+
+    def spy(*args, **kwargs):
+        solved.append(args[0].shape)
+        return lstsq(*args, **kwargs)
+
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    covs = window_products(rows, (30,), DetrendConfig(), ((3, 4),), (2,))
+    assert solved == [(30, 2)] * (constant // 30)
+    assert covs.deficient.tolist() == [constant // 30]
+
+
+def test_window_products_call_budget():
+    # a count of interpreter and C-function calls, not a timing, so it
+    # holds on a loaded host: one call on a sweep stack (rx, ry, z, x, y)
+    # at N = 2^12 with the default grid made 2,073 Python-level and 872
+    # C-level calls with numpy 2.4; the bounds allow 25% more, so numpy
+    # dispatch around the window arithmetic cannot creep back unseen
+    import sys
+
+    from dpxa import ScaleGrid
+    from dpxa.experiments import _SWEEP_PAIRS
+
+    rng = np.random.default_rng(12)
+    rx, ry, z = rng.standard_normal((3, 2 ** 12))
+    rows = [rx, ry, z, 2.0 + 3.0 * z + rx, 2.0 + 3.0 * z + ry]
+    sizes = ScaleGrid.default(2 ** 12).scales
+    cfg = DetrendConfig()
+    window_products(rows, sizes, cfg, _SWEEP_PAIRS, (2,))  # fills the caches
+    counts = {"call": 0, "c_call": 0}
+
+    def count(frame, event, arg):
+        if event in counts:
+            counts[event] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        covs = window_products(rows, sizes, cfg, _SWEEP_PAIRS, (2,))
+    finally:
+        sys.setprofile(previous)
+    assert covs.deficient.sum() == 0
+    assert counts["call"] <= 2600 and counts["c_call"] <= 1100, counts

@@ -81,9 +81,10 @@ def test_sweep_determinism_across_jobs():
     assert result_bytes(a) == result_bytes(b)
 
 
-def test_pool_is_capped_at_the_task_count(monkeypatch):
-    # a fork pool starts every worker at the first submit; this fake
-    # starts no process and maps in this one
+def _serial_pool(monkeypatch, cpus: int) -> list:
+    """Patch the CPU probe to report ``cpus`` and the pool with a fake that
+    starts no process and maps in this one; returns the list of each
+    pool's ``max_workers``."""
     import concurrent.futures
 
     workers = []
@@ -101,13 +102,41 @@ def test_pool_is_capped_at_the_task_count(monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    spec = SWEEP_PRESETS["smoke"]
-    serial = run_sweep(spec, jobs=1)
+    monkeypatch.setattr(experiments, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         SerialPool)
+    return workers
+
+
+def test_pool_is_capped_at_the_task_count(monkeypatch):
+    # a fork pool starts every worker at the first submit
+    spec = SWEEP_PRESETS["smoke"]
+    serial = run_sweep(spec, jobs=1)
+    workers = _serial_pool(monkeypatch, cpus=64)
     capped = run_sweep(spec, jobs=64)
     assert workers == [2]
     assert result_bytes(capped) == result_bytes(serial)
+
+
+def test_pool_is_capped_at_the_usable_cpus(monkeypatch):
+    workers = _serial_pool(monkeypatch, cpus=3)
+    assert experiments._map_tasks(abs, range(-5, 5), 100000) == \
+        [abs(i) for i in range(-5, 5)]
+    assert workers == [3]
+    # one usable CPU maps in this process, with no pool
+    monkeypatch.setattr(experiments, "usable_cpus", lambda: 1)
+    assert experiments._map_tasks(abs, range(-5, 5), 100000) == \
+        [abs(i) for i in range(-5, 5)]
+    assert workers == [3]
+
+
+def test_usable_cpus_read_the_affinity_mask(monkeypatch):
+    import os
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert experiments.usable_cpus() == 3
 
 
 _REGRESSION_KEYS = ("intercept", "coef_h_rx", "coef_h_ry", "coef_h_z")

@@ -24,6 +24,7 @@ from dpxa import (
 )
 from dpxa.errors import ExcludedScaleWarning, SpectrumValidityWarning
 from dpxa.fluctuation import FluctuationSurface
+from dpxa.scaling import fit_slopes
 
 
 def synthetic_surface(scales, orders, F, cov2=None):
@@ -248,3 +249,29 @@ def test_fit_matches_linregress_per_q():
         assert fit.h_stderr[i] == pytest.approx(res.stderr, rel=1e-12, abs=0)
         assert fit.r_squared[i] == pytest.approx(res.rvalue ** 2, rel=1e-12,
                                                  abs=0)
+
+
+def test_rows_fitted_at_once_equal_their_own_fits():
+    # the sweep fits its eight q = 2 rows in one pass; every row keeps its
+    # own usable scales and gets the exponent of its own fit, exactly
+    rng = np.random.default_rng(5)
+    s = ScaleGrid.default(2 ** 14).scales
+    F = np.exp(np.outer(rng.uniform(0.1, 0.9, 8), np.log(s))
+               + 0.05 * rng.standard_normal((8, s.size)))
+    F[3, [2, 9]] = 0.0
+    with pytest.warns(ExcludedScaleWarning) as record:
+        together = fit_slopes(s, F, np.full(8, 2.0), s > 0)
+    assert [str(w.message) for w in record
+            if w.category is ExcludedScaleWarning] == \
+        ["excluded 2 non-positive F(q=2, s) points from the fit"]
+    for i in range(8):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExcludedScaleWarning)
+            fit = fit_exponent(synthetic_surface(s, [2.0], F[i:i + 1]))
+        assert [v[i] for v in together] == \
+            [fit.h[0], fit.h_stderr[0], fit.r_squared[0]]
+    F[5, 3:] = 0.0
+    with pytest.raises(InsufficientScalesError, match="only 3 usable"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExcludedScaleWarning)
+            fit_slopes(s, F, np.full(8, 2.0), s > 0)
