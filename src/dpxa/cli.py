@@ -375,7 +375,9 @@ def _cmd_experiment(args) -> int:
     write(result, outdir)
     summary = summarize(result)
     elapsed = time.perf_counter() - started
-    summary = f"{summary}\nelapsed: {elapsed:.1f} s (jobs={args.jobs})"
+    used = experiments.workers(args.jobs, len(spec.tasks))
+    summary = (f"{summary}\nelapsed: {elapsed:.1f} s (jobs={args.jobs}, "
+               f"workers={used})")
     (outdir / "summary.txt").write_text(summary + "\n", encoding="utf-8")
     print(summary)
     return 0

@@ -15,16 +15,17 @@ centred windows, and forces the pairs name plain (the sweep's z) lend
 theirs to the regression.
 
 The forces go before the cumsum: with an intercept the window residual is
-(x - mean x) - b (z - mean z), with b from the p x p centred force
-moments (Cholesky; for one force, the two divisions by sqrt(C) that its
-substitutions make). Removing b z after the cumsum, from Gram products of
-detrended profiles, subtracts nearly equal large numbers: on a binomial
-measure masked by 3 z it is off by 8% at s = 16. Rank-deficient windows
-fall back to a least-squares solve, whose residual is unique even where b
-is not; the masked coefficients and the scan for such windows are built
-only when some window fails a guard. Windows of at most 32 points are
-cumulated a column at a time, which adds in np.cumsum's order and is
-faster there.
+(x - mean x) less its projection on the centred force windows. Modified
+Gram-Schmidt orthogonalises those windows one force at a time and removes
+the projection on each from the residual in turn, one path for every
+number of forces; with one force the residual is x - b z, b = <z, x> /
+<z, z>. Removing b z after the cumsum, from Gram products of detrended
+profiles, subtracts nearly equal large numbers: on a binomial measure
+masked by 3 z it is off by 8% at s = 16. Windows where a force fails a
+guard get coefficient 0 and fall back to a least-squares solve, whose
+residual is unique even where the coefficients are not. Windows of at
+most 32 points are cumulated a column at a time, which adds in
+np.cumsum's order and is faster there.
 
 At the sweep's N = 2^14 much of a call is numpy dispatch rather than
 arithmetic, so the kernel calls the ufunc reductions that ndarray.mean,
@@ -57,9 +58,10 @@ from .errors import ConfigError, DataError, ShapeError, WindowTooSmallError
 POLYNOMIAL = "polynomial"
 MOVING_AVERAGE = "moving_average"
 
-# Cholesky pivots below this share of their column's centred moment mark
-# force columns as collinear: sin^2 of the angle between a column and the
-# span of the others, below which the moment solve loses too many digits
+# a force whose Gram-Schmidt norm^2 is below this share of its centred
+# moment is collinear with the forces before it: sin^2 of the angle between
+# the force and their span, below which the regression loses too many
+# digits
 _COLLINEAR = 1e-6
 # a centred force column whose sum of squares is below this share of the
 # raw one is constant within the window up to rounding
@@ -197,76 +199,45 @@ def _cumulate(A: np.ndarray) -> None:
         np.add(A[..., t - 1], A[..., t], out=A[..., t])
 
 
-def _solve_moments(C: np.ndarray, B: np.ndarray) -> tuple[np.ndarray,
-                                                          np.ndarray]:
-    """Cholesky solve of C b = B in every window, for C (M, p, p) and B
-    (M, p, r). Also returns which windows pass the pivot guard; the
-    others' coefficients are meaningless. With p = 1 the factor is sqrt(C)
-    and the substitutions are the two divisions B / sqrt(C) / sqrt(C),
-    which are taken directly."""
-    p = C.shape[1]
-    if p == 1:
-        ok = (C > _COLLINEAR * C)[:, 0, 0]
-        root = np.sqrt(C if np.logical_and.reduce(ok)
-                       else np.where(ok[:, None, None], C, 1.0))
-        b = B / root
-        b /= root
-        return b, ok
-    L = np.zeros_like(C)
-    ok = np.ones(C.shape[0], dtype=bool)
-    # sums over k < j are empty at j = 0 and those over k > j at j = p - 1;
-    # they are skipped, as x - 0.0 == x
-    for j in range(p):
-        pivot, below = C[:, j, j], C[:, j + 1:, j]
-        if j:
-            pivot = pivot - np.einsum("mk,mk->m", L[:, j, :j], L[:, j, :j])
-        if 0 < j < p - 1:
-            below = below - np.einsum("mik,mk->mi", L[:, j + 1:, :j],
-                                      L[:, j, :j])
-        ok &= pivot > _COLLINEAR * C[:, j, j]
-        L[:, j, j] = np.sqrt(np.where(ok, pivot, 1.0))
-        L[:, j + 1:, j] = below / L[:, j, j, None]
-    b = B.copy()
-    for j in range(p):  # L y = B
-        if j:
-            b[:, j] -= np.einsum("mk,mkr->mr", L[:, j, :j], b[:, :j])
-        b[:, j] /= L[:, j, j, None]
-    for j in reversed(range(p)):  # L^T b = y
-        if j < p - 1:
-            b[:, j] -= np.einsum("mk,mkr->mr", L[:, j + 1:, j], b[:, j + 1:])
-        b[:, j] /= L[:, j, j, None]
-    return b, ok
-
-
-def _remove_forces(A: np.ndarray, Z: np.ndarray, Zc: np.ndarray,
-                   with_intercept: bool) -> int:
+def _remove_forces(A: np.ndarray, Z, Zc, with_intercept: bool) -> int:
     """Replace the increments A (r, M, s) by their OLS residuals on the
-    force block Z (p, M, s) of each window, in place; A and Zc, Z's
-    windows, are already centred when ``with_intercept``. Returns the
-    number of rank-deficient windows."""
-    r, M, s = A.shape
-    p = Z.shape[0]
-    d = p + int(with_intercept)
+    force windows, in place, by modified Gram-Schmidt: each centred force
+    window Zc[f], an (M, s) array, is orthogonalised against those before
+    it and its projection removed from A. Z holds the raw windows; A and Zc
+    are already centred when ``with_intercept``. Returns the number of
+    rank-deficient windows."""
+    M, s = A.shape[1:]
+    d = len(Z) + int(with_intercept)
     if s <= d:
         raise WindowTooSmallError(
             f"window of size {s} cannot fit {d} regression columns"
         )
-    C = np.einsum("ims,jms->mij", Zc, Zc)
-    b, ok = _solve_moments(C, np.einsum("ims,rms->mir", Zc, A))
-    # a force that is constant within a window (up to rounding) vanishes
-    # once centred: that column duplicates the intercept
-    diag = C.diagonal(0, 1, 2)
-    raw = np.einsum("ims,ims->mi", Z, Z) if with_intercept else diag
-    ok &= np.logical_and.reduce(diag > _VANISHING * raw, axis=1)
-    failed = (~ok).nonzero()[0]
-    if failed.size:
-        b = np.where(ok[:, None, None], b, 0.0)
-    A -= np.einsum("ims,mir->rms", Zc, b)
+    ok = np.ones(M, dtype=bool)
+    basis = []
+    for z, q in zip(Z, Zc):
+        moment = np.einsum("ms,ms->m", q, q)
+        for u, norm in basis:
+            # windows that failed a guard divide by inf: u may vanish there
+            q = q - (np.einsum("ms,ms->m", u, q)
+                     / np.where(ok, norm, np.inf))[:, None] * u
+        norm = np.einsum("ms,ms->m", q, q) if basis else moment
+        ok &= norm > _COLLINEAR * moment
+        # a force that is constant within a window (up to rounding)
+        # vanishes once centred: that column duplicates the intercept
+        ok &= moment > _VANISHING * (np.einsum("ms,ms->m", z, z)
+                                     if with_intercept else moment)
+        basis.append((q, norm))
+    # b = <q, A> / |q| / |q| divides by the triangular factor's diagonal
+    # |q| twice, as its two solves do. Windows that failed a guard get b = 0
+    # and a least-squares solve, whose residual is unique where b is not
+    for q, norm in basis:
+        root = np.sqrt(np.where(ok, norm, np.inf))
+        A -= (np.einsum("ms,rms->rm", q, A) / root / root)[:, :, None] * q
     deficient = 0
-    for m in failed:
-        # the residual is unique even where b is not
-        design = np.column_stack([np.ones(s), Z[:, m].T]) if with_intercept \
-            else Z[:, m].T
+    for m in (~ok).nonzero()[0]:
+        columns = [z[m] for z in Z]
+        design = np.column_stack([np.ones(s)] + columns if with_intercept
+                                 else columns)
         beta, _, rank, _ = np.linalg.lstsq(design, A[:, m].T, rcond=None)
         A[:, m] -= (design @ beta).T
         deficient += int(rank < d)
@@ -315,12 +286,6 @@ class WindowCovariances:
         return self.sums(self.f2) / self.windows
 
 
-def _block(rows) -> np.ndarray:
-    """The given equal-shape arrays as one array along a new first axis:
-    a view of a single array, a copy of several."""
-    return rows[0][None] if len(rows) == 1 else np.stack(rows)
-
-
 def window_products(rows, sizes, cfg: DetrendConfig, pairs, forces=()
                     ) -> WindowCovariances:
     """Window covariances of pairs of stack rows at every window size.
@@ -354,7 +319,6 @@ def window_products(rows, sizes, cfg: DetrendConfig, pairs, forces=()
     # system whenever glibc trims its heap and are faulted in again, up to
     # 32,000 minor faults per 7-row stack at N = 2^16
     work = np.empty((2 if moving else 1) * r * T)
-    F = _block([rows[f] for f in forces]) if forces and plain < r else None
     lent = all(f in slot for f in forces)
     windows = np.array([T // size for size in sizes])
     out = np.empty((len(pairs), windows.sum()))
@@ -373,14 +337,14 @@ def window_products(rows, sizes, cfg: DetrendConfig, pairs, forces=()
                 _centre(X, A[a])
             else:
                 A[a] = X
-        if F is not None:
-            Z = F[:, : M * size].reshape(len(forces), M, size)
+        if forces and plain < r:
+            Z = [rows[f][: M * size].reshape(M, size) for f in forces]
             if not cfg.with_intercept:
                 Zc = Z
             elif lent:
-                Zc = _block([A[slot[f]] for f in forces])
+                Zc = [A[slot[f]] for f in forces]
             else:
-                Zc = _centre(Z)
+                Zc = [_centre(z) for z in Z]
             deficient[j] = _remove_forces(A[plain:], Z, Zc, cfg.with_intercept)
         _cumulate(A)
         flat = A.reshape(r * M, size)

@@ -121,6 +121,11 @@ class SweepSpec:
                     raise ConfigError(f"triple {triple}: Hurst index {h} "
                                       "outside (0, 1)")
 
+    @property
+    def tasks(self) -> range:
+        """One task per realization of each triple."""
+        return range(len(self.hurst_grid) * self.realizations)
+
     def scales(self) -> ScaleGrid:
         """The scale grid of every realization."""
         grid = ScaleGrid.default(self.length)
@@ -147,6 +152,11 @@ class RhoSpec:
                       positive=("length", "seeds"))
         if not -1.0 <= self.corr <= 1.0:
             raise ConfigError(f"corr must lie in [-1, 1], got {self.corr}")
+
+    @property
+    def tasks(self) -> range:
+        """One task per seed."""
+        return range(self.seeds)
 
     def scales(self) -> ScaleGrid:
         """The run's scale grid; the summary averages rho over s <= N/10,
@@ -179,6 +189,11 @@ class MfSpec:
         if self.depth > MAX_BINOMIAL_DEPTH:
             raise ConfigError(f"depth must be <= {MAX_BINOMIAL_DEPTH}, got "
                               f"{self.depth}")
+
+    @property
+    def tasks(self) -> range:
+        """One task per seed."""
+        return range(self.seeds)
 
     def scales(self) -> ScaleGrid:
         """The run's scale grid: the top five octaves, since the
@@ -397,10 +412,15 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def workers(jobs: int, tasks: int) -> int:
+    """The worker processes a run of ``tasks`` tasks uses at ``jobs``: a
+    fork pool starts every worker at the first submit, and workers beyond
+    the usable CPUs only wait for them."""
+    return min(jobs, tasks, usable_cpus())
+
+
 def _map_tasks(fn, tasks, jobs: int):
-    # a fork pool starts every worker at the first submit, and workers
-    # beyond the usable CPUs only wait for them
-    jobs = min(jobs, len(tasks), usable_cpus())
+    jobs = workers(jobs, len(tasks))
     if jobs <= 1:
         return [fn(t) for t in tasks]
     # imported here: the pool's modules would slow every start of the CLI
@@ -412,9 +432,8 @@ def _map_tasks(fn, tasks, jobs: int):
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     """Run the exponent-recovery sweep and fit the recovery regression."""
-    count = len(spec.hurst_grid) * spec.realizations
     raw = np.asarray(_map_tasks(partial(_sweep_realization, spec),
-                                range(count), jobs))
+                                spec.tasks, jobs))
     per_triple = raw.reshape(len(spec.hurst_grid), spec.realizations,
                              len(_EXPONENT_KEYS)).mean(axis=1)
 
@@ -469,8 +488,8 @@ def _rho_realization(spec: RhoSpec, seed_idx: int) -> np.ndarray:
 
 def run_rho_comparison(spec: RhoSpec, jobs: int = 1) -> RhoComparisonResult:
     """Seed-averaged DCCA/DPXA coefficient curves for the additive model."""
-    curves = np.mean(_map_tasks(partial(_rho_realization, spec),
-                                range(spec.seeds), jobs), axis=0)
+    curves = np.mean(_map_tasks(partial(_rho_realization, spec), spec.tasks,
+                                jobs), axis=0)
     return RhoComparisonResult(spec, spec.scales().scales.copy(), curves[0],
                                curves[1], curves[2])
 
@@ -519,8 +538,7 @@ def run_mf_recovery(spec: MfSpec, jobs: int = 1) -> MfRecoveryResult:
     clean = legendre(mass_exponents(
         fit_exponent(fluctuation_dcca(rx, ry, scales, orders, cfg))))
 
-    outputs = _map_tasks(partial(_mf_realization, spec), range(spec.seeds),
-                         jobs)
+    outputs = _map_tasks(partial(_mf_realization, spec), spec.tasks, jobs)
     fits = {
         "mfdcca_xy": _averaged_fit(orders, [out[0] for out in outputs]),
         "mfdpxa_xyz": _averaged_fit(orders, [out[1] for out in outputs]),

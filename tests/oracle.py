@@ -107,24 +107,41 @@ def oracle_products(rows, Z, s, cfg, pairs, regressed=0):
     return out
 
 
-def longdouble_products(rows, s, order, pairs):
+def _orthonormal(columns) -> list:
+    """Orthonormalise the (M, s) windows of each column, in order, by
+    twice-repeated Gram-Schmidt along the last axis."""
+    basis = []
+    for v in columns:
+        for _ in range(2):
+            for u in basis:
+                v = v - (v * u).sum(axis=-1, keepdims=True) * u
+        basis.append(v / np.sqrt((v * v).sum(axis=-1, keepdims=True)))
+    return basis
+
+
+def longdouble_products(rows, s, order, pairs, forces=None):
     """Mean products of the explicitly detrended profiles of each row pair
     in every size-s window, in np.longdouble: the increments are centred
-    per window, cumulated, and projected off a polynomial basis of the
-    given order orthonormalised by twice-repeated Gram-Schmidt. Returns
-    the (len(pairs), M) products and each row's (k, M) own products."""
+    per window, regressed on the centred windows of the (p, T) ``forces``
+    when given, cumulated, and projected off a polynomial basis of the
+    given order. Both the force windows and the polynomials are
+    orthonormalised by twice-repeated Gram-Schmidt. Returns the
+    (len(pairs), M) products and each row's (k, M) own products."""
     L = np.longdouble
     k, T = rows.shape
     M = T // s
-    X = rows[:, : M * s].reshape(k, M, s).astype(L)
-    P = np.cumsum(X - X.mean(axis=2, keepdims=True), axis=2)
+
+    def centred(series):
+        X = series[..., : M * s].reshape(*series.shape[:-1], M, s).astype(L)
+        return X - X.mean(axis=-1, keepdims=True)
+
+    X = centred(rows)
+    if forces is not None:
+        for u in _orthonormal(centred(z) for z in forces):
+            X = X - (X * u).sum(axis=-1, keepdims=True) * u
+    P = np.cumsum(X, axis=2)
     t = np.arange(s, dtype=L) - L(s - 1) / 2
-    Q = np.zeros((s, order + 1), dtype=L)
-    for j in range(order + 1):
-        v = t ** j
-        for _ in range(2):
-            v = v - Q[:, :j] @ (Q[:, :j].T @ v)
-        Q[:, j] = v / np.sqrt(v @ v)
+    Q = np.stack(_orthonormal(t ** j for j in range(order + 1)), axis=1)
     R = P - (P @ Q) @ Q.T
     products = np.stack([(R[i] * R[j]).mean(axis=1) for i, j in pairs])
     return products, (R * R).mean(axis=2)

@@ -11,8 +11,7 @@ from dpxa import (
     ShapeError,
     WindowTooSmallError,
 )
-from dpxa.detrend import _cumulate, _projection_basis, _solve_moments, \
-    window_products
+from dpxa.detrend import _cumulate, _projection_basis, window_products
 from dpxa.errors import RankDeficiencyWarning
 from oracle import (longdouble_products, local_trend, oracle_products, profile,
                     window_ols)
@@ -311,6 +310,29 @@ def test_projection_products_match_extended_precision(order):
         assert float(err.max()) <= 1e-12, (s, pairs[int(err.max(1).argmax())])
 
 
+@pytest.mark.parametrize("p", [1, 2])
+def test_force_regression_matches_extended_precision(p):
+    # DPXA pairs of x = 2 + z B_x + r_x and y = 2 + z B_y + r_y against
+    # the regression solved in long double, normalised as above
+    from dpxa import FgnSpec, gen_fgn
+
+    n = 2 ** 14
+    r = [gen_fgn(FgnSpec(h, n, seed)).values
+         for h, seed in ((0.3, 31), (0.7, 32))]
+    Z = np.stack([gen_fgn(FgnSpec(0.9, n, 33 + f)).values for f in range(p)])
+    rows = np.stack([2.0 + np.array([3.0, -1.5])[:p] @ Z + r[0],
+                     2.0 + np.array([1.0, 2.5])[:p] @ Z + r[1]])
+    pairs = [(0, 1), (0, 0), (1, 1)]
+    sizes = (10, 104, 1000, 4096)
+    covs = kernel(rows, Z.T, sizes, DetrendConfig(), pairs, regressed=2)
+    for s, got in zip(sizes, np.split(covs.f2, np.cumsum(covs.windows)[:-1],
+                                      axis=1)):
+        want, own = longdouble_products(rows, s, 1, pairs, forces=Z)
+        scale = np.sqrt(np.stack([own[i] * own[j] for i, j in pairs]))
+        err = (np.abs(got - want) / scale).astype(float)
+        assert float(err.max()) <= 1e-12, (s, pairs[int(err.max(1).argmax())])
+
+
 @pytest.mark.parametrize("s", [2, 10, 31, 32])
 def test_short_window_scan_equals_cumsum_bitwise(s):
     A = np.random.default_rng(s).standard_normal((3, 50, s)) * 1e3
@@ -354,24 +376,6 @@ def test_force_matching_a_row_matches_unshared_bitwise(cfg, p):
     assert shared.f2.tobytes() == unshared.f2.tobytes()
 
 
-def test_one_force_solve_is_two_divisions():
-    # the p = 1 Cholesky factor is sqrt(C), and its forward and back
-    # substitutions are one division by it each
-    rng = np.random.default_rng(8)
-    C = rng.uniform(0.0, 5.0, (40, 1, 1)) ** 2
-    C[[3, 17]] = 0.0
-    B = rng.standard_normal((40, 1, 3))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        want = B / np.sqrt(C) / np.sqrt(C)
-    b, ok = _solve_moments(C, B)
-    assert np.flatnonzero(~ok).tolist() == [3, 17]
-    assert b[ok].tobytes() == want[ok].tobytes()
-    # where every pivot passes no window is set aside
-    live = ok
-    b, ok = _solve_moments(C[live], B[live])
-    assert ok.all() and b.tobytes() == want[live].tobytes()
-
-
 @pytest.mark.parametrize("constant", [0, 60, 75, 300])
 def test_least_squares_runs_only_in_failed_windows(monkeypatch, constant):
     # a force constant on its first points fails the guard in the size-30
@@ -393,12 +397,48 @@ def test_least_squares_runs_only_in_failed_windows(monkeypatch, constant):
     assert covs.deficient.tolist() == [constant // 30]
 
 
+@pytest.mark.parametrize("sin2, solves", [(4e-6, 0), (2.5e-7, 6)])
+def test_collinearity_guard_boundary(monkeypatch, sin2, solves):
+    # in each window of 40 points the centred second force lies at
+    # sin^2 = sin2 from the centred first, on either side of the guard's
+    # 1e-6: below it the window takes the lstsq fallback, which still finds
+    # both columns
+    rng = np.random.default_rng(40)
+    s, M = 40, 6
+    u, w = np.empty((2, M, s)), rng.standard_normal((2, M, s))
+    for m in range(M):
+        a, b = w[:, m] - w[:, m].mean(axis=1, keepdims=True)
+        for _ in range(2):
+            b = b - (a @ b) / (a @ a) * a
+        u[:, m] = a / np.linalg.norm(a), b / np.linalg.norm(b)
+    z1 = u[0]
+    z2 = np.sqrt(1.0 - sin2) * u[0] + np.sqrt(sin2) * u[1]
+    Z = np.column_stack([z1.ravel(), z2.ravel()])
+    rows = np.stack([3.0 * Z[:, 0] - Z[:, 1], Z[:, 1]]) \
+        + rng.standard_normal((2, M * s))
+    cfg = DetrendConfig()
+    pairs = ((0, 1), (0, 0), (1, 1))
+    expected = oracle_products(rows, Z, s, cfg, pairs, regressed=2)
+    solved = []
+
+    def spy(*args, **kwargs):
+        solved.append(args[0].shape)
+        return lstsq(*args, **kwargs)
+
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    covs = kernel(rows, Z, (s,), cfg, pairs, regressed=2)
+    assert solved == [(s, 3)] * solves
+    assert covs.deficient.tolist() == [0]
+    assert np.allclose(covs.f2, expected, rtol=0, atol=1e-10)
+
+
 def test_window_products_call_budget():
     # a count of interpreter and C-function calls, not a timing, so it
     # holds on a loaded host: one call on a sweep stack (rx, ry, z, x, y)
-    # at N = 2^12 with the default grid made 2,073 Python-level and 872
-    # C-level calls with numpy 2.4; the bounds allow 25% more, so numpy
-    # dispatch around the window arithmetic cannot creep back unseen
+    # at N = 2^12 with the default grid made 1,991 Python-level and 811
+    # C-level calls with numpy 2.4; the bounds allow about 30% more, so
+    # numpy dispatch around the window arithmetic cannot creep back unseen
     import sys
 
     from dpxa import ScaleGrid

@@ -130,6 +130,22 @@ def test_pool_is_capped_at_the_usable_cpus(monkeypatch):
     assert workers == [3]
 
 
+@pytest.mark.parametrize("jobs, used", [(64, 2), (1, 1)])
+def test_summary_reports_the_workers_used(monkeypatch, tmp_path, capsys,
+                                          jobs, used):
+    # the smoke sweep has 2 tasks, so 64 requested jobs on 64 usable CPUs
+    # run as 2 workers
+    from dpxa import cli
+
+    workers = _serial_pool(monkeypatch, cpus=64)
+    assert cli.main(["experiment", "sweep", "--preset", "smoke", "--out",
+                     str(tmp_path), "--jobs", str(jobs)]) == 0
+    assert workers == ([used] if used > 1 else [])
+    tail = f"(jobs={jobs}, workers={used})"
+    assert capsys.readouterr().out.rstrip().endswith(tail)
+    assert (tmp_path / "summary.txt").read_text().rstrip().endswith(tail)
+
+
 def test_usable_cpus_read_the_affinity_mask(monkeypatch):
     import os
 
