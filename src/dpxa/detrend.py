@@ -64,7 +64,9 @@ MOVING_AVERAGE = "moving_average"
 # digits
 _COLLINEAR = 1e-6
 # a centred force column whose sum of squares is below this share of the
-# raw one is constant within the window up to rounding
+# raw one is constant within the window up to rounding; a residual window
+# below this share of its moment before the regression is explained by the
+# forces up to rounding
 _VANISHING = 1e-24
 # longest window summed by column adds; they lose to np.cumsum from s ~ 48
 _SHORT_SCAN = 32
@@ -204,8 +206,9 @@ def _remove_forces(A: np.ndarray, Z, Zc, with_intercept: bool) -> int:
     force windows, in place, by modified Gram-Schmidt: each centred force
     window Zc[f], an (M, s) array, is orthogonalised against those before
     it and its projection removed from A. Z holds the raw windows; A and Zc
-    are already centred when ``with_intercept``. Returns the number of
-    rank-deficient windows."""
+    are already centred when ``with_intercept``. A residual window whose
+    moment the regression cuts to at most ``_VANISHING`` of what it was is
+    set to zero. Returns the number of rank-deficient windows."""
     M, s = A.shape[1:]
     d = len(Z) + int(with_intercept)
     if s <= d:
@@ -230,9 +233,17 @@ def _remove_forces(A: np.ndarray, Z, Zc, with_intercept: bool) -> int:
     # b = <q, A> / |q| / |q| divides by the triangular factor's diagonal
     # |q| twice, as its two solves do. Windows that failed a guard get b = 0
     # and a least-squares solve, whose residual is unique where b is not
+    explained = np.zeros(A.shape[:2])
     for q, norm in basis:
         root = np.sqrt(np.where(ok, norm, np.inf))
-        A -= (np.einsum("ms,rms->rm", q, A) / root / root)[:, :, None] * q
+        dot = np.einsum("ms,rms->rm", q, A)
+        b = dot / root / root
+        A -= b[:, :, None] * q
+        explained += b * dot
+    # by Pythagoras the moment before the regression is the residual's plus
+    # the explained <q, A>^2 / |q|^2 of each force
+    after = np.einsum("rms,rms->rm", A, A)
+    before = after + explained
     deficient = 0
     for m in (~ok).nonzero()[0]:
         columns = [z[m] for z in Z]
@@ -240,7 +251,11 @@ def _remove_forces(A: np.ndarray, Z, Zc, with_intercept: bool) -> int:
                                  else columns)
         beta, _, rank, _ = np.linalg.lstsq(design, A[:, m].T, rcond=None)
         A[:, m] -= (design @ beta).T
+        after[:, m] = np.einsum("rs,rs->r", A[:, m], A[:, m])
         deficient += int(rank < d)
+    # a residual the forces explain up to rounding is zero: its profile is
+    # rounding noise, whose fluctuations would pass for a signal
+    A[after <= _VANISHING * before] = 0.0
     return deficient
 
 
@@ -297,8 +312,8 @@ def window_products(rows, sizes, cfg: DetrendConfig, pairs, forces=()
     is the increments of its series, centred with an intercept; a residual
     row then has its OLS fit on the force windows removed. Only the rows
     some pair names are built, and each series is centred once: a residual
-    row copies its series' centred windows, and when the pairs name every
-    force plain, the regression takes those rows' centred windows. The
+    row copies its series' centred windows, and each force the pairs name
+    plain lends those rows' centred windows to the regression. The
     rows are cumulated and detrended together, in one buffer that serves
     every size. Returns the signed mean products of the detrended profiles
     of each pair in the T // s windows of each size s (points beyond the
@@ -319,7 +334,6 @@ def window_products(rows, sizes, cfg: DetrendConfig, pairs, forces=()
     # system whenever glibc trims its heap and are faulted in again, up to
     # 32,000 minor faults per 7-row stack at N = 2^16
     work = np.empty((2 if moving else 1) * r * T)
-    lent = all(f in slot for f in forces)
     windows = np.array([T // size for size in sizes])
     out = np.empty((len(pairs), windows.sum()))
     deficient = np.zeros(len(sizes), dtype=int)
@@ -339,12 +353,10 @@ def window_products(rows, sizes, cfg: DetrendConfig, pairs, forces=()
                 A[a] = X
         if forces and plain < r:
             Z = [rows[f][: M * size].reshape(M, size) for f in forces]
-            if not cfg.with_intercept:
-                Zc = Z
-            elif lent:
-                Zc = [A[slot[f]] for f in forces]
-            else:
-                Zc = [_centre(z) for z in Z]
+            # a force the pairs name plain lends its centred windows
+            Zc = Z if not cfg.with_intercept else [
+                A[slot[f]] if f in slot else _centre(z)
+                for f, z in zip(forces, Z)]
             deficient[j] = _remove_forces(A[plain:], Z, Zc, cfg.with_intercept)
         _cumulate(A)
         flat = A.reshape(r * M, size)

@@ -16,7 +16,10 @@ Aggregation keeps two views of F_v^2:
 
 * the exponent pipeline uses |F_v^2|, giving F(q, s) = [mean_v
   |F_v^2|^(q/2)]^(1/q) for q != 0 and the logarithmic average
-  exp(mean_v ln |F_v^2|^(1/2)) at q = 0, so F(q, s) is always defined;
+  exp(mean_v ln |F_v^2|^(1/2)) at q = 0. For q <= 0 the mean runs over
+  the live windows, those with F_v^2 != 0: one exactly degenerate window
+  would make it infinite. A scale without a live window raises, so
+  F(q, s) is always defined and positive;
 * the signed mean of F_v^2 is kept per scale (``cov2``) because the
   correlation coefficient rho(s) needs the sign to be able to go negative.
 
@@ -139,8 +142,11 @@ def surface(covs: WindowCovariances, scales: ScaleGrid, orders: QGrid,
                 logs = np.where(nonzero, np.log(absf2), 0.0)
                 F[:, i] = np.exp(0.5 * covs.sums(logs) / live)
             else:
-                F[:, i] = (covs.sums(absf2 ** (q / 2.0)) / covs.windows) \
-                    ** (1.0 / q)
+                # and so does the mean for q < 0, which one of them would
+                # make infinite
+                powers = np.where(nonzero, absf2 ** (q / 2.0), 0.0)
+                F[:, i] = (covs.sums(powers) / (live if q < 0 else
+                                                covs.windows)) ** (1.0 / q)
     cov2 = covs.means()
     return [FluctuationSurface(scales, orders, F[n], cov2[n], kind,
                                covs.windows - live[n],

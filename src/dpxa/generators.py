@@ -18,11 +18,14 @@ with lambda(t) = lambda(2N - t), so its square-root factor a(t) (a 2x2
 matrix per frequency in the bivariate case) is mirror-symmetric too. The
 sample is the real part of the first N outputs of the length-2N FFT of
 a * (re + i im), over sqrt(2N), where re and im are two standard normal
-draws of shape (2N,) or (2N, 2), real part first. Those outputs see the
-noise only through the folded pairs re(t) + re(2N - t) and
-im(t) - im(2N - t), t = 0..N, indices mod 2N. So the synthesis weights
-the N+1 distinct frequencies and takes one inverse real FFT of length 2N
-per component, from the same draws.
+draws of shape (2N, p) for p components, real part first. Those outputs
+see the noise only through the folded pairs re(t) + re(2N - t) and
+im(2N - t) - im(t), t = 0..N, indices mod 2N. So one sampler serves both
+generators: it folds each draw into a real (N+1, p) array, writes the
+spectrum sum_j a_cj(t) (re_j + i im_j) of component c with real
+multiplies, and takes one inverse real FFT of length 2N per component.
+FGN passes the 1x1 factor sqrt(lambda), the bivariate case the
+symmetric 2x2 root.
 
 Only the noise and its transform depend on the seed. The square-root
 weights a(0..N) come from the spectrum of each distinct Hurst index, once
@@ -182,28 +185,33 @@ def _fold(draw: np.ndarray, combine) -> np.ndarray:
     return out
 
 
-def _folded_noise(rng: np.random.Generator, n: int, width=()) -> np.ndarray:
-    """Fold of the complex noise re + i im, both standard normal of shape
-    (2N, *width) and drawn in that order: re(t) + re(-t) - i (im(t) - im(-t))
-    for t = 0..N. Mirror-symmetric factors see the noise only through it."""
-    re = _fold(rng.standard_normal((2 * n, *width)), np.add)
-    # im(-t) - im(t) has the bits of 0 - (im(t) - im(-t)), signed zeros too
-    im = _fold(rng.standard_normal((2 * n, *width)),
+def _weigh(row, fold: np.ndarray, out: np.ndarray) -> None:
+    """sum_j row[j] * fold[:, j] into ``out``, one temporary at a time."""
+    np.multiply(row[0], fold[:, 0], out=out)
+    for j in range(1, len(row)):
+        out += row[j] * fold[:, j]
+
+
+def _sample(weights, seed: int, n: int) -> list[np.ndarray]:
+    """The N-point samples of the p components whose spectra are
+    sum_j weights[c][j] (re_j + i im_j), from the folds of two (2N, p)
+    standard normal draws, real part first; one inverse real FFT per
+    component gives sqrt(2N) * irfft(w / 2, 2N)[:N]."""
+    rng = np.random.default_rng(seed)
+    re = _fold(rng.standard_normal((2 * n, len(weights))), np.add)
+    im = _fold(rng.standard_normal((2 * n, len(weights))),
                lambda a, b, out: np.subtract(b, a, out=out))
     # allocated after the draws: allocated before them, it left glibc's heap
     # untrimmed between calls (2 MB more peak RSS in a rho run at N = 2^16)
-    w = np.empty((n + 1, *width), dtype=complex)
-    w.real = re
-    w.imag = im
-    return w
-
-
-def _synthesize(w: np.ndarray, n: int) -> np.ndarray:
-    """sqrt(2N) * irfft(w / 2, 2N)[:N] along the last axis: the sample from
-    the folded noise w(0..N) weighted by the square-root factor."""
-    sample = np.fft.irfft(w, 2 * n)[..., :n]
-    sample *= math.sqrt(0.5 * n)
-    return sample
+    w = np.empty((len(weights), n + 1), dtype=complex)
+    for spectrum, row in zip(w, weights):
+        _weigh(row, re, spectrum.real)
+        _weigh(row, im, spectrum.imag)
+    del re, im  # freed before the transforms allocate their outputs
+    samples = [np.fft.irfft(spectrum, 2 * n)[:n] for spectrum in w]
+    for sample in samples:
+        sample *= math.sqrt(0.5 * n)
+    return samples
 
 
 # factors kept per process and generator: a sweep task needs one of each
@@ -228,10 +236,8 @@ def _fgn_factor(hurst: float, length: int) -> np.ndarray:
 
 def gen_fgn(spec: FgnSpec) -> TimeSeries:
     """Sample unit-variance fractional Gaussian noise, exactly distributed."""
-    n = spec.length
-    rng = np.random.default_rng(spec.seed)
-    return TimeSeries(_synthesize(_fgn_factor(spec.hurst, n)
-                                  * _folded_noise(rng, n), n))
+    return TimeSeries(_sample([[_fgn_factor(spec.hurst, spec.length)]],
+                              spec.seed, spec.length)[0])
 
 
 @lru_cache(maxsize=_CACHED_FACTORS)
@@ -286,17 +292,8 @@ def gen_bfbm_increments(spec: BfbmSpec) -> tuple[TimeSeries, TimeSeries]:
     """
     n = spec.length
     b11, b12, b22 = _bfbm_factor(spec.hurst_x, spec.hurst_y, spec.corr, n)
-    rng = np.random.default_rng(spec.seed)
-    eps = _folded_noise(rng, n, (2,))
-    w = np.empty((2, n + 1), dtype=complex)
-    # products written into w leave one temporary at a time
-    np.multiply(b11, eps[:, 0], out=w[0])
-    w[0] += b12 * eps[:, 1]
-    np.multiply(b12, eps[:, 0], out=w[1])
-    w[1] += b22 * eps[:, 1]
-    del eps  # freed before the inverse FFT allocates its output
-    sample = _synthesize(w, n)
-    return TimeSeries(sample[0]), TimeSeries(sample[1])
+    x, y = _sample([[b11, b12], [b12, b22]], spec.seed, n)
+    return TimeSeries(x), TimeSeries(y)
 
 
 def gen_binomial(spec: BinomialSpec) -> TimeSeries:

@@ -135,6 +135,42 @@ def test_analyze_dpxa_recovers_partial_exponent(tmp_path):
     assert h_dcca > 0.6
 
 
+@pytest.mark.parametrize("method, error", [
+    ("dpxa", "all 400 windows are exactly degenerate at scale 10"),
+    ("mfdpxa", "all 400 windows are exactly degenerate at scale 10"),
+    ("rho-dpxa", "constant residuals give a zero denominator at scale 10"),
+])
+def test_analyze_force_explaining_x_exits_degenerate(tmp_path, capsys,
+                                                     method, error):
+    # x on the force x leaves x - b x, rounding whose F(2, s) of about
+    # 3.6e-9 fitted h(2) = 0.63 with R^2 0.95: it counts as zero
+    src = tmp_path / "b.csv"
+    assert run(["gen", "bfbm", "--hx", 0.3, "--hy", 0.7, "--rho", 0.5,
+                "--length", 4000, "--seed", 2, "--out", src]) == 0
+    capsys.readouterr()
+    assert run(["analyze", method, src, "--x", "x", "--y", "y", "--z", "x",
+                "--out", tmp_path / "r"]) == 5
+    assert capsys.readouterr().err == f"dpxa: error: {error}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.csv",
+                                                          "b.csv.json"]
+
+
+@pytest.mark.filterwarnings("ignore::dpxa.errors.SpectrumValidityWarning")
+def test_analyze_mfdfa_on_a_run_of_zeros(tmp_path):
+    # its zero windows made F(q < 0, s) vanish at 18 of 20 scales, and the
+    # fit of q = -4 failed with exit 4
+    values = np.random.default_rng(3).standard_normal(8192)
+    values[:1500] = 0.0
+    src = tmp_path / "zeros.csv"
+    write_columns(src, {"x": values})
+    assert run(["analyze", "mfdfa", src, "--col", "x",
+                "--out", tmp_path / "r"]) == 0
+    cols = read_series_csv(tmp_path / "r_fluct.csv")
+    F = np.array([v for name, v in cols.items() if name.startswith("F_q")])
+    assert F.shape == (17, 20)
+    assert np.isfinite(F).all() and (F > 0).all()
+
+
 def test_analyze_rho_curve(tmp_path):
     src = tmp_path / "pair.csv"
     run(["gen", "bfbm", "--hx", 0.1, "--hy", 0.1, "--rho", 0.7,

@@ -345,10 +345,12 @@ def test_short_window_scan_equals_cumsum_bitwise(s):
     DetrendConfig(), DetrendConfig(poly_order=2),
     DetrendConfig(method="moving_average"),
     DetrendConfig(with_intercept=False)], ids=["p1", "p2", "ma", "nocept"])
-@pytest.mark.parametrize("p", [1, 2])
-def test_force_matching_a_row_matches_unshared_bitwise(cfg, p):
+@pytest.mark.parametrize("p, lent", [(1, 1), (2, 2), (2, 1)],
+                         ids=["1", "2", "2-one-plain"])
+def test_force_matching_a_row_matches_unshared_bitwise(cfg, p, lent):
     # the sweep's stack names z plain beside x|z and y|z: the regression
-    # takes the plain z rows' centred windows instead of centring z again
+    # takes the plain z rows' centred windows instead of centring z again,
+    # for each of the first ``lent`` forces; the others are centred apart
     from dpxa import ScaleGrid, TimeSeries
     from dpxa.fluctuation import window_covariances
 
@@ -361,8 +363,9 @@ def test_force_matching_a_row_matches_unshared_bitwise(cfg, p):
     grid = ScaleGrid.default(n)
     stack = (r[0], r[1], *z, x, y)
     k = len(stack)
-    # every row plain, and x|z and y|z
-    named = list(range(k)) + [2 * k - 2, 2 * k - 1]
+    # every row plain but the forces past the lent ones, and x|z and y|z
+    named = [i for i in range(k) if not 2 + lent <= i < 2 + p] \
+        + [2 * k - 2, 2 * k - 1]
     pairs = [(i, j) for a, i in enumerate(named) for j in named[a:]]
     shared = window_covariances(stack, grid, cfg, pairs,
                                 tuple(range(2, 2 + p)))
@@ -374,6 +377,27 @@ def test_force_matching_a_row_matches_unshared_bitwise(cfg, p):
         [(i + m - k if i >= k else i, j + m - k if j >= k else j)
          for i, j in pairs], tuple(range(k, m)))
     assert shared.f2.tobytes() == unshared.f2.tobytes()
+
+
+@pytest.mark.parametrize("cfg", [
+    DetrendConfig(), DetrendConfig(with_intercept=False)],
+    ids=["intercept", "nocept"])
+@pytest.mark.parametrize("repeated", [False, True], ids=["gs", "lstsq"])
+def test_residual_the_forces_explain_is_zero(cfg, repeated):
+    # x on its own force leaves rounding, whose profile would pass for a
+    # signal: it is zeroed in the Gram-Schmidt windows and, with the force
+    # repeated, in the lstsq ones, while a residual of 1e-6 of y survives
+    rng = np.random.default_rng(21)
+    z = rng.standard_normal(600)
+    x = 3.0 * z + (2.0 if cfg.with_intercept else 0.0)
+    y = x + 1e-6 * rng.standard_normal(600)
+    forces = (z, z.copy()) if repeated else (z,)
+    k = 2 + len(forces)
+    covs = window_products([x, y, *forces], (10, 60), cfg,
+                           ((k, k), (k + 1, k + 1)), tuple(range(2, k)))
+    assert covs.deficient.tolist() == ([60, 10] if repeated else [0, 0])
+    assert not covs.f2[0].any()
+    assert (covs.f2[1] > 0).all()
 
 
 @pytest.mark.parametrize("constant", [0, 60, 75, 300])
@@ -433,14 +457,49 @@ def test_collinearity_guard_boundary(monkeypatch, sin2, solves):
     assert np.allclose(covs.f2, expected, rtol=0, atol=1e-10)
 
 
-def test_window_products_call_budget():
-    # a count of interpreter and C-function calls, not a timing, so it
-    # holds on a loaded host: one call on a sweep stack (rx, ry, z, x, y)
-    # at N = 2^12 with the default grid made 1,991 Python-level and 811
-    # C-level calls with numpy 2.4; the bounds allow about 30% more, so
-    # numpy dispatch around the window arithmetic cannot creep back unseen
+class _UfuncCounter:
+    """Stands in for numpy in a module under test and counts the calls made
+    through numpy's ufunc objects, their methods (reduce, reduceat, ...)
+    included, which ``sys.setprofile`` does not see; every other attribute
+    is numpy's own."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        return self._Counted(self, attr) if isinstance(attr, np.ufunc) \
+            else attr
+
+    class _Counted:
+        def __init__(self, counter, ufunc):
+            self._counter, self._ufunc = counter, ufunc
+
+        def __call__(self, *args, **kwargs):
+            self._counter.calls += 1
+            return self._ufunc(*args, **kwargs)
+
+        def __getattr__(self, name):
+            method = getattr(self._ufunc, name)
+            if not callable(method):
+                return method
+
+            def call(*args, **kwargs):
+                self._counter.calls += 1
+                return method(*args, **kwargs)
+            return call
+
+
+def test_window_products_call_budget(monkeypatch):
+    # a count of interpreter, C-function and ufunc calls, not a timing, so
+    # it holds on a loaded host: one call on a sweep stack (rx, ry, z, x, y)
+    # at N = 2^12 with the default grid made 2,109 Python-level, 850
+    # C-level and 321 ufunc calls with numpy 2.4; the bounds allow 23%, 29%
+    # and 31% more, so numpy dispatch around the window arithmetic cannot
+    # creep back unseen
     import sys
 
+    import dpxa.detrend
     from dpxa import ScaleGrid
     from dpxa.experiments import _SWEEP_PAIRS
 
@@ -449,7 +508,7 @@ def test_window_products_call_budget():
     rows = [rx, ry, z, 2.0 + 3.0 * z + rx, 2.0 + 3.0 * z + ry]
     sizes = ScaleGrid.default(2 ** 12).scales
     cfg = DetrendConfig()
-    window_products(rows, sizes, cfg, _SWEEP_PAIRS, (2,))  # fills the caches
+    want = window_products(rows, sizes, cfg, _SWEEP_PAIRS, (2,))  # caches
     counts = {"call": 0, "c_call": 0}
 
     def count(frame, event, arg):
@@ -462,5 +521,12 @@ def test_window_products_call_budget():
         covs = window_products(rows, sizes, cfg, _SWEEP_PAIRS, (2,))
     finally:
         sys.setprofile(previous)
+    # the counter's own frames would count as Python calls: a second run
+    ufuncs = _UfuncCounter()
+    monkeypatch.setattr(dpxa.detrend, "np", ufuncs)
+    again = window_products(rows, sizes, cfg, _SWEEP_PAIRS, (2,))
+    monkeypatch.undo()
     assert covs.deficient.sum() == 0
+    assert covs.f2.tobytes() == again.f2.tobytes() == want.f2.tobytes()
     assert counts["call"] <= 2600 and counts["c_call"] <= 1100, counts
+    assert ufuncs.calls <= 420

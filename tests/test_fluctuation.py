@@ -15,6 +15,7 @@ from dpxa import (
     rho_curve,
     rho_dcca,
 )
+from dpxa.fluctuation import window_covariances
 from oracle import oracle_products, window_cov
 
 
@@ -120,6 +121,28 @@ def test_q_zero_branch_excludes_degenerate_windows():
     surface = fluctuation_dfa(x, grid, QGrid(np.array([-2.0, 0.0, 2.0])))
     assert surface.zero_windows[1] == 1
     assert np.isfinite(surface.F[1]).all()
+
+
+def test_negative_q_averages_the_live_windows():
+    # one exactly degenerate window made the negative power mean infinite
+    # and F(q < 0, s) zero; like q = 0, it now skips such windows
+    x = np.random.default_rng(3).standard_normal(8192)
+    x[:1500] = 0.0
+    grid = ScaleGrid.default(x.size)
+    orders = np.array([-4.0, -1.0, 2.0])
+    surface = fluctuation_dfa(x, grid, QGrid(orders))
+    assert surface.zero_windows.tolist() == [1500 // s for s in grid.scales]
+    covs = window_covariances((x,), grid, DetrendConfig(), ((0, 0),))
+    windows = np.split(covs.f2[0], np.cumsum(covs.windows)[:-1])
+    for j, f2 in enumerate(windows):
+        live = f2[f2 != 0.0]
+        assert live.size == f2.size - surface.zero_windows[j]
+        for i, q in enumerate(orders[:2]):
+            want = np.mean(np.abs(live) ** (q / 2)) ** (1 / q)
+            assert surface.F[i, j] == pytest.approx(want, rel=1e-12)
+        # q > 0 still averages every window
+        assert surface.F[2, j] == pytest.approx(np.sqrt(f2.mean()),
+                                                rel=1e-12)
 
 
 def test_degenerate_constant_series():
@@ -350,8 +373,6 @@ def test_repeated_series_matches_copies_bitwise(cfg):
     # x and y are named plain and as residuals, and the force z plain: the
     # residual rows copy the plain rows' centred windows, and the force
     # block is the z rows' centred windows
-    from dpxa.fluctuation import window_covariances
-
     rng = np.random.default_rng(14)
     n = 3000
     grid = ScaleGrid.default(n)
