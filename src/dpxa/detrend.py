@@ -9,10 +9,9 @@ profiles. So each estimator is a pair of rows of one stack, and
 ``window_products`` takes these steps for every pair and size in one call,
 which returns one ``WindowCovariances`` record. The stack holds k distinct
 series, some of them force columns; a pair index i < k names series i, and
-k + i its residual on the forces. Only the named rows are built, and each
-series is centred once per window: a residual row copies its series'
-centred windows, and forces the pairs name plain (the sweep's z) lend
-theirs to the regression.
+k + i its residual on the forces. Only the named rows are built, each
+centred from its own series, and forces the pairs name plain (the sweep's
+z) lend their centred windows to the regression.
 
 The forces go before the cumsum: with an intercept the window residual is
 (x - mean x) less its projection on the centred force windows. Modified
@@ -42,7 +41,8 @@ coefficients of a profile P, the products of detrended profiles are
 most 99% of every profile of the window. The other windows (profiles ruled
 by a trend of the fit order, as without an intercept on offset data) are
 detrended explicitly. The moving average is not a projection, so that
-method subtracts its trend from the profiles explicitly.
+method subtracts its trend from the profiles explicitly: the prefix, centre
+and suffix means of each point, read off one running sum of the profiles.
 """
 
 from __future__ import annotations
@@ -63,10 +63,10 @@ MOVING_AVERAGE = "moving_average"
 # the force and their span, below which the regression loses too many
 # digits
 _COLLINEAR = 1e-6
-# a centred force column whose sum of squares is below this share of the
-# raw one is constant within the window up to rounding; a residual window
-# below this share of its moment before the regression is explained by the
-# forces up to rounding
+# a window whose moment after centring or regression is at most this share
+# of its raw sum of squares is explained by the intercept and the forces up
+# to rounding: a force window is then constant (it duplicates the
+# intercept) and a residual window is zero
 _VANISHING = 1e-24
 # longest window summed by column adds; they lose to np.cumsum from s ~ 48
 _SHORT_SCAN = 32
@@ -162,32 +162,22 @@ def _projection_basis(s: int, order: int) -> np.ndarray:
     return _resident_array(Q)
 
 
-def _subtract_moving_average(flat: np.ndarray, csum: np.ndarray) -> None:
+def _subtract_moving_average(flat: np.ndarray) -> None:
     """Subtract from each row of ``flat`` (n, s) its centred moving average
     of length s, with shrunken one-sided averages at the box edges, in
-    place; ``csum`` is an (n, s) scratch buffer.
-
-    The average at k covers [lo, hi) = [max(k - left, 0), min(k + right +
-    1, s)], so it is a prefix mean for k <= left and a suffix mean for
-    k >= left. Both come from the running sum C of the row, C[j] = sum of
-    row[:j + 1]: the prefix sums sit in C[right:s-1] and the suffix
-    differences C[s-1] - C[k-left-1] are formed in C[:right], slots no
-    prefix mean reads, so no array of the box's size is allocated."""
+    place. The average at k covers [max(k - left, 0), min(k + right + 1,
+    s)): a prefix mean for k < left, the whole box at k = left and a suffix
+    mean for k > left, all read off the running sums of the rows."""
     s = flat.shape[1]
     left = (s - 1) // 2
     right = s - 1 - left
-    np.cumsum(flat, axis=1, out=csum)
+    csum = np.cumsum(flat, axis=1)
     k = np.arange(s)
     count = np.minimum(k + right + 1, s) - np.maximum(k - left, 0)
     total = csum[:, s - 1:]
-    suffix = csum[:, :right]
-    np.subtract(total, suffix, out=suffix)
-    suffix /= count[left + 1:]
-    prefix = csum[:, right:s - 1]
-    prefix /= count[:left]
-    flat[:, :left] -= prefix
+    flat[:, :left] -= csum[:, right:s - 1] / count[:left]
     flat[:, left] -= total[:, 0] / s
-    flat[:, left + 1:] -= suffix
+    flat[:, left + 1:] -= (total - csum[:, :right]) / count[left + 1:]
 
 
 def _cumulate(A: np.ndarray) -> None:
@@ -201,14 +191,16 @@ def _cumulate(A: np.ndarray) -> None:
         np.add(A[..., t - 1], A[..., t], out=A[..., t])
 
 
-def _remove_forces(A: np.ndarray, Z, Zc, with_intercept: bool) -> int:
+def _remove_forces(A: np.ndarray, means: np.ndarray, Z, Zc,
+                   with_intercept: bool) -> int:
     """Replace the increments A (r, M, s) by their OLS residuals on the
     force windows, in place, by modified Gram-Schmidt: each centred force
     window Zc[f], an (M, s) array, is orthogonalised against those before
     it and its projection removed from A. Z holds the raw windows; A and Zc
-    are already centred when ``with_intercept``. A residual window whose
-    moment the regression cuts to at most ``_VANISHING`` of what it was is
-    set to zero. Returns the number of rank-deficient windows."""
+    are already centred when ``with_intercept``, A by its (r, M) window
+    ``means`` (zero without an intercept). A residual window whose moment
+    is at most ``_VANISHING`` of its raw moment is set to zero. Returns the
+    number of rank-deficient windows."""
     M, s = A.shape[1:]
     d = len(Z) + int(with_intercept)
     if s <= d:
@@ -233,17 +225,17 @@ def _remove_forces(A: np.ndarray, Z, Zc, with_intercept: bool) -> int:
     # b = <q, A> / |q| / |q| divides by the triangular factor's diagonal
     # |q| twice, as its two solves do. Windows that failed a guard get b = 0
     # and a least-squares solve, whose residual is unique where b is not
-    explained = np.zeros(A.shape[:2])
+    explained = s * means ** 2
     for q, norm in basis:
         root = np.sqrt(np.where(ok, norm, np.inf))
         dot = np.einsum("ms,rms->rm", q, A)
         b = dot / root / root
         A -= b[:, :, None] * q
         explained += b * dot
-    # by Pythagoras the moment before the regression is the residual's plus
-    # the explained <q, A>^2 / |q|^2 of each force
+    # by Pythagoras the raw moment is the residual's plus the s mean^2 the
+    # centring took and the <q, A>^2 / |q|^2 each force explains
     after = np.einsum("rms,rms->rm", A, A)
-    before = after + explained
+    raw = after + explained
     deficient = 0
     for m in (~ok).nonzero()[0]:
         columns = [z[m] for z in Z]
@@ -255,7 +247,7 @@ def _remove_forces(A: np.ndarray, Z, Zc, with_intercept: bool) -> int:
         deficient += int(rank < d)
     # a residual the forces explain up to rounding is zero: its profile is
     # rounding noise, whose fluctuations would pass for a signal
-    A[after <= _VANISHING * before] = 0.0
+    A[after <= _VANISHING * raw] = 0.0
     return deficient
 
 
@@ -273,12 +265,12 @@ def _products(P: np.ndarray, pairs, out: np.ndarray,
     return out
 
 
-def _centre(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """X minus its mean along the last axis, into ``out`` when given: the
-    sum and division of ``ndarray.mean``, without its dispatch."""
+def _mean(X: np.ndarray) -> np.ndarray:
+    """The (..., 1) means of X along the last axis: the sum and division of
+    ``ndarray.mean``, without its dispatch."""
     mean = np.add.reduce(X, axis=-1, keepdims=True)
     mean /= X.shape[-1]
-    return np.subtract(X, mean, out=out)
+    return mean
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,15 +302,15 @@ def window_products(rows, sizes, cfg: DetrendConfig, pairs, forces=()
     force columns. In a pair, index i < k names series i and index k + i
     the residual of series i on the forces. In every size-s window a row
     is the increments of its series, centred with an intercept; a residual
-    row then has its OLS fit on the force windows removed. Only the rows
-    some pair names are built, and each series is centred once: a residual
-    row copies its series' centred windows, and each force the pairs name
-    plain lends those rows' centred windows to the regression. The
-    rows are cumulated and detrended together, in one buffer that serves
-    every size. Returns the signed mean products of the detrended profiles
-    of each pair in the T // s windows of each size s (points beyond the
-    last whole window are excluded), with the per-size counts of windows
-    and of rank-deficient force designs.
+    row then has its OLS fit on the force windows removed. Only the r rows
+    some pair names are built, each centred from its own series, and each
+    force the pairs name plain lends its row's centred windows to the
+    regression. The rows are cumulated and detrended together, in one
+    buffer of r T values that serves every size and method. Returns the
+    signed mean products of the detrended profiles of each pair in the
+    T // s windows of each size s (points beyond the last whole window are
+    excluded), with the per-size counts of windows and of rank-deficient
+    force designs.
     """
     rows = list(rows)
     k, T = len(rows), len(rows[0])
@@ -329,39 +321,36 @@ def window_products(rows, sizes, cfg: DetrendConfig, pairs, forces=()
     slot = {i: n for n, i in enumerate(named)}
     pairs = [(slot[i], slot[j]) for i, j in pairs]
     r, plain = len(named), sum(i < k for i in named)
-    moving = cfg.method == MOVING_AVERAGE
     # one buffer for every size: fresh multi-MB arrays go back to the
     # system whenever glibc trims its heap and are faulted in again, up to
     # 32,000 minor faults per 7-row stack at N = 2^16
-    work = np.empty((2 if moving else 1) * r * T)
+    work = np.empty(r * T)
     windows = np.array([T // size for size in sizes])
     out = np.empty((len(pairs), windows.sum()))
     deficient = np.zeros(len(sizes), dtype=int)
     for j, (size, dest) in enumerate(zip(sizes, np.split(
             out, np.cumsum(windows)[:-1], axis=1))):
         M = T // size
-        n = r * M * size
-        A = work[:n].reshape(r, M, size)
+        A = work[:r * M * size].reshape(r, M, size)
+        # without an intercept the means stay zero and the rows raw
+        means = np.zeros((r, M, 1))
         for a, i in enumerate(named):
-            if i >= k and i - k in slot:
-                A[a] = A[slot[i - k]]
-                continue
-            X = rows[i - k if i >= k else i][: M * size].reshape(M, size)
+            X = rows[i % k][: M * size].reshape(M, size)
             if cfg.with_intercept:
-                _centre(X, A[a])
-            else:
-                A[a] = X
+                means[a] = _mean(X)
+            np.subtract(X, means[a], out=A[a])
         if forces and plain < r:
             Z = [rows[f][: M * size].reshape(M, size) for f in forces]
             # a force the pairs name plain lends its centred windows
             Zc = Z if not cfg.with_intercept else [
-                A[slot[f]] if f in slot else _centre(z)
+                A[slot[f]] if f in slot else z - _mean(z)
                 for f, z in zip(forces, Z)]
-            deficient[j] = _remove_forces(A[plain:], Z, Zc, cfg.with_intercept)
+            deficient[j] = _remove_forces(A[plain:], means[plain:, :, 0], Z,
+                                          Zc, cfg.with_intercept)
         _cumulate(A)
         flat = A.reshape(r * M, size)
-        if moving:
-            _subtract_moving_average(flat, work[n: 2 * n].reshape(r * M, size))
+        if cfg.method == MOVING_AVERAGE:
+            _subtract_moving_average(flat)
             f2 = _products(A, pairs, dest)
         else:
             # sum (P - QQ'P)_i (P - QQ'P)_j = <P_i, P_j> - <c_i, c_j>, c = Q'P

@@ -9,8 +9,8 @@ import pytest
 
 from dpxa import ContaminationSpec, FgnSpec, contaminate, gen_bfbm_increments, \
     gen_fgn
-from dpxa import ForceMatrix, QGrid, ScaleGrid, cli, fluctuation_dcca, \
-    fluctuation_dfa, fluctuation_dpxa, rho_curve, rho_dcca
+from dpxa import DetrendConfig, ForceMatrix, QGrid, ScaleGrid, cli, \
+    fluctuation_dcca, fluctuation_dfa, fluctuation_dpxa, rho_curve, rho_dcca
 from dpxa.cli import main
 from dpxa.generators import BfbmSpec
 from dpxa.io import read_series_csv, write_table_csv
@@ -135,11 +135,15 @@ def test_analyze_dpxa_recovers_partial_exponent(tmp_path):
     assert h_dcca > 0.6
 
 
-@pytest.mark.parametrize("method, error", [
+# method -> its error on 4,000 rows whose x the force z explains
+DEGENERATE = [
     ("dpxa", "all 400 windows are exactly degenerate at scale 10"),
     ("mfdpxa", "all 400 windows are exactly degenerate at scale 10"),
     ("rho-dpxa", "constant residuals give a zero denominator at scale 10"),
-])
+]
+
+
+@pytest.mark.parametrize("method, error", DEGENERATE)
 def test_analyze_force_explaining_x_exits_degenerate(tmp_path, capsys,
                                                      method, error):
     # x on the force x leaves x - b x, rounding whose F(2, s) of about
@@ -153,6 +157,53 @@ def test_analyze_force_explaining_x_exits_degenerate(tmp_path, capsys,
     assert capsys.readouterr().err == f"dpxa: error: {error}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["b.csv",
                                                           "b.csv.json"]
+
+
+@pytest.mark.parametrize("method, error", DEGENERATE)
+def test_analyze_force_explaining_offset_x_exits_degenerate(tmp_path, capsys,
+                                                            method, error):
+    # x = 1e8 + 3 z on z leaves rounding of about 1e-8 a point, far below
+    # the offset that its raw moment holds
+    z = gen_fgn(FgnSpec(0.7, 4000, 1)).values
+    y = gen_fgn(FgnSpec(0.4, 4000, 2)).values
+    src = tmp_path / "offset.csv"
+    np.savetxt(src, np.column_stack([1e8 + 3.0 * z, y, z]), fmt="%.17g",
+               delimiter=",", header="x,y,z", comments="")
+    assert run(["analyze", method, src, "--x", "x", "--y", "y", "--z", "z",
+                "--out", tmp_path / "r"]) == 5
+    assert capsys.readouterr().err == f"dpxa: error: {error}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["offset.csv"]
+
+
+@pytest.mark.parametrize("method, flags, cfg", [
+    ("dpxa", ["--detrend", "moving_average", "--no-intercept"],
+     DetrendConfig(method="moving_average", with_intercept=False)),
+    ("dfa", ["--poly-order", 2], DetrendConfig(poly_order=2))],
+    ids=["dpxa-ma-nocept", "dfa-2"])
+def test_analyze_detrend_flags_reach_the_estimator(tmp_path, method, flags,
+                                                   cfg):
+    # offset, trending columns, on which each flag changes F
+    rng = np.random.default_rng(8)
+    src = tmp_path / "in.csv"
+    write_columns(src, {c: 2.0 + 1e-3 * np.arange(2048)
+                        + rng.standard_normal(2048) for c in "xyz"})
+    dpxa = method == "dpxa"
+    argv = ["--x", "x", "--y", "y", "--z", "z"] if dpxa else ["--col", "x"]
+    assert run(["analyze", method, src, *argv, *flags,
+                "--out", tmp_path / "cli"]) == 0
+    x, y, z = read_series_csv(src).values()
+    forces = ForceMatrix.from_series([z]) if dpxa else None
+    scales, orders = ScaleGrid.default(2048), QGrid.second_order()
+    for name, config in (("direct", cfg), ("default", DetrendConfig())):
+        surface = fluctuation_dpxa(x, y if dpxa else x, forces, scales,
+                                   orders, config)
+        write_table_csv(tmp_path / f"{name}_fluct.csv",
+                        ["scale", "cov2", "F_q2"],
+                        [[int(s), surface.cov2[j], surface.F[0, j]]
+                         for j, s in enumerate(scales.scales)])
+    written = (tmp_path / "cli_fluct.csv").read_bytes()
+    assert written == (tmp_path / "direct_fluct.csv").read_bytes()
+    assert written != (tmp_path / "default_fluct.csv").read_bytes()
 
 
 @pytest.mark.filterwarnings("ignore::dpxa.errors.SpectrumValidityWarning")

@@ -263,6 +263,29 @@ def test_kernel_matches_single_window_oracle(seed, s, windows, extra, p,
         covs.deficient.tolist()
 
 
+@pytest.mark.parametrize("with_intercept", [True, False],
+                         ids=["intercept", "nocept"])
+@pytest.mark.parametrize("s", [2, 3, 41, 257, 1000])
+def test_moving_average_matches_oracle_beyond_the_drawn_sizes(s,
+                                                             with_intercept):
+    # the sizes the Hypothesis test does not draw, with one force where the
+    # window fits it; the error is normalised by sqrt(F2_ii F2_jj), the
+    # first three pairs, so that cross pairs near zero are judged on the
+    # scale of their rows
+    rng = np.random.default_rng(s)
+    T = 3 * s + 1
+    rows = rng.standard_normal((3, T)) + np.array([[2.0], [0.0], [-1.0]])
+    fits = s > 1 + with_intercept
+    Z = rng.standard_normal((T, 1)) if fits else None
+    cfg = DetrendConfig(method="moving_average",
+                        with_intercept=with_intercept)
+    pairs = ((0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2))
+    got = kernel(rows, Z, (s,), cfg, pairs, regressed=2).f2
+    want = oracle_products(rows, Z, s, cfg, pairs, regressed=2)
+    scale = np.sqrt([want[i] * want[j] for i, j in pairs])
+    assert np.max(np.abs(got - want) / scale) <= 1e-12
+
+
 def test_kernel_plain_rows_ignore_forces():
     rng = np.random.default_rng(21)
     rows = rng.standard_normal((3, 300))
@@ -494,7 +517,7 @@ def test_window_products_call_budget(monkeypatch):
     # a count of interpreter, C-function and ufunc calls, not a timing, so
     # it holds on a loaded host: one call on a sweep stack (rx, ry, z, x, y)
     # at N = 2^12 with the default grid made 2,109 Python-level, 850
-    # C-level and 321 ufunc calls with numpy 2.4; the bounds allow 23%, 29%
+    # C-level and 321 ufunc calls with numpy 2.4.6; the bounds allow 23%, 29%
     # and 31% more, so numpy dispatch around the window arithmetic cannot
     # creep back unseen
     import sys

@@ -318,6 +318,38 @@ def test_dpxa_under_large_common_offset(offset, tol):
     assert np.max(np.abs(shifted - base) / base) <= tol
 
 
+@pytest.mark.parametrize("offset", [0.0, 1e4, 1e8])
+def test_force_explained_residual_is_zero_under_any_offset(offset):
+    # x = c + 3 z on z leaves the rounding of x, which grows with c: it is
+    # judged against the window's raw moment, which grows with c as well,
+    # so every window is zero whatever c is
+    from dpxa import FgnSpec, gen_fgn
+
+    z = gen_fgn(FgnSpec(0.7, 4000, 1)).values
+    x = offset + 3.0 * z
+    with pytest.raises(DegenerateInputError,
+                       match="all 400 windows are exactly degenerate at "
+                             "scale 10$"):
+        fluctuation_dpxa(x, x, ForceMatrix(z[:, None]),
+                         ScaleGrid.default(4000), QGrid.second_order())
+
+
+def test_small_residual_survives_a_large_offset():
+    # a residual of 1e-3 a point under an offset of 1e8 keeps about 1e-22 of
+    # the raw moment, above the 1e-24 that counts as rounding
+    from dpxa import FgnSpec, gen_fgn
+
+    z = gen_fgn(FgnSpec(0.7, 4000, 1)).values
+    r = 1e-3 * np.random.default_rng(7).standard_normal(4000)
+    forces = ForceMatrix(z[:, None])
+    grid, orders = ScaleGrid.default(4000), QGrid.default()
+    far = fluctuation_dpxa(1e8 + 3.0 * z + r, 1e8 + 3.0 * z + r, forces,
+                           grid, orders)
+    near = fluctuation_dpxa(3.0 * z + r, 3.0 * z + r, forces, grid, orders)
+    assert far.zero_windows.tolist() == [0] * len(grid)
+    assert np.max(np.abs(far.F - near.F) / near.F) <= 1e-4
+
+
 def test_rank_deficiency_warns_once_per_call():
     import re
     import warnings
@@ -370,9 +402,9 @@ def test_deficient_windows_counted_per_scale():
     DetrendConfig(method="moving_average"),
     DetrendConfig(with_intercept=False)], ids=["p1", "p2", "ma", "nocept"])
 def test_repeated_series_matches_copies_bitwise(cfg):
-    # x and y are named plain and as residuals, and the force z plain: the
-    # residual rows copy the plain rows' centred windows, and the force
-    # block is the z rows' centred windows
+    # x and y are named plain and as residuals, and the force z plain:
+    # every row is centred from its own series, and the force block is the
+    # z rows' centred windows
     rng = np.random.default_rng(14)
     n = 3000
     grid = ScaleGrid.default(n)
