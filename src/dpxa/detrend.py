@@ -64,10 +64,15 @@ MOVING_AVERAGE = "moving_average"
 # digits
 _COLLINEAR = 1e-6
 # a window whose moment after centring or regression is at most this share
-# of its raw sum of squares is explained by the intercept and the forces up
-# to rounding: a force window is then constant (it duplicates the
-# intercept) and a residual window is zero
+# of its moment before is explained by the intercept and the forces up to
+# rounding: a force window is then constant (it duplicates the intercept)
+# and a residual window is zero
 _VANISHING = 1e-24
+# the rounding an offset leaves in a residual window, per s mean^2: each
+# point is stored to eps |x| / 2 and the mean's sum errs about as much; 16
+# eps^2 is 6 times the most seen (offsets 1e2 to 3e15, s = 4 to 4096) and
+# keeps residuals of rms 4 eps |mean| (4 to 8 ulps of the mean) or more
+_OFFSET_ROUNDING = 16 * np.finfo(float).eps ** 2
 # longest window summed by column adds; they lose to np.cumsum from s ~ 48
 _SHORT_SCAN = 32
 # largest <P, P> / F^2 of a window whose F^2 is taken from the projection
@@ -199,7 +204,8 @@ def _remove_forces(A: np.ndarray, means: np.ndarray, Z, Zc,
     it and its projection removed from A. Z holds the raw windows; A and Zc
     are already centred when ``with_intercept``, A by its (r, M) window
     ``means`` (zero without an intercept). A residual window whose moment
-    is at most ``_VANISHING`` of its raw moment is set to zero. Returns the
+    is at most ``_VANISHING`` of its centred moment plus the rounding
+    ``_OFFSET_ROUNDING`` s mean^2 of its offset is set to zero. Returns the
     number of rank-deficient windows."""
     M, s = A.shape[1:]
     d = len(Z) + int(with_intercept)
@@ -225,17 +231,19 @@ def _remove_forces(A: np.ndarray, means: np.ndarray, Z, Zc,
     # b = <q, A> / |q| / |q| divides by the triangular factor's diagonal
     # |q| twice, as its two solves do. Windows that failed a guard get b = 0
     # and a least-squares solve, whose residual is unique where b is not
-    explained = s * means ** 2
+    explained = np.zeros(A.shape[:2])
     for q, norm in basis:
         root = np.sqrt(np.where(ok, norm, np.inf))
         dot = np.einsum("ms,rms->rm", q, A)
         b = dot / root / root
         A -= b[:, :, None] * q
         explained += b * dot
-    # by Pythagoras the raw moment is the residual's plus the s mean^2 the
-    # centring took and the <q, A>^2 / |q|^2 each force explains
+    # by Pythagoras the centred moment is the residual's plus the
+    # <q, A>^2 / |q|^2 each force explains; the rounding of a large offset
+    # is judged against the s mean^2 the centring took
     after = np.einsum("rms,rms->rm", A, A)
-    raw = after + explained
+    floor = (_VANISHING * (after + explained)
+             + _OFFSET_ROUNDING * s * means ** 2)
     deficient = 0
     for m in (~ok).nonzero()[0]:
         columns = [z[m] for z in Z]
@@ -247,7 +255,7 @@ def _remove_forces(A: np.ndarray, means: np.ndarray, Z, Zc,
         deficient += int(rank < d)
     # a residual the forces explain up to rounding is zero: its profile is
     # rounding noise, whose fluctuations would pass for a signal
-    A[after <= _VANISHING * raw] = 0.0
+    A[after <= floor] = 0.0
     return deficient
 
 
@@ -306,7 +314,8 @@ def window_products(rows, sizes, cfg: DetrendConfig, pairs, forces=()
     some pair names are built, each centred from its own series, and each
     force the pairs name plain lends its row's centred windows to the
     regression. The rows are cumulated and detrended together, in one
-    buffer of r T values that serves every size and method. Returns the
+    buffer of r T values that serves every size; the moving average's
+    running sums are a fresh array at each size. Returns the
     signed mean products of the detrended profiles of each pair in the
     T // s windows of each size s (points beyond the last whole window are
     excluded), with the per-size counts of windows and of rank-deficient

@@ -320,9 +320,8 @@ def test_dpxa_under_large_common_offset(offset, tol):
 
 @pytest.mark.parametrize("offset", [0.0, 1e4, 1e8])
 def test_force_explained_residual_is_zero_under_any_offset(offset):
-    # x = c + 3 z on z leaves the rounding of x, which grows with c: it is
-    # judged against the window's raw moment, which grows with c as well,
-    # so every window is zero whatever c is
+    # x = c + 3 z on z leaves only the rounding of x, which grows with c:
+    # every window is zero whatever c is, and the estimator says so
     from dpxa import FgnSpec, gen_fgn
 
     z = gen_fgn(FgnSpec(0.7, 4000, 1)).values
@@ -334,20 +333,23 @@ def test_force_explained_residual_is_zero_under_any_offset(offset):
                          ScaleGrid.default(4000), QGrid.second_order())
 
 
-def test_small_residual_survives_a_large_offset():
-    # a residual of 1e-3 a point under an offset of 1e8 keeps about 1e-22 of
-    # the raw moment, above the 1e-24 that counts as rounding
+@pytest.mark.parametrize("scale", [1e-3, 1e-4, 1e-5])
+def test_small_residual_survives_a_large_offset(scale):
+    # a residual of rms a under an offset of 1e8 is 700 ulps of 1e8 or more,
+    # far above the offset's rounding: no window is zero. Storing 1e8 + r
+    # rounds each point of r by up to 7.5e-9, a share 7.5e-9 / a of it, so
+    # F is compared at 1e-7 / a
     from dpxa import FgnSpec, gen_fgn
 
     z = gen_fgn(FgnSpec(0.7, 4000, 1)).values
-    r = 1e-3 * np.random.default_rng(7).standard_normal(4000)
+    r = scale * np.random.default_rng(7).standard_normal(4000)
     forces = ForceMatrix(z[:, None])
     grid, orders = ScaleGrid.default(4000), QGrid.default()
     far = fluctuation_dpxa(1e8 + 3.0 * z + r, 1e8 + 3.0 * z + r, forces,
                            grid, orders)
     near = fluctuation_dpxa(3.0 * z + r, 3.0 * z + r, forces, grid, orders)
     assert far.zero_windows.tolist() == [0] * len(grid)
-    assert np.max(np.abs(far.F - near.F) / near.F) <= 1e-4
+    assert np.max(np.abs(far.F - near.F) / near.F) <= 1e-7 / scale
 
 
 def test_rank_deficiency_warns_once_per_call():
