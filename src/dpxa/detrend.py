@@ -20,9 +20,11 @@ the projection on each from the residual in turn, one path for every
 number of forces; with one force the residual is x - b z, b = <z, x> /
 <z, z>. Removing b z after the cumsum, from Gram products of detrended
 profiles, subtracts nearly equal large numbers: on a binomial measure
-masked by 3 z it is off by 8% at s = 16. Windows where a force fails a
-guard get coefficient 0 and fall back to a least-squares solve, whose
-residual is unique even where the coefficients are not. Windows of at
+masked by 3 z it is off by 8% at s = 16. A force the intercept and the
+forces before it explain in a window, up to rounding, is left out there
+with coefficient 0, and the window counts as rank deficient; Gram-Schmidt
+on the forces and then the series is backward stable for least squares,
+so this one path also serves nearly collinear forces. Windows of at
 most 32 points are cumulated a column at a time, which adds in
 np.cumsum's order and is faster there.
 
@@ -58,20 +60,18 @@ from .errors import ConfigError, DataError, ShapeError, WindowTooSmallError
 POLYNOMIAL = "polynomial"
 MOVING_AVERAGE = "moving_average"
 
-# a force whose Gram-Schmidt norm^2 is below this share of its centred
-# moment is collinear with the forces before it: sin^2 of the angle between
-# the force and their span, below which the regression loses too many
-# digits
-_COLLINEAR = 1e-6
-# a window whose moment after centring or regression is at most this share
-# of its moment before is explained by the intercept and the forces up to
-# rounding: a force window is then constant (it duplicates the intercept)
-# and a residual window is zero
+# one rule for force and residual windows: a window whose moment after the
+# intercept and the forces before it is at most this share of its moment
+# before the forces (centred with an intercept), plus the rounding
+# _OFFSET_ROUNDING s mean^2 of its offset, is explained by them up to
+# rounding: a force is then left out of the window (it is constant there
+# or a combination of the forces before it) and a residual window is zero
 _VANISHING = 1e-24
-# the rounding an offset leaves in a residual window, per s mean^2: each
-# point is stored to eps |x| / 2 and the mean's sum errs about as much; 16
-# eps^2 is 6 times the most seen (offsets 1e2 to 3e15, s = 4 to 4096) and
-# keeps residuals of rms 4 eps |mean| (4 to 8 ulps of the mean) or more
+# the rounding an offset leaves in a centred window, per s mean^2 (the raw
+# moment less the centred one; 0 without an intercept): each point is
+# stored to eps |x| / 2 and the mean's sum errs about as much; 16 eps^2 is
+# 6 times the most seen (offsets 1e2 to 3e15, s = 4 to 4096) and keeps
+# windows of rms 4 eps |mean| (4 to 8 ulps of the mean) or more
 _OFFSET_ROUNDING = 16 * np.finfo(float).eps ** 2
 # longest window summed by column adds; they lose to np.cumsum from s ~ 48
 _SHORT_SCAN = 32
@@ -203,60 +203,47 @@ def _remove_forces(A: np.ndarray, means: np.ndarray, Z, Zc,
     window Zc[f], an (M, s) array, is orthogonalised against those before
     it and its projection removed from A. Z holds the raw windows; A and Zc
     are already centred when ``with_intercept``, A by its (r, M) window
-    ``means`` (zero without an intercept). A residual window whose moment
-    is at most ``_VANISHING`` of its centred moment plus the rounding
-    ``_OFFSET_ROUNDING`` s mean^2 of its offset is set to zero. Returns the
-    number of rank-deficient windows."""
+    ``means`` (zero without an intercept). A force window, or a residual
+    one, that the intercept and the forces before it explain up to
+    rounding (see ``_VANISHING``) is left out, or set to zero. Returns the
+    number of windows that leave out a force: rank-deficient ones."""
     M, s = A.shape[1:]
     d = len(Z) + int(with_intercept)
     if s <= d:
         raise WindowTooSmallError(
             f"window of size {s} cannot fit {d} regression columns"
         )
-    ok = np.ones(M, dtype=bool)
+    left_out = np.zeros(M, dtype=bool)
     basis = []
     for z, q in zip(Z, Zc):
         moment = np.einsum("ms,ms->m", q, q)
         for u, norm in basis:
-            # windows that failed a guard divide by inf: u may vanish there
-            q = q - (np.einsum("ms,ms->m", u, q)
-                     / np.where(ok, norm, np.inf))[:, None] * u
+            # a force left out of a window divides by inf there
+            q = q - (np.einsum("ms,ms->m", u, q) / norm)[:, None] * u
         norm = np.einsum("ms,ms->m", q, q) if basis else moment
-        ok &= norm > _COLLINEAR * moment
-        # a force that is constant within a window (up to rounding)
-        # vanishes once centred: that column duplicates the intercept
-        ok &= moment > _VANISHING * (np.einsum("ms,ms->m", z, z)
-                                     if with_intercept else moment)
-        basis.append((q, norm))
+        # its s mean^2 is the raw moment less the centred one
+        offset = (np.einsum("ms,ms->m", z, z) - moment if with_intercept
+                  else 0.0)
+        vanished = norm <= _VANISHING * moment + _OFFSET_ROUNDING * offset
+        left_out |= vanished
+        basis.append((q, np.where(vanished, np.inf, norm)))
     # b = <q, A> / |q| / |q| divides by the triangular factor's diagonal
-    # |q| twice, as its two solves do. Windows that failed a guard get b = 0
-    # and a least-squares solve, whose residual is unique where b is not
+    # |q| twice, as its two solves do; a left-out force gets b = 0
     explained = np.zeros(A.shape[:2])
     for q, norm in basis:
-        root = np.sqrt(np.where(ok, norm, np.inf))
+        root = np.sqrt(norm)
         dot = np.einsum("ms,rms->rm", q, A)
         b = dot / root / root
         A -= b[:, :, None] * q
         explained += b * dot
     # by Pythagoras the centred moment is the residual's plus the
-    # <q, A>^2 / |q|^2 each force explains; the rounding of a large offset
-    # is judged against the s mean^2 the centring took
+    # <q, A>^2 / |q|^2 each force explains. A residual the forces explain
+    # up to rounding is zero: its profile is rounding noise, whose
+    # fluctuations would pass for a signal
     after = np.einsum("rms,rms->rm", A, A)
-    floor = (_VANISHING * (after + explained)
-             + _OFFSET_ROUNDING * s * means ** 2)
-    deficient = 0
-    for m in (~ok).nonzero()[0]:
-        columns = [z[m] for z in Z]
-        design = np.column_stack([np.ones(s)] + columns if with_intercept
-                                 else columns)
-        beta, _, rank, _ = np.linalg.lstsq(design, A[:, m].T, rcond=None)
-        A[:, m] -= (design @ beta).T
-        after[:, m] = np.einsum("rs,rs->r", A[:, m], A[:, m])
-        deficient += int(rank < d)
-    # a residual the forces explain up to rounding is zero: its profile is
-    # rounding noise, whose fluctuations would pass for a signal
-    A[after <= floor] = 0.0
-    return deficient
+    A[after <= _VANISHING * (after + explained)
+      + _OFFSET_ROUNDING * s * means ** 2] = 0.0
+    return int(np.count_nonzero(left_out))
 
 
 def _products(P: np.ndarray, pairs, out: np.ndarray,

@@ -74,7 +74,10 @@ class DegenerateInputError(NumericalError):
 # --- warnings -------------------------------------------------------------- #
 
 class RankDeficiencyWarning(UserWarning):
-    """A window regression design was rank deficient; minimum-norm fit used."""
+    """A window regression design was rank deficient: the forces the
+    intercept and the forces before them explain there were left out, which
+    leaves the residual of every least-squares fit, the minimum-norm one
+    included."""
 
 
 class ExcludedScaleWarning(UserWarning):

@@ -47,6 +47,7 @@ from .generators import (
     BinomialSpec,
     ContaminationSpec,
     FgnSpec,
+    check_length,
     contaminate,
     derive_seed,
     gen_bfbm_increments,
@@ -106,7 +107,8 @@ class SweepSpec:
     seed_base: int = 0
 
     def __post_init__(self):
-        _check_fields(self, positive=("realizations", "length"))
+        _check_fields(self, positive=("realizations",))
+        check_length(self.length)
         if not -1.0 <= self.corr <= 1.0:
             raise ConfigError(f"corr must lie in [-1, 1], got {self.corr}")
         for triple in self.hurst_grid:
@@ -149,7 +151,8 @@ class RhoSpec:
 
     def __post_init__(self):
         _check_fields(self, unit=("hurst_x", "hurst_y", "hurst_z"),
-                      positive=("length", "seeds"))
+                      positive=("seeds",))
+        check_length(self.length)
         if not -1.0 <= self.corr <= 1.0:
             raise ConfigError(f"corr must lie in [-1, 1], got {self.corr}")
 

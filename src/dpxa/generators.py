@@ -62,6 +62,17 @@ EIGENVALUE_CLAMP = 1e-9
 MAX_BINOMIAL_DEPTH = 24
 
 
+def check_length(length: int) -> None:
+    """A generated length lies in [1, 2^MAX_BINOMIAL_DEPTH], the bound of
+    the binomial cascade, so an oversized run is refused before it
+    allocates."""
+    if length < 1:
+        raise ConfigError(f"length must be >= 1, got {length}")
+    if length > 2 ** MAX_BINOMIAL_DEPTH:
+        raise SizeError(f"length {length} exceeds the limit of "
+                        f"2^{MAX_BINOMIAL_DEPTH} points")
+
+
 def _check_hurst(value: float, name: str) -> float:
     if not (0.0 < value < 1.0):
         raise ConfigError(f"{name} must lie in (0, 1), got {value}")
@@ -78,8 +89,7 @@ class FgnSpec:
 
     def __post_init__(self):
         _check_hurst(self.hurst, "hurst")
-        if self.length < 1:
-            raise ConfigError(f"length must be >= 1, got {self.length}")
+        check_length(self.length)
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -105,8 +115,7 @@ class BfbmSpec:
         _check_hurst(self.hurst_y, "hurst_y")
         if not (-1.0 <= self.corr <= 1.0):
             raise ConfigError(f"corr must lie in [-1, 1], got {self.corr}")
-        if self.length < 1:
-            raise ConfigError(f"length must be >= 1, got {self.length}")
+        check_length(self.length)
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 

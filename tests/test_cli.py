@@ -412,6 +412,11 @@ MF_SPEC = {"p_x": 0.3, "p_y": 0.4, "depth": 10, "seeds": 1,
     ("rho", RHO_SPEC, "seed_base", -1, "seed_base must be >= 0, got -1"),
     ("sweep", SWEEP_SPEC, "seed_base", -1, "seed_base must be >= 0, got -1"),
     ("mf", MF_SPEC, "seed_base", -1, "seed_base must be >= 0, got -1"),
+    # a length above the generators' limit of 2^24 points
+    ("rho", RHO_SPEC, "length", 2 ** 24 + 1,
+     "length 16777217 exceeds the limit of 2^24 points"),
+    ("sweep", SWEEP_SPEC, "length", 2 ** 24 + 1,
+     "length 16777217 exceeds the limit of 2^24 points"),
 ])
 def test_bad_spec_field_is_config_error(tmp_path, capsys, name, base, key,
                                         value, message):
@@ -641,6 +646,17 @@ def test_jobs_below_one_is_config_error(tmp_path, capsys, jobs):
                 "--out", tmp_path / "out"]) == 4
     assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", [
+    ["fgn", "--hurst", 0.5],
+    ["bfbm", "--hx", 0.3, "--hy", 0.7, "--rho", 0.5]], ids=["fgn", "bfbm"])
+def test_gen_length_above_the_limit_is_size_error(tmp_path, capsys, kind):
+    out = tmp_path / "x.csv"
+    assert run(["gen", *kind, "--length", 2 ** 24 + 1, "--out", out]) == 4
+    assert "length 16777217 exceeds the limit of 2^24 points" \
+        in capsys.readouterr().err
+    assert not out.exists()
 
 
 GEN = ["gen", "fgn", "--hurst", 0.5, "--length", 256]

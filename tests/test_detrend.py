@@ -406,11 +406,11 @@ def test_force_matching_a_row_matches_unshared_bitwise(cfg, p, lent):
     (DetrendConfig(), 2.0), (DetrendConfig(with_intercept=False), 0.0),
     (DetrendConfig(), 1e4), (DetrendConfig(), 1e8)],
     ids=["intercept", "nocept", "intercept-1e4", "intercept-1e8"])
-@pytest.mark.parametrize("repeated", [False, True], ids=["gs", "lstsq"])
+@pytest.mark.parametrize("repeated", [False, True], ids=["gs", "repeated"])
 def test_residual_the_forces_explain_is_zero(cfg, offset, repeated):
     # x on its own force leaves rounding, whose profile would pass for a
-    # signal: it is zeroed in the Gram-Schmidt windows and, with the force
-    # repeated, in the lstsq ones, while a residual of 1e-6 of y survives,
+    # signal: it is zeroed, also with the force repeated, where the copy is
+    # left out of every window, while a residual of 1e-6 of y survives,
     # also under an offset of 1e8, whose ulp is 1.5e-8
     rng = np.random.default_rng(21)
     z = rng.standard_normal(600)
@@ -425,33 +425,72 @@ def test_residual_the_forces_explain_is_zero(cfg, offset, repeated):
     assert (covs.f2[1] > 0).all()
 
 
+@pytest.mark.parametrize("cfg", [
+    DetrendConfig(), DetrendConfig(method="moving_average"),
+    DetrendConfig(with_intercept=False)], ids=["p1", "ma", "nocept"])
+def test_repeated_force_is_left_out(cfg):
+    # an exact copy of the force is a combination of the force before it
+    # in every window: it is left out, every window counts as deficient,
+    # and the products are those of the force alone
+    rng = np.random.default_rng(22)
+    z, rx, ry = rng.standard_normal((3, 900))
+    rows = [2.0 + 3.0 * z + rx, 1.0 - z + ry, z]
+    pairs = ((3, 3), (3, 4), (4, 4))
+    sizes = (10, 90, 300)
+    once = window_products(rows, sizes, cfg, pairs, (2,))
+    twice = window_products(rows + [z.copy()], sizes, cfg,
+                            [(i + 1, j + 1) for i, j in pairs], (2, 3))
+    assert twice.deficient.tolist() == twice.windows.tolist()
+    assert not once.deficient.any()
+    xx, yy = once.f2[0], once.f2[2]
+    scale = np.stack([xx, np.sqrt(xx * yy), yy])
+    assert (np.abs(twice.f2 - once.f2) / scale).max() <= 1e-12
+
+
+@pytest.mark.parametrize("a", [1e-3, 1e-5])
+def test_force_under_a_large_offset_is_kept(a):
+    # z = 1e8 + a n varies by a in every window: 670 ulps of 1e8 at
+    # a = 1e-5, far above the rounding of the offset, so the force is kept
+    # in every window. Storing 1e8 + a n rounds each point by up to u =
+    # 2^-27, and the window mean, taken in double, errs by up to about 4u;
+    # the intercept absorbs that constant shift to first order, so the
+    # products move by its square: 2 (4u / a)^2 for the residual's
+    # relative error, twice that for a window whose force moment is half
+    # its expectation, and three times that again for the profile gains of
+    # the force and residual differing, about 200 (u / a)^2
+    rng = np.random.default_rng(7)
+    n, s = 4000, 40
+    z = 1e8 + a * rng.standard_normal(n)
+    r = rng.standard_normal((2, n))
+    rows = np.stack([3.0 * z + r[0], -2.0 * z + r[1]])
+    pairs = ((0, 0), (0, 1), (1, 1))
+    covs = window_products([*rows, z], (s,), DetrendConfig(),
+                           [(i + 3, j + 3) for i, j in pairs], (2,))
+    want, own = longdouble_products(rows, s, 1, pairs, forces=z[None])
+    scale = np.sqrt(np.stack([own[i] * own[j] for i, j in pairs]))
+    err = (np.abs(covs.f2 - want) / scale).astype(float)
+    assert covs.deficient.tolist() == [0]
+    assert float(err.max()) <= 200 * (2.0 ** -27 / a) ** 2
+
+
 @pytest.mark.parametrize("constant", [0, 60, 75, 300])
-def test_least_squares_runs_only_in_failed_windows(monkeypatch, constant):
-    # a force constant on its first points fails the guard in the size-30
-    # windows it covers whole, not in one where it varies on half; the
-    # lstsq fallback runs once in each failed window and nowhere else
+def test_least_squares_runs_only_in_failed_windows(constant):
+    # a force constant on its first points is left out of the size-30
+    # windows it covers whole, not of one where it varies on half; those
+    # windows and no others are rank deficient
     rng = np.random.default_rng(4)
     rows = rng.standard_normal((3, 300))
     rows[2, :constant] = 0.7
-    solved = []
-
-    def spy(*args, **kwargs):
-        solved.append(args[0].shape)
-        return lstsq(*args, **kwargs)
-
-    lstsq = np.linalg.lstsq
-    monkeypatch.setattr(np.linalg, "lstsq", spy)
     covs = window_products(rows, (30,), DetrendConfig(), ((3, 4),), (2,))
-    assert solved == [(30, 2)] * (constant // 30)
     assert covs.deficient.tolist() == [constant // 30]
 
 
-@pytest.mark.parametrize("sin2, solves", [(4e-6, 0), (2.5e-7, 6)])
-def test_collinearity_guard_boundary(monkeypatch, sin2, solves):
+@pytest.mark.parametrize("sin2", [4e-6, 2.5e-7, 1e-10, 1e-16])
+def test_collinearity_guard_boundary(sin2):
     # in each window of 40 points the centred second force lies at
-    # sin^2 = sin2 from the centred first, on either side of the guard's
-    # 1e-6: below it the window takes the lstsq fallback, which still finds
-    # both columns
+    # sin^2 = sin2 from the centred first. Gram-Schmidt keeps both forces
+    # down to sin^2 = 1e-16 and loses about eps / sin of the products,
+    # the conditioning of the regression; the bound allows 100 times that
     rng = np.random.default_rng(40)
     s, M = 40, 6
     u, w = np.empty((2, M, s)), rng.standard_normal((2, M, s))
@@ -465,21 +504,13 @@ def test_collinearity_guard_boundary(monkeypatch, sin2, solves):
     Z = np.column_stack([z1.ravel(), z2.ravel()])
     rows = np.stack([3.0 * Z[:, 0] - Z[:, 1], Z[:, 1]]) \
         + rng.standard_normal((2, M * s))
-    cfg = DetrendConfig()
     pairs = ((0, 1), (0, 0), (1, 1))
-    expected = oracle_products(rows, Z, s, cfg, pairs, regressed=2)
-    solved = []
-
-    def spy(*args, **kwargs):
-        solved.append(args[0].shape)
-        return lstsq(*args, **kwargs)
-
-    lstsq = np.linalg.lstsq
-    monkeypatch.setattr(np.linalg, "lstsq", spy)
-    covs = kernel(rows, Z, (s,), cfg, pairs, regressed=2)
-    assert solved == [(s, 3)] * solves
+    want, own = longdouble_products(rows, s, 1, pairs, forces=Z.T)
+    covs = kernel(rows, Z, (s,), DetrendConfig(), pairs, regressed=2)
+    scale = np.sqrt(np.stack([own[i] * own[j] for i, j in pairs]))
+    err = (np.abs(covs.f2 - want) / scale).astype(float)
     assert covs.deficient.tolist() == [0]
-    assert np.allclose(covs.f2, expected, rtol=0, atol=1e-10)
+    assert float(err.max()) <= 100 * np.finfo(float).eps / np.sqrt(sin2)
 
 
 class _UfuncCounter:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dpxa import ConfigError, ContaminationSpec, DegenerateInputError, \
-    QGrid, ScaleGrid, detrend, experiments
+    QGrid, ScaleGrid, SizeError, detrend, experiments
 from dpxa.detrend import DetrendConfig
 from dpxa.experiments import (
     _EXPONENT_KEYS,
@@ -65,6 +65,18 @@ def test_sweep_spec_validation():
     with pytest.raises(ConfigError):
         SweepSpec(((0.4, 0.6, 1.5),), realizations=2, length=1024, corr=0.0,
                   beta_x=BETAS, beta_y=BETAS, seed_base=0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: SweepSpec(((0.5, 0.5, 0.5),), 1, n, BETAS, BETAS),
+    lambda n: RhoSpec(0.5, 0.3, 0.7, 0.9, n, 1, BETAS, BETAS)],
+    ids=["sweep", "rho"])
+def test_experiment_length_limit(make):
+    # the generators' limit: a 2^24 spec builds its scale grid, one point
+    # more is refused before any run
+    assert make(2 ** 24).scales().scales[-1] <= 2 ** 24
+    with pytest.raises(SizeError):
+        make(2 ** 24 + 1)
 
 
 def test_sweep_spec_defaults():

@@ -280,6 +280,18 @@ def test_binomial_depth_limit():
         BinomialSpec(1.0, 4)
 
 
+@pytest.mark.parametrize("make", [
+    lambda n: FgnSpec(0.5, n, 0), lambda n: BfbmSpec(0.3, 0.7, 0.5, n, 0)],
+    ids=["fgn", "bfbm"])
+def test_generated_length_limit(make):
+    # the binomial cascade's 2^24 points bound every generated length: the
+    # spec refuses one point more before anything is generated
+    assert make(2 ** 24).length == 2 ** 24
+    with pytest.raises(SizeError, match=r"length 16777217 exceeds the limit "
+                       r"of 2\^24 points"):
+        make(2 ** 24 + 1)
+
+
 def test_contaminate_examples():
     out = contaminate([1.0, 2.0], [0.0, 0.0], ContaminationSpec(2.0, 3.0))
     assert out.values.tolist() == [3.0, 4.0]
