@@ -1,0 +1,194 @@
+"""Layer-by-layer and preset timings of the dpxa package.
+
+Run from the root of a dpxa checkout; the package is imported from its
+``src/``:
+
+    python3 bench/layers.py --out BENCH_<n>.json
+    python3 bench/layers.py --quick
+
+Each layer is a public function called on inputs made once from fixed
+seeds, at N = 2^14 and 2^16 on the default 20-scale grid: the generators,
+the window stage of the sweep's stack (rx, ry, z with the slopes of rx and
+ry on z) and of the analyze stack (x, y, z with the DCCA and DPXA pairs),
+``surface`` over 17 q, ``full_fit``, one sweep and one rho realization
+through ``run_sweep`` and ``run_rho_comparison``, and the CSV and JSON
+readers and writers. One untimed call comes first; the record gives the
+median and quartiles of ``--repeats`` timed calls in ms. Every preset of
+every experiment but ``full`` is then run ``--preset-repeats`` times as a
+fresh ``python -m dpxa.cli experiment`` process at ``--jobs`` 1 and 2, in
+seconds of wall time. ``--quick`` times the layers once at N = 2^10 and
+runs no preset. The JSON record, which also names the host, goes to
+standard output and to ``--out`` when given.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+import time
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from dpxa import (BfbmSpec, ContaminationSpec, DetrendConfig, FgnSpec,  # noqa: E402
+                  QGrid, RhoSpec, ScaleGrid, SweepSpec, full_fit,
+                  gen_bfbm_increments, gen_fgn, run_rho_comparison,
+                  run_sweep)
+from dpxa.experiments import EXPERIMENTS, usable_cpus  # noqa: E402
+from dpxa.fluctuation import KIND_DCCA, KIND_DPXA, surface, \
+    window_covariances  # noqa: E402
+from dpxa.io import read_series_csv, write_json, write_table_csv  # noqa: E402
+
+BETAS = ContaminationSpec(intercept=2.0, slope=3.0)
+# the products the sweep and rho realizations take of (rx, ry, z)
+SWEEP_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+# DCCA of (x, y) and DPXA of (x|z, y|z) on the stack (x, y, z)
+ANALYZE_PAIRS = ((0, 1), (3, 4))
+
+
+def quartiles(samples, unit: str) -> dict:
+    q1, median, q3 = np.percentile(samples, [25, 50, 75])
+    return {f"median_{unit}": round(float(median), 4),
+            f"q1_{unit}": round(float(q1), 4),
+            f"q3_{unit}": round(float(q3), 4)}
+
+
+def timed(fn, repeats: int) -> dict:
+    """Quartiles in ms of ``repeats`` calls of fn after an untimed one."""
+    fn()
+    samples = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        samples.append((time.perf_counter() - start) * 1e3)
+    return quartiles(samples, "ms")
+
+
+def layers(n: int, repeats: int, workdir: Path) -> dict:
+    """Timings of every layer at length n."""
+    grid = ScaleGrid.default(n)
+    cfg = DetrendConfig()
+    z = gen_fgn(FgnSpec(0.5, n, 1))
+    rx, ry = gen_bfbm_increments(BfbmSpec(0.3, 0.7, 0.5, n, 2))
+    x = 2.0 + 3.0 * z.values + rx.values
+    y = 2.0 + 3.0 * z.values + ry.values
+    analyze = window_covariances((x, y, z), grid, cfg, ANALYZE_PAIRS,
+                                 forces=(2,))
+    surfaces = surface(analyze, grid, QGrid.default(),
+                       (KIND_DCCA, KIND_DPXA))
+    csv_path, json_path = workdir / "layers.csv", workdir / "layers.json"
+    columns = [x.tolist(), y.tolist(), z.values.tolist()]
+    write_table_csv(csv_path, ["x", "y", "z"], zip(*columns))
+    sweep = SweepSpec(((0.3, 0.7, 0.5),), realizations=1, length=n,
+                      beta_x=BETAS, beta_y=BETAS)
+    rho = RhoSpec(corr=0.7, hurst_x=0.1, hurst_y=0.1, hurst_z=0.95,
+                  length=n, seeds=1, beta_x=BETAS, beta_y=BETAS)
+    cases = {
+        "gen_fgn": lambda: gen_fgn(FgnSpec(0.5, n, 1)),
+        "gen_bfbm_increments": lambda: gen_bfbm_increments(
+            BfbmSpec(0.3, 0.7, 0.5, n, 2)),
+        "window_sweep": lambda: window_covariances(
+            (rx, ry, z), grid, cfg, SWEEP_PAIRS, forces=(2,),
+            slopes=(0, 1)),
+        "window_analyze": lambda: window_covariances(
+            (x, y, z), grid, cfg, ANALYZE_PAIRS, forces=(2,)),
+        "surface_17q_2pairs": lambda: surface(
+            analyze, grid, QGrid.default(), (KIND_DCCA, KIND_DPXA)),
+        "full_fit": lambda: full_fit(surfaces[1]),
+        "sweep_realization": lambda: run_sweep(sweep),
+        "rho_realization": lambda: run_rho_comparison(rho),
+        "read_series_csv_3col": lambda: read_series_csv(csv_path),
+        "write_table_csv_3col": lambda: write_table_csv(
+            csv_path, ["x", "y", "z"], zip(*columns)),
+        "write_json_surfaces": lambda: write_json(
+            json_path, {kind: {"F": sf.F, "cov2": sf.cov2}
+                        for kind, sf in zip((KIND_DCCA, KIND_DPXA),
+                                            surfaces)}),
+    }
+    return {name: timed(fn, repeats) for name, fn in cases.items()}
+
+
+def presets(repeats: int, workdir: Path) -> dict:
+    """Wall times in s of each preset at --jobs 1 and 2, each run a fresh
+    process."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    record = {}
+    for name, (_, table, *_) in EXPERIMENTS.items():
+        for preset in table:
+            if preset == "full":
+                continue
+            for jobs in (1, 2):
+                command = [sys.executable, "-m", "dpxa.cli", "experiment",
+                           name, "--preset", preset, "--jobs", str(jobs),
+                           "--out", str(workdir / f"{name}-{preset}")]
+                samples = []
+                for _ in range(repeats):
+                    start = time.perf_counter()
+                    subprocess.run(command, cwd=ROOT, env=env, check=True,
+                                   stdout=subprocess.DEVNULL)
+                    samples.append(time.perf_counter() - start)
+                record[f"{name} {preset} --jobs {jobs}"] = quartiles(
+                    samples, "s")
+    return record
+
+
+def cpu_model() -> str | None:
+    try:
+        with open("/proc/cpuinfo") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or None
+
+
+def host() -> dict:
+    return {"cpus": os.cpu_count(), "usable_cpus": usable_cpus(),
+            "cpu_model": cpu_model(), "machine": platform.machine(),
+            "python": platform.python_version(), "numpy": np.__version__}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--quick", action="store_true",
+                        help="one repeat at N = 2^10 and no presets")
+    parser.add_argument("--repeats", type=int, default=9,
+                        help="timed calls per layer")
+    parser.add_argument("--preset-repeats", type=int, default=3,
+                        help="runs per preset and --jobs value")
+    parser.add_argument("--out", help="also write the record here")
+    args = parser.parse_args(argv)
+    lengths = (2 ** 10,) if args.quick else (2 ** 14, 2 ** 16)
+    repeats = 1 if args.quick else args.repeats
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        # the fits of these inputs may warn; the timings are what counts
+        warnings.simplefilter("ignore")
+        workdir = Path(tmp)
+        record = {
+            "host": host(),
+            "quick": args.quick,
+            "repeats": repeats,
+            "preset_repeats": 0 if args.quick else args.preset_repeats,
+            "layers": {str(n): layers(n, repeats, workdir) for n in lengths},
+            "presets": ({} if args.quick else
+                        presets(args.preset_repeats, workdir)),
+        }
+    text = json.dumps(record, indent=2, sort_keys=True)
+    if args.out:
+        Path(args.out).write_text(text + "\n")
+    print(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

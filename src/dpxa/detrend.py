@@ -11,7 +11,9 @@ which returns one ``WindowCovariances`` record. The stack holds k distinct
 series, some of them force columns; a pair index i < k names series i, and
 k + i its residual on the forces. Only the named rows are built, each
 centred from its own series, and forces the pairs name plain (the sweep's
-z) lend their centred windows to the regression.
+z) lend their centred windows to the regression. A call may also ask for
+the per-window force coefficients of named series, which the regression
+gives without building their residual rows.
 
 The forces go before the cumsum: with an intercept the window residual is
 (x - mean x) less its projection on the centred force windows. Modified
@@ -197,7 +199,8 @@ def _cumulate(A: np.ndarray) -> None:
 
 
 def _remove_forces(A: np.ndarray, means: np.ndarray, Z, Zc,
-                   with_intercept: bool) -> int:
+                   with_intercept: bool, S: np.ndarray,
+                   slopes: np.ndarray) -> int:
     """Replace the increments A (r, M, s) by their OLS residuals on the
     force windows, in place, by modified Gram-Schmidt: each centred force
     window Zc[f], an (M, s) array, is orthogonalised against those before
@@ -205,8 +208,12 @@ def _remove_forces(A: np.ndarray, means: np.ndarray, Z, Zc,
     are already centred when ``with_intercept``, A by its (r, M) window
     ``means`` (zero without an intercept). A force window, or a residual
     one, that the intercept and the forces before it explain up to
-    rounding (see ``_VANISHING``) is left out, or set to zero. Returns the
-    number of windows that leave out a force: rank-deficient ones."""
+    rounding (see ``_VANISHING``) is left out, or set to zero. The
+    windows S (n, M, s), centred like A, are left as they are: their OLS
+    coefficients on the forces go to ``slopes`` (n, p, M), projected on
+    the orthogonalised forces and back-substituted into the forces' own
+    basis, 0 for a force left out. Returns the number of windows that
+    leave out a force: rank-deficient ones."""
     M, s = A.shape[1:]
     d = len(Z) + int(with_intercept)
     if s <= d:
@@ -214,23 +221,37 @@ def _remove_forces(A: np.ndarray, means: np.ndarray, Z, Zc,
             f"window of size {s} cannot fit {d} regression columns"
         )
     left_out = np.zeros(M, dtype=bool)
+    # (q, |q|^2, coefficients of the earlier q in the force)
     basis = []
     for z, q in zip(Z, Zc):
         moment = np.einsum("ms,ms->m", q, q)
-        for u, norm in basis:
+        coefs = []
+        for u, norm, _ in basis:
             # a force left out of a window divides by inf there
-            q = q - (np.einsum("ms,ms->m", u, q) / norm)[:, None] * u
+            coefs.append(np.einsum("ms,ms->m", u, q) / norm)
+            q = q - coefs[-1][:, None] * u
         norm = np.einsum("ms,ms->m", q, q) if basis else moment
         # its s mean^2 is the raw moment less the centred one
         offset = (np.einsum("ms,ms->m", z, z) - moment if with_intercept
                   else 0.0)
         vanished = norm <= _VANISHING * moment + _OFFSET_ROUNDING * offset
         left_out |= vanished
-        basis.append((q, np.where(vanished, np.inf, norm)))
+        basis.append((q, np.where(vanished, np.inf, norm), coefs))
+    if len(S):
+        for f, (q, norm, _) in enumerate(basis):
+            np.divide(np.einsum("ms,nms->nm", q, S), norm, out=slopes[:, f])
+        # force g is q_g plus coefs[f] q_f over the f < g, so the
+        # coefficient of force f is that of q_f less each later force's
+        # coefficient times its share of q_f: the last force's first
+        for g in reversed(range(1, len(basis))):
+            for f, coef in enumerate(basis[g][2]):
+                slopes[:, f] -= coef * slopes[:, g]
+    if not len(A):
+        return int(np.count_nonzero(left_out))
     # b = <q, A> / |q| / |q| divides by the triangular factor's diagonal
     # |q| twice, as its two solves do; a left-out force gets b = 0
     explained = np.zeros(A.shape[:2])
-    for q, norm in basis:
+    for q, norm, _ in basis:
         root = np.sqrt(norm)
         dot = np.einsum("ms,rms->rm", q, A)
         b = dot / root / root
@@ -272,11 +293,14 @@ def _mean(X: np.ndarray) -> np.ndarray:
 class WindowCovariances:
     """Window covariances of pairs of stack rows: ``f2`` is (pairs, W),
     scale j taking ``windows[j]`` consecutive columns, of which
-    ``deficient[j]`` have a rank-deficient force design."""
+    ``deficient[j]`` have a rank-deficient force design. ``slopes`` is
+    (series, p, W): the OLS coefficients on the p forces of the series a
+    ``window_products`` call names, in each window."""
 
     f2: np.ndarray
     windows: np.ndarray
     deficient: np.ndarray
+    slopes: np.ndarray
 
     def sums(self, values: np.ndarray) -> np.ndarray:
         """Per-scale sums of ``values`` (..., W) over the windows."""
@@ -288,8 +312,8 @@ class WindowCovariances:
         return self.sums(self.f2) / self.windows
 
 
-def window_products(rows, sizes, cfg: DetrendConfig, pairs, forces=()
-                    ) -> WindowCovariances:
+def window_products(rows, sizes, cfg: DetrendConfig, pairs, forces=(),
+                    slopes=()) -> WindowCovariances:
     """Window covariances of pairs of stack rows at every window size.
 
     ``rows`` holds k distinct equal-length series (a (k, T) array or a
@@ -307,13 +331,26 @@ def window_products(rows, sizes, cfg: DetrendConfig, pairs, forces=()
     T // s windows of each size s (points beyond the last whole window are
     excluded), with the per-size counts of windows and of rank-deficient
     force designs.
+
+    ``slopes`` names distinct series i < k whose per-window OLS
+    coefficients on the forces (not the intercept's) the record returns,
+    in the order named. They come from the force regression's own
+    Gram-Schmidt pass, which builds no residual row for them, and a force
+    left out of a window has coefficient 0 there. With them a residual
+    need not be built: that of x = b0 + b1 z + r on z is r - a z in each
+    window, a the slope of r, so its products are bilinear forms in the
+    plain products of r and z, as the sweep and rho experiments take
+    them.
     """
     rows = list(rows)
     k, T = len(rows), len(rows[0])
     sizes = [int(s) for s in sizes]
     for s in sizes:
         cfg.check_scale(s)
-    named = sorted({i for pair in pairs for i in pair})
+    slopes = list(slopes)
+    # the slope series lead, so their windows are one slice of the buffer
+    named = slopes + sorted({i for pair in pairs for i in pair}
+                            - set(slopes))
     slot = {i: n for n, i in enumerate(named)}
     pairs = [(slot[i], slot[j]) for i, j in pairs]
     r, plain = len(named), sum(i < k for i in named)
@@ -323,10 +360,12 @@ def window_products(rows, sizes, cfg: DetrendConfig, pairs, forces=()
     work = np.empty(r * T)
     windows = np.array([T // size for size in sizes])
     out = np.empty((len(pairs), windows.sum()))
+    coefs = np.zeros((len(slopes), len(forces), windows.sum()))
     deficient = np.zeros(len(sizes), dtype=int)
-    for j, (size, dest) in enumerate(zip(sizes, np.split(
-            out, np.cumsum(windows)[:-1], axis=1))):
+    for j, (size, start) in enumerate(zip(sizes,
+                                          np.cumsum(windows) - windows)):
         M = T // size
+        dest = out[:, start:start + M]
         A = work[:r * M * size].reshape(r, M, size)
         # without an intercept the means stay zero and the rows raw
         means = np.zeros((r, M, 1))
@@ -335,14 +374,15 @@ def window_products(rows, sizes, cfg: DetrendConfig, pairs, forces=()
             if cfg.with_intercept:
                 means[a] = _mean(X)
             np.subtract(X, means[a], out=A[a])
-        if forces and plain < r:
+        if forces and (plain < r or slopes):
             Z = [rows[f][: M * size].reshape(M, size) for f in forces]
             # a force the pairs name plain lends its centred windows
             Zc = Z if not cfg.with_intercept else [
                 A[slot[f]] if f in slot else z - _mean(z)
                 for f, z in zip(forces, Z)]
-            deficient[j] = _remove_forces(A[plain:], means[plain:, :, 0], Z,
-                                          Zc, cfg.with_intercept)
+            deficient[j] = _remove_forces(
+                A[plain:], means[plain:, :, 0], Z, Zc, cfg.with_intercept,
+                A[:len(slopes)], coefs[:, :, start:start + M])
         _cumulate(A)
         flat = A.reshape(r * M, size)
         if cfg.method == MOVING_AVERAGE:
@@ -367,4 +407,4 @@ def window_products(rows, sizes, cfg: DetrendConfig, pairs, forces=()
                 f2[:, bad] = _products(R, pairs,
                                        np.empty((len(pairs), bad.size)))
         f2 /= size
-    return WindowCovariances(out, windows, deficient)
+    return WindowCovariances(out, windows, deficient, coefs)

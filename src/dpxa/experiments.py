@@ -21,10 +21,14 @@ slopes of the spec's ``ContaminationSpec``s. With an intercept every
 window is centred, which removes b0 and b0', and cumulating and
 detrending are linear, so the window products of x and y are bilinear
 forms in those of (r_x, r_y, z): F2_xx = F2_rxrx + 2 b1 F2_rxz +
-b1^2 F2_zz, and likewise for yy and xy. The window kernel therefore
-builds r_x, r_y, z and the residuals x|z and y|z, which are still
-regressed from x and y, and never the plain rows x and y. The identity
-needs ``with_intercept``, which every experiment uses.
+b1^2 F2_zz, and likewise for yy and xy. In a window the residual of x on
+(1, z) is that of r_x, r_x - a_x z less its mean, with a_x the window's
+OLS slope of r_x on z; so the DPXA products are bilinear forms in the
+same products, with the per-window slopes a_x and a_y in place of b1
+and b2. The window kernel therefore builds only r_x, r_y and z, and
+returns a_x and a_y from its force regression; x, y and their residuals
+are never built. The identity needs ``with_intercept``, which every
+experiment uses.
 """
 
 from __future__ import annotations
@@ -337,41 +341,50 @@ class MfRecoveryResult:
 
 _EXPONENT_KEYS = ("h_rx", "h_ry", "h_z", "h_x", "h_y", "h_xy", "h_rxry",
                   "h_xyz")
-# Both contaminated experiments stack (rx, ry, z, x, y) with force z, so
-# x|z and y|z, still regressed from x and y, are rows 5 + 3 and 5 + 4. No
-# pair names x or y plain: with an intercept, which cancels b0, their
-# products are the bilinear forms of ``_contaminated`` in those of
-# (rx, ry, z) and the slopes of the spec's ContaminationSpecs.
+# Both contaminated experiments stack (rx, ry, z) with force z and take the
+# products of these pairs, with the slopes of rx and ry on z, from one
+# kernel call; ``_contaminated`` builds those of x, y, x|z and y|z.
 _BASE_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
-# the sweep adds (x|z, y|z), the rho curves also (x|z, x|z) and (y|z, y|z)
-_SWEEP_PAIRS = _BASE_PAIRS + ((8, 9),)
-_RHO_PAIRS = _SWEEP_PAIRS + ((8, 8), (9, 9))
 _SWEEP_KINDS = (KIND_DFA,) * 5 + (KIND_DCCA, KIND_DCCA, KIND_DPXA)
 
 
-def _contaminated(f2: np.ndarray, beta_x: ContaminationSpec,
-                  beta_y: ContaminationSpec) -> np.ndarray:
-    """The covariance rows of the ``_BASE_PAIRS`` pick ``f2`` (any trailing
-    rows pass through) as (rx rx, ry ry, z z, x x, y y, x y, rx ry, ...):
+def _contaminated(f2: np.ndarray, slopes: np.ndarray,
+                  beta_x: ContaminationSpec, beta_y: ContaminationSpec,
+                  own: bool = False) -> np.ndarray:
+    """The covariance rows of the ``_BASE_PAIRS`` products ``f2`` (6, W)
+    of the stack (rx, ry, z) as (rx rx, ry ry, z z, x x, y y, x y, rx ry,
+    x|z y|z), and with ``own`` also (x|z x|z, y|z y|z). ``slopes`` (2, 1,
+    W) holds the OLS slopes a_x, a_y of rx and ry on z in each window:
 
     F2_xx = F2_rxrx + 2 b1 F2_rxz + b1^2 F2_zz,
     F2_yy = F2_ryry + 2 b2 F2_ryz + b2^2 F2_zz,
-    F2_xy = F2_rxry + b2 F2_rxz + b1 F2_zry + b1 b2 F2_zz."""
-    rxrx, ryry, zz, rxry, rxz, ryz = f2[:6]
+    F2_xy = F2_rxry + b2 F2_rxz + b1 F2_zry + b1 b2 F2_zz,
+    F2_x|z,y|z = F2_rxry - a_y F2_rxz - a_x F2_zry + a_x a_y F2_zz,
+    F2_x|z,x|z = F2_rxrx - 2 a_x F2_rxz + a_x^2 F2_zz, and likewise y|z.
+
+    The kernel zeroes a residual window that the force explains up to
+    rounding (``detrend._VANISHING``). The algebra has no such rule and
+    needs none: r_x and r_y are continuous draws independent of z, which
+    explains none of their windows."""
+    rxrx, ryry, zz, rxry, rxz, ryz = f2
     b1, b2 = beta_x.slope, beta_y.slope
+    ax, ay = slopes[:, 0]
     xx = rxrx + 2.0 * b1 * rxz + b1 * b1 * zz
     yy = ryry + 2.0 * b2 * ryz + b2 * b2 * zz
     xy = rxry + b2 * rxz + b1 * ryz + b1 * b2 * zz
-    return np.stack([rxrx, ryry, zz, xx, yy, xy, rxry, *f2[6:]])
+    dpxa = [rxry - ay * rxz - ax * ryz + ax * ay * zz]
+    if own:
+        dpxa += [rxrx - 2.0 * ax * rxz + ax * ax * zz,
+                 ryry - 2.0 * ay * ryz + ay * ay * zz]
+    return np.stack([rxrx, ryry, zz, xx, yy, xy, rxry, *dpxa])
 
 
-def _contaminated_draw(spec, hurst, path, scales: ScaleGrid,
-                       pairs) -> WindowCovariances:
+def _contaminated_draw(spec, hurst, path,
+                       scales: ScaleGrid) -> WindowCovariances:
     """Draw z ~ FGN(H_z) and (rx, ry) ~ bFBM(H_rx, H_ry, spec.corr) from
-    streams 0 and 1 of the seed address (spec.seed_base, *path),
-    contaminate them with the spec's betas, and return the
-    ``window_covariances`` of ``pairs`` of the stack (rx, ry, z, x, y) with
-    force z."""
+    streams 0 and 1 of the seed address (spec.seed_base, *path) and return
+    the ``window_covariances`` of the ``_BASE_PAIRS`` of the stack
+    (rx, ry, z) with force z, with the slopes of rx and ry on z."""
     hrx, hry, hz = hurst
     z_seed, r_seed = (derive_seed(spec.seed_base, *path, n) for n in (0, 1))
     z = gen_fgn(FgnSpec(hz, spec.length, z_seed))
@@ -379,9 +392,8 @@ def _contaminated_draw(spec, hurst, path, scales: ScaleGrid,
                                           r_seed))
     cfg = DetrendConfig()
     assert cfg.with_intercept, "the intercepts cancel only in centred windows"
-    stack = (rx, ry, z, contaminate(rx, z, spec.beta_x),
-             contaminate(ry, z, spec.beta_y))
-    return window_covariances(stack, scales, cfg, pairs, forces=(2,))
+    return window_covariances((rx, ry, z), scales, cfg, _BASE_PAIRS,
+                              forces=(2,), slopes=(0, 1))
 
 
 def _sweep_realization(spec: SweepSpec, i: int) -> tuple[float, ...]:
@@ -390,10 +402,9 @@ def _sweep_realization(spec: SweepSpec, i: int) -> tuple[float, ...]:
     hrx, hry, hz = spec.hurst_grid[t]
     try:
         grid = spec.scales()
-        covs = _contaminated_draw(spec, (hrx, hry, hz), (t, real_idx), grid,
-                                  _SWEEP_PAIRS)
-        covs = replace(covs, f2=_contaminated(covs.f2, spec.beta_x,
-                                              spec.beta_y))
+        covs = _contaminated_draw(spec, (hrx, hry, hz), (t, real_idx), grid)
+        covs = replace(covs, f2=_contaminated(covs.f2, covs.slopes,
+                                              spec.beta_x, spec.beta_y))
         q2 = QGrid.second_order()
         # the eight q = 2 rows in one least-squares pass
         F = np.concatenate([sf.F for sf in
@@ -480,11 +491,12 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
 def _rho_realization(spec: RhoSpec, seed_idx: int) -> np.ndarray:
     scales = spec.scales()
     covs = _contaminated_draw(spec, (spec.hurst_x, spec.hurst_y,
-                                     spec.hurst_z), (seed_idx,), scales,
-                              _RHO_PAIRS)
-    # rho is linear in the per-scale mean covariances, so the algebra acts
-    # on those: rho_dcca(x, y), rho_dcca(rx, ry) and rho_curve(x, y | z)
-    means = _contaminated(covs.means(), spec.beta_x, spec.beta_y)
+                                     spec.hurst_z), (seed_idx,), scales)
+    # the slopes vary by window, so the rows are per window before their
+    # per-scale means: rho_dcca(x, y), rho_dcca(rx, ry) and
+    # rho_curve(x, y | z)
+    means = covs.sums(_contaminated(covs.f2, covs.slopes, spec.beta_x,
+                                    spec.beta_y, own=True)) / covs.windows
     return np.stack([rho_values(means, which, scales)
                      for which in ((5, 3, 4), (6, 0, 1), (7, 8, 9))])
 

@@ -88,22 +88,25 @@ class RhoCurve:
 
 
 def window_covariances(series, scales: ScaleGrid, cfg: DetrendConfig, pairs,
-                       forces=()) -> WindowCovariances:
+                       forces=(), slopes=()) -> WindowCovariances:
     """The window covariances at every scale of pairs of rows of the stack
     of k equal-length ``series``, of which ``forces`` index the force
     columns: pair index i < k names series i, and k + i its residual on
-    the forces (see ``detrend.window_products``). Rank-deficient windows
-    raise one RankDeficiencyWarning for the whole call."""
+    the forces; the record also holds the per-window force coefficients
+    of the series ``slopes`` names (see ``detrend.window_products``).
+    Rank-deficient windows raise one RankDeficiencyWarning for the whole
+    call."""
     rows = [as_series(s).values for s in series]
     lengths = {row.size for row in rows}
     if len(lengths) > 1:
         raise ShapeError(f"series lengths differ: {sorted(lengths)}")
     scales.check_series_length(rows[0].size)
-    covs = window_products(rows, scales.scales, cfg, pairs, forces)
+    covs = window_products(rows, scales.scales, cfg, pairs, forces, slopes)
     if covs.deficient.any():
         warnings.warn(
             f"rank-deficient design in {covs.deficient.sum()} of "
-            f"{covs.windows.sum()} windows; minimum-norm solution used",
+            f"{covs.windows.sum()} windows; the forces those windows "
+            "cannot use were left out (coefficient 0)",
             RankDeficiencyWarning,
             stacklevel=3,
         )

@@ -183,12 +183,28 @@ def _cell(value) -> str:
 
 def write_table_csv(path, header: list[str], rows) -> None:
     """Rows of mixed str/number cells; numbers get the 12-digit format and
-    NaN becomes an empty cell."""
+    NaN becomes an empty cell. A row of numbers none of which is NaN is
+    formatted by one ``str.format`` call per row, which writes the bytes
+    ``csv.writer`` would: no formatted number needs quoting. A str cell
+    fails the call and a NaN formats as "nan"; those rows, and any other
+    the call refuses, go through ``csv.writer``."""
+    lines = {}
     with Path(path).open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_cell(cell) for cell in row])
+            line = lines.get(len(row))
+            if line is None:
+                line = lines[len(row)] = ",".join(["{:.12g}"] * len(row)) \
+                    + "\r\n"
+            try:
+                text = line.format(*row)
+            except (TypeError, ValueError):
+                text = "nan"
+            if "nan" in text:
+                writer.writerow([_cell(cell) for cell in row])
+            else:
+                handle.write(text)
 
 
 def jsonable(obj):

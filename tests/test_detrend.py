@@ -447,6 +447,52 @@ def test_repeated_force_is_left_out(cfg):
     assert (np.abs(twice.f2 - once.f2) / scale).max() <= 1e-12
 
 
+@pytest.mark.parametrize("with_intercept", [True, False],
+                         ids=["intercept", "nocept"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_slopes_match_window_ols(p, with_intercept):
+    # the forces' coefficients of each named series, in the order named,
+    # against a least-squares solve per window; p = 3 needs the
+    # back-substitution to run from the last force. Series 1 is named by
+    # no pair, and the forces are offset and mixed so that they correlate
+    rng = np.random.default_rng(40 + p)
+    T = 700
+    rows = rng.standard_normal((2, T)) * [[1.0], [30.0]] + [[0.0], [4.0]]
+    Z = 2.0 + rng.standard_normal((T, p)) @ np.triu(np.ones((p, p)))
+    cfg = DetrendConfig(with_intercept=with_intercept)
+    sizes = (10, 35, 700)
+    covs = window_products(np.vstack([rows, Z.T]), sizes, cfg, ((0, 0),),
+                           tuple(range(2, 2 + p)), slopes=(1, 0))
+    assert covs.slopes.shape == (2, p, covs.windows.sum())
+    assert not covs.deficient.any()
+    got = np.split(covs.slopes, np.cumsum(covs.windows)[:-1], axis=2)
+    for s, slopes in zip(sizes, got):
+        for v in range(T // s):
+            sl = slice(v * s, (v + 1) * s)
+            for n, i in enumerate((1, 0)):
+                beta, _ = window_ols(rows[i, sl], Z[sl], with_intercept)
+                want = beta[int(with_intercept):]
+                err = np.abs(slopes[n, :, v] - want) / (1.0 + np.abs(want))
+                assert err.max() <= 1e-12, (s, v, i)
+
+
+def test_slope_of_a_left_out_force_is_zero():
+    # a copy of the force is left out of every window: its coefficient is
+    # 0 and the force's own is the one-force slope
+    rng = np.random.default_rng(23)
+    z, rx = rng.standard_normal((2, 900))
+    rows = [rx, z, z.copy()]
+    sizes = (10, 90, 300)
+    once = window_products(rows[:2], sizes, DetrendConfig(), ((0, 0),), (1,),
+                           slopes=(0,))
+    twice = window_products(rows, sizes, DetrendConfig(), ((0, 0),), (1, 2),
+                            slopes=(0,))
+    assert twice.deficient.tolist() == twice.windows.tolist()
+    assert not once.deficient.any()
+    assert np.array_equal(twice.slopes[:, :1], once.slopes)
+    assert not twice.slopes[:, 1].any()
+
+
 @pytest.mark.parametrize("a", [1e-3, 1e-5])
 def test_force_under_a_large_offset_is_kept(a):
     # z = 1e8 + a n varies by a in every window: 670 ulps of 1e8 at
@@ -548,8 +594,8 @@ class _UfuncCounter:
 
 def test_window_products_call_budget(monkeypatch):
     # a count of interpreter, C-function and ufunc calls, not a timing, so
-    # it holds on a loaded host: one call on a sweep stack (rx, ry, z, x, y)
-    # at N = 2^12 with the default grid made 2,109 Python-level, 870
+    # it holds on a loaded host: one call on the stack (rx, ry, z, x, y)
+    # that regresses x and y at N = 2^12 with the default grid made 2,109 Python-level, 870
     # C-level and 321 ufunc calls with numpy 2.4.6; the bounds allow 23%, 26%
     # and 31% more, so numpy dispatch around the window arithmetic cannot
     # creep back unseen
@@ -557,14 +603,15 @@ def test_window_products_call_budget(monkeypatch):
 
     import dpxa.detrend
     from dpxa import ScaleGrid
-    from dpxa.experiments import _SWEEP_PAIRS
 
     rng = np.random.default_rng(12)
     rx, ry, z = rng.standard_normal((3, 2 ** 12))
     rows = [rx, ry, z, 2.0 + 3.0 * z + rx, 2.0 + 3.0 * z + ry]
+    # the pairs of (rx, ry, z), (x|z, y|z) with force z
+    pairs = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2), (8, 9))
     sizes = ScaleGrid.default(2 ** 12).scales
     cfg = DetrendConfig()
-    want = window_products(rows, sizes, cfg, _SWEEP_PAIRS, (2,))  # caches
+    want = window_products(rows, sizes, cfg, pairs, (2,))  # caches
     counts = {"call": 0, "c_call": 0}
 
     def count(frame, event, arg):
@@ -574,13 +621,13 @@ def test_window_products_call_budget(monkeypatch):
     previous = sys.getprofile()
     sys.setprofile(count)
     try:
-        covs = window_products(rows, sizes, cfg, _SWEEP_PAIRS, (2,))
+        covs = window_products(rows, sizes, cfg, pairs, (2,))
     finally:
         sys.setprofile(previous)
     # the counter's own frames would count as Python calls: a second run
     ufuncs = _UfuncCounter()
     monkeypatch.setattr(dpxa.detrend, "np", ufuncs)
-    again = window_products(rows, sizes, cfg, _SWEEP_PAIRS, (2,))
+    again = window_products(rows, sizes, cfg, pairs, (2,))
     monkeypatch.undo()
     assert covs.deficient.sum() == 0
     assert covs.f2.tobytes() == again.f2.tobytes() == want.f2.tobytes()

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -8,10 +9,12 @@ import pytest
 from dpxa import ConfigError, ContaminationSpec, DegenerateInputError, \
     QGrid, ScaleGrid, SizeError, detrend, experiments
 from dpxa.detrend import DetrendConfig
+from dpxa.errors import RankDeficiencyWarning
 from dpxa.experiments import (
+    _BASE_PAIRS,
     _EXPONENT_KEYS,
-    _SWEEP_PAIRS,
     _contaminated,
+    _contaminated_draw,
     _mf_realization,
     _rho_realization,
     _sweep_realization,
@@ -38,6 +41,7 @@ from dpxa.generators import BfbmSpec, FgnSpec, _bfbm_factor, _fgn_factor, \
     contaminate, derive_seed, gen_bfbm_increments, gen_fgn
 from dpxa.io import jsonable
 from dpxa.scaling import fit_exponent
+from oracle import longdouble_products
 
 BETAS = ContaminationSpec(2.0, 3.0)
 
@@ -380,11 +384,14 @@ def test_sweep_algebra_matches_direct_stack(monkeypatch, cancellation, hz,
                     (8, 9), (8, 8), (9, 9))
     own = direct_pairs[:8]
     direct = window_covariances(stack, grid, cfg, direct_pairs, forces=(2,))
-    algebra = window_covariances(stack, grid, cfg, _SWEEP_PAIRS, forces=(2,))
+    # the algebra builds (rx, ry, z) and takes the slopes of rx and ry on z
+    algebra = window_covariances(stack[:3], grid, cfg, _BASE_PAIRS,
+                                 forces=(2,), slopes=(0, 1))
     split = np.cumsum(direct.windows)[:-1]
-    for want, f2 in zip(np.split(direct.f2, split, axis=1),
-                        np.split(algebra.f2, split, axis=1)):
-        got = _contaminated(f2, *betas)
+    for want, f2, slopes in zip(np.split(direct.f2, split, axis=1),
+                                np.split(algebra.f2, split, axis=1),
+                                np.split(algebra.slopes, split, axis=2)):
+        got = _contaminated(f2, slopes, *betas)
         # each pair (i, j) judged on the scale sqrt(F2_ii F2_jj)
         diag = {pair[0]: want[n] for n, pair in enumerate(direct_pairs)
                 if pair[0] == pair[1]}
@@ -416,20 +423,88 @@ def test_rho_algebra_matches_direct_stack(monkeypatch, cancellation, betas):
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def test_contaminated_realizations_build_five_rows(monkeypatch):
-    # x and y are never built as plain rows: the pairs of each realization
-    # name rx, ry, z, x|z and y|z only
-    named = []
+@pytest.mark.parametrize("spec, path", [
+    # the rho preset's regime, where the force's profile rules at large s
+    (replace(RHO_PRESETS["paper-fig2a-desk"], seeds=1), (0,)),
+    (SweepSpec(((0.2, 0.8, 0.2),), realizations=1, length=2 ** 14,
+               beta_x=BETAS, beta_y=ContaminationSpec(-7.0, -0.5)), (0, 0)),
+    (SweepSpec(((0.6, 0.6, 0.8),), realizations=1, length=2 ** 14,
+               beta_x=BETAS, beta_y=BETAS), (0, 0)),
+], ids=["rho-desk", "sweep-low-z", "sweep-high-z"])
+def test_dpxa_rows_match_extended_precision(spec, path):
+    # the DPXA rows both realizations take from the algebra, against x|z
+    # and y|z of the drawn x and y detrended in long double, each pair
+    # judged on the scale sqrt(F2_ii F2_jj)
+    hurst = (spec.hurst_grid[0] if isinstance(spec, SweepSpec) else
+             (spec.hurst_x, spec.hurst_y, spec.hurst_z))
+    scales = spec.scales()
+    covs = _contaminated_draw(spec, hurst, path, scales)
+    sweep = _contaminated(covs.f2, covs.slopes, spec.beta_x, spec.beta_y)
+    rho = _contaminated(covs.f2, covs.slopes, spec.beta_x, spec.beta_y,
+                        own=True)
+    assert np.array_equal(sweep, rho[:8])
+    _, _, z, x, y = _contaminated_stack(
+        hurst, spec.corr, spec.length,
+        [derive_seed(spec.seed_base, *path, n) for n in (0, 1)],
+        spec.beta_x, spec.beta_y)
+    pairs = ((0, 1), (0, 0), (1, 1))
+    split = np.cumsum(covs.windows)[:-1]
+    for s, got in zip(scales.scales, np.split(rho[7:], split, axis=1)):
+        want, own = longdouble_products(np.stack([x.values, y.values]), s,
+                                        1, pairs, forces=z.values[None])
+        scale = np.sqrt(np.stack([own[i] * own[j] for i, j in pairs]))
+        assert float((np.abs(got - want) / scale).max()) <= 1e-12, s
 
-    def spy(series, scales, cfg, pairs, forces=()):
-        named.append({i for pair in pairs for i in pair})
-        return window_covariances(series, scales, cfg, pairs, forces)
+
+def test_constant_force_window_gets_slope_zero():
+    # z constant on the first window of the smallest scale: there the
+    # slopes are 0, the window counts as rank deficient as in the direct
+    # stack, and the DPXA rows are those of the direct stack
+    rx, ry, z, _, _ = _contaminated_stack((0.3, 0.7, 0.5), 0.5, 2 ** 10,
+                                          (5, 6), BETAS, BETAS)
+    grid = ScaleGrid.default(len(z))
+    z = z.values.copy()
+    z[:grid.scales[0]] = 0.25
+    x, y = (contaminate(r, z, BETAS) for r in (rx, ry))
+    cfg = DetrendConfig()
+    with pytest.warns(RankDeficiencyWarning, match=" 1 of "):
+        covs = window_covariances((rx, ry, z), grid, cfg, _BASE_PAIRS,
+                                  forces=(2,), slopes=(0, 1))
+    with pytest.warns(RankDeficiencyWarning, match=" 1 of "):
+        direct = window_covariances((rx, ry, z, x, y), grid, cfg,
+                                    ((8, 9), (8, 8), (9, 9)), forces=(2,))
+    assert covs.deficient.tolist() == direct.deficient.tolist()
+    assert covs.deficient[0] == 1
+    assert covs.slopes[:, 0, 0].tolist() == [0.0, 0.0]
+    assert covs.slopes[:, 0, 1:].all()
+    got = _contaminated(covs.f2, covs.slopes, BETAS, BETAS, own=True)[7:]
+    scale = np.sqrt(np.stack([direct.f2[1] * direct.f2[2], direct.f2[1],
+                              direct.f2[2]]))
+    assert float((np.abs(got - direct.f2) / scale).max()) <= 1e-12
+
+
+def test_contaminated_realizations_build_three_rows(monkeypatch):
+    # x, y, x|z and y|z are never built: the pairs of each realization
+    # name rx, ry and z only, and the force regression builds no residual
+    # row, only the slopes of rx and ry on z
+    named, residuals = [], []
+    remove_forces = detrend._remove_forces
+
+    def spy(series, scales, cfg, pairs, forces=(), slopes=()):
+        named.append({i for pair in pairs for i in pair} | set(slopes))
+        return window_covariances(series, scales, cfg, pairs, forces, slopes)
+
+    def spy_regression(A, *args):
+        residuals.append(len(A))
+        return remove_forces(A, *args)
 
     monkeypatch.setattr(experiments, "window_covariances", spy)
+    monkeypatch.setattr(detrend, "_remove_forces", spy_regression)
     spec = SWEEP_PRESETS["smoke"]
     _sweep_realization(spec, 0)
     _rho_realization(RHO_PRESETS["smoke"], 0)
-    assert [len(rows) for rows in named] == [5, 5]
+    assert [len(rows) for rows in named] == [3, 3]
+    assert residuals and set(residuals) == {0}
 
 
 def test_sweep_exponents_are_those_of_the_plain_estimators():

@@ -212,3 +212,53 @@ def test_one_pass_agrees_with_row_loop(tmp_path_factory, text):
     path.write_bytes(text.encode("utf-8"))
     one_pass, row_loop = _one_pass_and_row_loop(path)
     assert one_pass == row_loop
+
+
+# --------------------------------------------------------------------------- #
+# the CSV writer's one-format rows against the csv.writer path
+
+def _csv_writer_bytes(path, header, rows) -> bytes:
+    """The rows as ``csv.writer`` writes them cell by cell: the writer's
+    path for every row."""
+    import csv
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([dpxa.io._cell(cell) for cell in row])
+    return path.read_bytes()
+
+
+WRITER_ROWS = [
+    [1.0, -2.5, 3.0],
+    [float("inf"), float("-inf"), -0.0],
+    [1e-300, 5e-324, 1.7976931348623157e308],
+    [0.1 + 0.2, 123456789012345.0, -1e-7],
+    [np.float64(2.0 / 3.0), np.int64(-12), 7],
+    [True, np.float32(0.1), 2 ** 70],
+    [float("nan"), 1.0, 2.0],
+    ["label", 1.0, float("nan")],
+    ["1.50", "", "a,b"],
+    [4, "text", -0.0],
+    [],
+    [0.5],
+    [1e22, 1e-5, 12.0, 99.5],
+]
+
+
+def test_numeric_rows_write_the_csv_writer_bytes(tmp_path):
+    header = ["a", "b", "c"]
+    want = _csv_writer_bytes(tmp_path / "want.csv", header, WRITER_ROWS)
+    dpxa.io.write_table_csv(tmp_path / "got.csv", header, iter(WRITER_ROWS))
+    assert (tmp_path / "got.csv").read_bytes() == want
+
+
+@given(st.lists(st.lists(st.one_of(st.floats(), st.integers(-10 ** 20,
+                                                            10 ** 20),
+                                   st.text(max_size=4)),
+                         max_size=4), max_size=8))
+def test_any_rows_write_the_csv_writer_bytes(tmp_path_factory, rows):
+    tmp = tmp_path_factory.mktemp("rows")
+    want = _csv_writer_bytes(tmp / "want.csv", ["h"], rows)
+    dpxa.io.write_table_csv(tmp / "got.csv", ["h"], rows)
+    assert (tmp / "got.csv").read_bytes() == want
