@@ -10,15 +10,17 @@ Each layer is a public function called on inputs made once from fixed
 seeds, at N = 2^14 and 2^16 on the default 20-scale grid: the generators,
 the window stage of the sweep's stack (rx, ry, z with the slopes of rx and
 ry on z) and of the analyze stack (x, y, z with the DCCA and DPXA pairs),
-``surface`` over 17 q, ``full_fit``, one sweep and one rho realization
-through ``run_sweep`` and ``run_rho_comparison``, and the CSV and JSON
-readers and writers. One untimed call comes first; the record gives the
-median and quartiles of ``--repeats`` timed calls in ms. Every preset of
-every experiment but ``full`` is then run ``--preset-repeats`` times as a
-fresh ``python -m dpxa.cli experiment`` process at ``--jobs`` 1 and 2, in
+``surface`` over 17 q, ``full_fit``, one sweep, one rho and one mf
+realization through ``run_sweep``, ``run_rho_comparison`` and
+``run_mf_recovery`` (cascade depth log2 N), and the CSV and JSON readers
+and writers. One untimed call comes first; the record gives the median
+and quartiles of ``--repeats`` timed calls in ms. Every preset of every
+experiment but ``full`` is then run ``--preset-repeats`` times as a fresh
+``python -m dpxa.cli experiment`` process at ``--jobs`` 1 and 2, in
 seconds of wall time. ``--quick`` times the layers once at N = 2^10 and
-runs no preset. The JSON record, which also names the host, goes to
-standard output and to ``--out`` when given.
+runs no preset. The JSON record, which also names the host and counts the
+lines of each module under ``src/dpxa``, goes to standard output and to
+``--out`` when given.
 """
 
 from __future__ import annotations
@@ -40,9 +42,9 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from dpxa import (BfbmSpec, ContaminationSpec, DetrendConfig, FgnSpec,  # noqa: E402
-                  QGrid, RhoSpec, ScaleGrid, SweepSpec, full_fit,
-                  gen_bfbm_increments, gen_fgn, run_rho_comparison,
-                  run_sweep)
+                  MfSpec, QGrid, RhoSpec, ScaleGrid, SweepSpec, full_fit,
+                  gen_bfbm_increments, gen_fgn, run_mf_recovery,
+                  run_rho_comparison, run_sweep)
 from dpxa.experiments import EXPERIMENTS, usable_cpus  # noqa: E402
 from dpxa.fluctuation import KIND_DCCA, KIND_DPXA, surface, \
     window_covariances  # noqa: E402
@@ -92,6 +94,8 @@ def layers(n: int, repeats: int, workdir: Path) -> dict:
                       beta_x=BETAS, beta_y=BETAS)
     rho = RhoSpec(corr=0.7, hurst_x=0.1, hurst_y=0.1, hurst_z=0.95,
                   length=n, seeds=1, beta_x=BETAS, beta_y=BETAS)
+    mf = MfSpec(p_x=0.3, p_y=0.4, depth=n.bit_length() - 1, seeds=1,
+                beta_x=BETAS, beta_y=BETAS)
     cases = {
         "gen_fgn": lambda: gen_fgn(FgnSpec(0.5, n, 1)),
         "gen_bfbm_increments": lambda: gen_bfbm_increments(
@@ -106,6 +110,7 @@ def layers(n: int, repeats: int, workdir: Path) -> dict:
         "full_fit": lambda: full_fit(surfaces[1]),
         "sweep_realization": lambda: run_sweep(sweep),
         "rho_realization": lambda: run_rho_comparison(rho),
+        "mf_realization": lambda: run_mf_recovery(mf),
         "read_series_csv_3col": lambda: read_series_csv(csv_path),
         "write_table_csv_3col": lambda: write_table_csv(
             csv_path, ["x", "y", "z"], zip(*columns)),
@@ -122,8 +127,8 @@ def presets(repeats: int, workdir: Path) -> dict:
     process."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     record = {}
-    for name, (_, table, *_) in EXPERIMENTS.items():
-        for preset in table:
+    for name, experiment in EXPERIMENTS.items():
+        for preset in experiment.presets:
             if preset == "full":
                 continue
             for jobs in (1, 2):
@@ -139,6 +144,13 @@ def presets(repeats: int, workdir: Path) -> dict:
                 record[f"{name} {preset} --jobs {jobs}"] = quartiles(
                     samples, "s")
     return record
+
+
+def source_lines() -> dict:
+    """Lines of each module of the package, and their total."""
+    counts = {path.stem: len(path.read_text().splitlines())
+              for path in sorted((ROOT / "src" / "dpxa").glob("*.py"))}
+    return {**counts, "total": sum(counts.values())}
 
 
 def cpu_model() -> str | None:
@@ -176,6 +188,7 @@ def main(argv=None) -> int:
         workdir = Path(tmp)
         record = {
             "host": host(),
+            "src_lines": source_lines(),
             "quick": args.quick,
             "repeats": repeats,
             "preset_repeats": 0 if args.quick else args.preset_repeats,

@@ -358,8 +358,8 @@ def _parse_spec_file(cls: type, path: str):
 def _cmd_experiment(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-    spec_type, presets, run, write, summarize = \
-        experiments.EXPERIMENTS[args.name]
+    experiment = experiments.EXPERIMENTS[args.name]
+    presets = experiment.presets
     if args.preset is not None:
         if args.preset not in presets:
             raise ConfigError(
@@ -367,14 +367,14 @@ def _cmd_experiment(args) -> int:
             )
         spec = presets[args.preset]
     else:
-        spec = _parse_spec_file(spec_type, args.spec)
+        spec = _parse_spec_file(experiment.spec, args.spec)
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    result = run(spec, jobs=args.jobs)
-    write(result, outdir)
-    summary = summarize(result)
+    result = experiments.run(experiment, spec, jobs=args.jobs)
+    experiments.write_outputs(result, outdir)
+    summary = experiment.summary(result)
     elapsed = time.perf_counter() - started
     used = experiments.workers(args.jobs, len(spec.tasks))
     summary = (f"{summary}\nelapsed: {elapsed:.1f} s (jobs={args.jobs}, "

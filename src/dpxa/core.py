@@ -12,14 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    EmptyInputError,
-    InvalidScaleError,
-)
+from .errors import DataError, EmptyInputError, InvalidScaleError, SizeError
 
 DEFAULT_SCALE_COUNT = 20
 DEFAULT_MIN_SCALE = 10
+# most points a scale or q grid is asked for: a series of T points has at
+# most T/4 distinct default scales, and the default q grid has 17 orders
+MAX_GRID_COUNT = 2 ** 16
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -71,8 +70,12 @@ def as_series(data) -> TimeSeries:
 
 
 def _check_count(count: int, name: str) -> None:
+    """1 <= count <= MAX_GRID_COUNT, checked before anything is allocated."""
     if count < 1:
         raise InvalidScaleError(f"{name} must be >= 1, got {count}")
+    if count > MAX_GRID_COUNT:
+        raise SizeError(f"{name} {count} exceeds the limit of "
+                        f"{MAX_GRID_COUNT}")
 
 
 def _check_bounds(series_length: int, s_min: int, s_max: int | None) -> int:

@@ -6,34 +6,36 @@ scale-by-scale comparison of the DCCA and DPXA correlation coefficients on
 contaminated bivariate FBM increments, and a multifractal recovery run on
 binomial measures masked with strong Gaussian noise.
 
-Every experiment maps one realization function of ``(spec, i)``, with the
-spec bound by ``functools.partial``, over ``range(n)``: triple t of the
-sweep owns realizations [t R, (t + 1) R), and rho and mf read i as the
-seed index. Sub-seeds are derived per (triple, realization, stream) from
-``seed_base``, each realization draws from the generators (whose cached
-seed-independent factors serve every realization of a configuration in a
-process), and results are aggregated in index order whatever the
-parallelism degree, so rerunning a spec reproduces its files byte for byte.
+Each experiment is one ``EXPERIMENTS`` row: spec type, presets, a
+realization of ``(spec, i)``, a reduce and a summary. The one runner
+``run`` maps the realization over ``spec.tasks`` and hands the outputs
+to the reduce in index order (triple t of the sweep owns realizations
+[t R, (t + 1) R); rho and mf read i as the seed index), and the one
+writer ``write_outputs`` writes ``to_dict()`` to ``results.json`` and
+``table()`` to a CSV. Sub-seeds derive from ``seed_base`` per (triple,
+realization, stream), so a spec reproduces its files byte for byte at
+any parallelism degree.
 
-The sweep and the coefficient comparison contaminate their pair as
-x = b0 + b1 z + r_x and y = b0' + b2 z + r_y, with the intercepts and
-slopes of the spec's ``ContaminationSpec``s. With an intercept every
-window is centred, which removes b0 and b0', and cumulating and
-detrending are linear, so the window products of x and y are bilinear
-forms in those of (r_x, r_y, z): F2_xx = F2_rxrx + 2 b1 F2_rxz +
-b1^2 F2_zz, and likewise for yy and xy. In a window the residual of x on
-(1, z) is that of r_x, r_x - a_x z less its mean, with a_x the window's
-OLS slope of r_x on z; so the DPXA products are bilinear forms in the
-same products, with the per-window slopes a_x and a_y in place of b1
-and b2. The window kernel therefore builds only r_x, r_y and z, and
-returns a_x and a_y from its force regression; x, y and their residuals
-are never built. The identity needs ``with_intercept``, which every
-experiment uses.
+All three experiments contaminate their pair as x = b0 + b1 z + r_x and
+y = b0' + b2 z + r_y, with the intercepts and slopes of the spec's
+``ContaminationSpec``s; r is bivariate FBM (sweep, rho) or a binomial
+cascade (mf), z FGN. With an intercept every window is centred, which
+removes b0 and b0', and cumulating and detrending are linear, so the
+window products of x and y are bilinear forms in those of (r_x, r_y, z):
+F2_xx = F2_rxrx + 2 b1 F2_rxz + b1^2 F2_zz, and likewise for yy and xy.
+In a window the residual of x on (1, z) is that of r_x, r_x - a_x z less
+its mean, with a_x the window's OLS slope of r_x on z; so the DPXA
+products are bilinear forms in the same products, with the per-window
+slopes a_x and a_y in place of b1 and b2. The window kernel therefore
+builds only r_x, r_y and z, and returns a_x and a_y from its force
+regression; x, y and their residuals are never built. The identity needs
+``with_intercept``, which every experiment uses.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -42,9 +44,10 @@ import numpy as np
 
 from .core import QGrid, ScaleGrid
 from .detrend import DetrendConfig, WindowCovariances
-from .errors import ConfigError, DpxaError, InsufficientScalesError
-from .fluctuation import KIND_DCCA, KIND_DFA, KIND_DPXA, fluctuation_dcca, \
-    rho_values, surface, window_covariances
+from .errors import ConfigError, DpxaError, InsufficientScalesError, \
+    SizeError
+from .fluctuation import KIND_DCCA, KIND_DFA, KIND_DPXA, rho_values, \
+    surface, window_covariances
 from .generators import (
     MAX_BINOMIAL_DEPTH,
     BfbmSpec,
@@ -52,7 +55,6 @@ from .generators import (
     ContaminationSpec,
     FgnSpec,
     check_length,
-    contaminate,
     derive_seed,
     gen_bfbm_increments,
     gen_binomial,
@@ -79,13 +81,18 @@ RHO_DCCA_FLOOR = 0.9
 MF_TAU_TOL = 0.15
 MF_WIDTH_TOL = 0.2
 MF_CENTER_TOL = 0.1
+# most tasks (realizations) of one run: every output stays in memory until
+# the reduce, and the pool builds its chunks as tuples; 3.4 times the
+# 307,800 of the full sweep
+MAX_TASKS = 2 ** 20
 
 
 # --------------------------------------------------------------------------- #
 # specs
 
 def _check_fields(spec, unit=(), positive=()) -> None:
-    """Named fields must lie in (0, 1) or be >= 1, and seed_base >= 0."""
+    """Named fields must lie in (0, 1) or be >= 1, seed_base >= 0, and
+    the spec may have at most MAX_TASKS tasks."""
     if spec.seed_base < 0:
         raise ConfigError(f"seed_base must be >= 0, got {spec.seed_base}")
     for name in unit:
@@ -96,6 +103,10 @@ def _check_fields(spec, unit=(), positive=()) -> None:
         if getattr(spec, name) < 1:
             raise ConfigError(f"{name} must be >= 1, got "
                               f"{getattr(spec, name)}")
+    # the range's stop, since len() of a range overflows past sys.maxsize
+    if spec.tasks.stop > MAX_TASKS:
+        raise SizeError(f"{spec.tasks.stop} tasks exceed the limit of "
+                        f"{MAX_TASKS}")
 
 
 @dataclass(frozen=True)
@@ -277,13 +288,16 @@ class SweepResult:
     relative_errors: list  # one dict per (H_rx, H_ry) pair
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": "sweep",
-            "spec": asdict(self.spec),
-            "triples": self.triples,
-            "regression": self.regression,
-            "relative_errors": self.relative_errors,
-        }
+        return {"experiment": "sweep", **asdict(self)}
+
+    def table(self) -> tuple[str, list[str], list]:
+        """The CSV's file name, header and rows."""
+        rows = [[e["H_rx"], e["H_ry"], e["H_z"], key, e[key]]
+                for e in self.triples for key in _EXPONENT_KEYS]
+        rows += [[e["H_rx"], e["H_ry"], "", "rel_err", e["rel_err"]]
+                 for e in self.relative_errors]
+        return "sweep.csv", ["H_rx", "H_ry", "H_z", "statistic", "value"], \
+            rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,17 +308,19 @@ class RhoComparisonResult:
     rho_dcca_r: np.ndarray
     rho_dpxa: np.ndarray
 
+    def curves(self) -> dict:
+        return {"rho_dcca_xy": self.rho_dcca_xy,
+                "rho_dcca_r": self.rho_dcca_r, "rho_dpxa": self.rho_dpxa}
+
     def to_dict(self) -> dict:
-        return {
-            "experiment": "rho",
-            "spec": asdict(self.spec),
-            "scales": self.scales,
-            "curves": {
-                "rho_dcca_xy": self.rho_dcca_xy,
-                "rho_dcca_r": self.rho_dcca_r,
-                "rho_dpxa": self.rho_dpxa,
-            },
-        }
+        return {"experiment": "rho", "spec": asdict(self.spec),
+                "scales": self.scales, "curves": self.curves()}
+
+    def table(self) -> tuple[str, list[str], list]:
+        """The CSV's file name, header and rows."""
+        rows = [[int(s), name, v] for name, curve in self.curves().items()
+                for s, v in zip(self.scales, curve)]
+        return "rho.csv", ["scale", "curve", "rho"], rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,23 +333,23 @@ class MfRecoveryResult:
     snr: float           # realized std(r_x) / std(slope * z)
 
     def to_dict(self) -> dict:
-        curves = {
-            name: {
-                "h": fit.h, "h_stderr": fit.h_stderr,
-                "r_squared": fit.r_squared, "tau": fit.tau,
-                "alpha": fit.alpha, "f_alpha": fit.f_alpha,
-            }
-            for name, fit in self.fits.items()
-        }
+        keys = ("h", "h_stderr", "r_squared", "tau", "alpha", "f_alpha")
+        curves = {name: {key: getattr(fit, key) for key in keys}
+                  for name, fit in self.fits.items()}
         curves["theory"] = {"tau": self.theory_tau}
-        return {
-            "experiment": "mf",
-            "spec": asdict(self.spec),
-            "orders": self.orders,
-            "scales": self.scales,
-            "curves": curves,
-            "snr": self.snr,
-        }
+        return {"experiment": "mf", "spec": asdict(self.spec),
+                "orders": self.orders, "scales": self.scales,
+                "curves": curves, "snr": self.snr}
+
+    def table(self) -> tuple[str, list[str], list]:
+        """The CSV's file name, header and rows."""
+        rows = [[q, name, fit.h[i], fit.tau[i], fit.alpha[i], fit.f_alpha[i]]
+                for name, fit in self.fits.items()
+                for i, q in enumerate(self.orders)]
+        rows += [[q, "theory", "", tau, "", ""]
+                 for q, tau in zip(self.orders, self.theory_tau)]
+        return "mass_exponents.csv", ["q", "curve", "h", "tau", "alpha",
+                                      "f_alpha"], rows
 
 
 # --------------------------------------------------------------------------- #
@@ -341,7 +357,8 @@ class MfRecoveryResult:
 
 _EXPONENT_KEYS = ("h_rx", "h_ry", "h_z", "h_x", "h_y", "h_xy", "h_rxry",
                   "h_xyz")
-# Both contaminated experiments stack (rx, ry, z) with force z and take the
+_REGRESSION_KEYS = ("intercept", "coef_h_rx", "coef_h_ry", "coef_h_z")
+# All three experiments stack (rx, ry, z) with force z and take the
 # products of these pairs, with the slopes of rx and ry on z, from one
 # kernel call; ``_contaminated`` builds those of x, y, x|z and y|z.
 _BASE_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
@@ -364,8 +381,10 @@ def _contaminated(f2: np.ndarray, slopes: np.ndarray,
 
     The kernel zeroes a residual window that the force explains up to
     rounding (``detrend._VANISHING``). The algebra has no such rule and
-    needs none: r_x and r_y are continuous draws independent of z, which
-    explains none of their windows."""
+    needs none: r_x and r_y are continuous draws independent of z or
+    deterministic cascades, and z explains none of their windows. A
+    uniform cascade (p = 1/2) is constant in every window, so its clean
+    row rx ry is zero and ``surface`` raises ``DegenerateInputError``."""
     rxrx, ryry, zz, rxry, rxz, ryz = f2
     b1, b2 = beta_x.slope, beta_y.slope
     ax, ay = slopes[:, 0]
@@ -379,21 +398,26 @@ def _contaminated(f2: np.ndarray, slopes: np.ndarray,
     return np.stack([rxrx, ryry, zz, xx, yy, xy, rxry, *dpxa])
 
 
+def _stack_covariances(rx, ry, z, scales: ScaleGrid) -> WindowCovariances:
+    """The ``window_covariances`` of the ``_BASE_PAIRS`` of the stack
+    (rx, ry, z) with force z, with the slopes of rx and ry on z."""
+    cfg = DetrendConfig()
+    assert cfg.with_intercept, "the intercepts cancel only in centred windows"
+    return window_covariances((rx, ry, z), scales, cfg, _BASE_PAIRS,
+                              forces=(2,), slopes=(0, 1))
+
+
 def _contaminated_draw(spec, hurst, path,
                        scales: ScaleGrid) -> WindowCovariances:
     """Draw z ~ FGN(H_z) and (rx, ry) ~ bFBM(H_rx, H_ry, spec.corr) from
     streams 0 and 1 of the seed address (spec.seed_base, *path) and return
-    the ``window_covariances`` of the ``_BASE_PAIRS`` of the stack
-    (rx, ry, z) with force z, with the slopes of rx and ry on z."""
+    their ``_stack_covariances``."""
     hrx, hry, hz = hurst
     z_seed, r_seed = (derive_seed(spec.seed_base, *path, n) for n in (0, 1))
     z = gen_fgn(FgnSpec(hz, spec.length, z_seed))
     rx, ry = gen_bfbm_increments(BfbmSpec(hrx, hry, spec.corr, spec.length,
                                           r_seed))
-    cfg = DetrendConfig()
-    assert cfg.with_intercept, "the intercepts cancel only in centred windows"
-    return window_covariances((rx, ry, z), scales, cfg, _BASE_PAIRS,
-                              forces=(2,), slopes=(0, 1))
+    return _stack_covariances(rx, ry, z, scales)
 
 
 def _sweep_realization(spec: SweepSpec, i: int) -> tuple[float, ...]:
@@ -418,38 +442,11 @@ def _sweep_realization(spec: SweepSpec, i: int) -> tuple[float, ...]:
         ) from exc
 
 
-def usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the
-    platform has one, else the host's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def workers(jobs: int, tasks: int) -> int:
-    """The worker processes a run of ``tasks`` tasks uses at ``jobs``: a
-    fork pool starts every worker at the first submit, and workers beyond
-    the usable CPUs only wait for them."""
-    return min(jobs, tasks, usable_cpus())
-
-
-def _map_tasks(fn, tasks, jobs: int):
-    jobs = workers(jobs, len(tasks))
-    if jobs <= 1:
-        return [fn(t) for t in tasks]
-    # imported here: the pool's modules would slow every start of the CLI
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, len(tasks) // (4 * jobs))
-        return list(pool.map(fn, tasks, chunksize=chunk))
-
-
-def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
-    """Run the exponent-recovery sweep and fit the recovery regression."""
-    raw = np.asarray(_map_tasks(partial(_sweep_realization, spec),
-                                spec.tasks, jobs))
-    per_triple = raw.reshape(len(spec.hurst_grid), spec.realizations,
-                             len(_EXPONENT_KEYS)).mean(axis=1)
+def _reduce_sweep(spec: SweepSpec, outputs) -> SweepResult:
+    """Average each triple's exponents and fit the recovery regression."""
+    per_triple = np.asarray(outputs).reshape(
+        len(spec.hurst_grid), spec.realizations,
+        len(_EXPONENT_KEYS)).mean(axis=1)
 
     triples = []
     for (hrx, hry, hz), row in zip(spec.hurst_grid, per_triple):
@@ -457,17 +454,9 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
         entry.update(zip(_EXPONENT_KEYS, (float(v) for v in row)))
         triples.append(entry)
 
-    design = np.column_stack([
-        np.ones(len(triples)),
-        per_triple[:, 0], per_triple[:, 1], per_triple[:, 2],
-    ])
+    design = np.column_stack([np.ones(len(triples)), per_triple[:, :3]])
     coeffs, _, _, _ = np.linalg.lstsq(design, per_triple[:, 7], rcond=None)
-    regression = {
-        "intercept": float(coeffs[0]),
-        "coef_h_rx": float(coeffs[1]),
-        "coef_h_ry": float(coeffs[2]),
-        "coef_h_z": float(coeffs[3]),
-    }
+    regression = dict(zip(_REGRESSION_KEYS, coeffs.tolist()))
 
     pairs: dict[tuple[float, float], list[int]] = {}
     for idx, (hrx, hry, _) in enumerate(spec.hurst_grid):
@@ -501,69 +490,54 @@ def _rho_realization(spec: RhoSpec, seed_idx: int) -> np.ndarray:
                      for which in ((5, 3, 4), (6, 0, 1), (7, 8, 9))])
 
 
-def run_rho_comparison(spec: RhoSpec, jobs: int = 1) -> RhoComparisonResult:
-    """Seed-averaged DCCA/DPXA coefficient curves for the additive model."""
-    curves = np.mean(_map_tasks(partial(_rho_realization, spec), spec.tasks,
-                                jobs), axis=0)
-    return RhoComparisonResult(spec, spec.scales().scales.copy(), curves[0],
-                               curves[1], curves[2])
+def _reduce_rho(spec: RhoSpec, outputs) -> RhoComparisonResult:
+    """Seed-averaged DCCA/DPXA coefficient curves."""
+    return RhoComparisonResult(spec, spec.scales().scales.copy(),
+                               *np.mean(outputs, axis=0))
 
 
 # --------------------------------------------------------------------------- #
 # multifractal recovery
 
-def _averaged_fit(orders: QGrid, fits: list[ScalingFit]) -> ScalingFit:
-    h = np.mean([f.h for f in fits], axis=0)
-    stderr = np.mean([f.h_stderr for f in fits], axis=0)
-    r2 = np.mean([f.r_squared for f in fits], axis=0)
+def _averaged_fit(orders: QGrid, fits) -> ScalingFit:
+    h, stderr, r2 = (np.mean([getattr(f, key) for f in fits], axis=0)
+                     for key in ("h", "h_stderr", "r_squared"))
     fit = ScalingFit(orders, h, stderr, r2, fits[0].fit_range)
     return legendre(mass_exponents(fit))
 
 
-def _mf_realization(spec: MfSpec,
-                    seed_idx: int) -> tuple[ScalingFit, ScalingFit, float]:
-    scales, orders, length = spec.scales(), QGrid.default(), 2 ** spec.depth
+def _mf_realization(spec: MfSpec, seed_idx: int) -> tuple:
+    """The MF-DCCA(x, y), MF-DCCA(rx, ry) and MF-DPXA(x|z, y|z) fits of the
+    cascades masked by the noise of seed seed_idx, and the realized SNR."""
+    scales, orders = spec.scales(), QGrid.default()
     rx = gen_binomial(BinomialSpec(spec.p_x, spec.depth))
     ry = gen_binomial(BinomialSpec(spec.p_y, spec.depth))
-    z = gen_fgn(FgnSpec(spec.noise_hurst, length,
+    z = gen_fgn(FgnSpec(spec.noise_hurst, 2 ** spec.depth,
                         derive_seed(spec.seed_base, seed_idx, 0)))
-    x = contaminate(rx, z, spec.beta_x)
-    y = contaminate(ry, z, spec.beta_y)
-    # stack (x, y, z) with force z: MF-DCCA of (x, y) and MF-DPXA of
-    # (x|z, y|z), rows 3 + 0 and 3 + 1
-    covs = window_covariances((x, y, z), scales, DetrendConfig(),
-                              ((0, 1), (3, 4)), forces=(2,))
-    fit_xy, fit_xyz = (fit_exponent(sf) for sf in
-                       surface(covs, scales, orders, (KIND_DCCA, KIND_DPXA)))
+    covs = _stack_covariances(rx, ry, z, scales)
+    # rows 5, 6 and 7 of the contaminated rows: x y, rx ry and x|z y|z
+    rows = _contaminated(covs.f2, covs.slopes, spec.beta_x, spec.beta_y)[5:]
+    fits = [fit_exponent(sf) for sf in surface(
+        replace(covs, f2=rows), scales, orders,
+        (KIND_DCCA, KIND_DCCA, KIND_DPXA))]
     noise_std = float(np.std(spec.beta_x.slope * z.values))
     snr = float(np.std(rx.values) / noise_std) if noise_std > 0 else float("inf")
-    return fit_xy, fit_xyz, snr
+    return (*fits, snr)
 
 
-def run_mf_recovery(spec: MfSpec, jobs: int = 1) -> MfRecoveryResult:
-    """Multifractal recovery: MF-DCCA on the contaminated pair, MF-DPXA
-    given the noise, and MF-DCCA on the clean measures, plus the
-    closed-form reference mass exponents."""
-    scales = spec.scales()
+def _reduce_mf(spec: MfSpec, outputs) -> MfRecoveryResult:
+    """Seed-averaged fits and SNR, and the closed-form mass exponents."""
     orders = QGrid.default()
-    cfg = DetrendConfig()
-
-    rx = gen_binomial(BinomialSpec(spec.p_x, spec.depth))
-    ry = gen_binomial(BinomialSpec(spec.p_y, spec.depth))
-    clean = legendre(mass_exponents(
-        fit_exponent(fluctuation_dcca(rx, ry, scales, orders, cfg))))
-
-    outputs = _map_tasks(partial(_mf_realization, spec), spec.tasks, jobs)
-    fits = {
-        "mfdcca_xy": _averaged_fit(orders, [out[0] for out in outputs]),
-        "mfdpxa_xyz": _averaged_fit(orders, [out[1] for out in outputs]),
-        "mfdcca_r": clean,
-    }
+    xy, clean, xyz, snr = zip(*outputs)
+    fits = {"mfdcca_xy": _averaged_fit(orders, xy),
+            "mfdpxa_xyz": _averaged_fit(orders, xyz),
+            # the cascades are the same in every realization
+            "mfdcca_r": legendre(mass_exponents(clean[0]))}
     theory_tau = joint_binomial_mass_exponent(orders.orders, spec.p_x,
                                               spec.p_y)
-    snr = float(np.mean([out[2] for out in outputs]))
-    return MfRecoveryResult(spec, orders.orders.copy(), scales.scales.copy(),
-                            fits, theory_tau, snr)
+    return MfRecoveryResult(spec, orders.orders.copy(),
+                            spec.scales().scales.copy(), fits, theory_tau,
+                            float(np.mean(snr)))
 
 
 # --------------------------------------------------------------------------- #
@@ -586,8 +560,7 @@ def summarize_sweep(result: SweepResult) -> str:
     determined = np.linalg.matrix_rank(np.column_stack(
         [np.ones(len(spec.hurst_grid)), spec.hurst_grid])) == 4
     reg = result.regression
-    for key, expected in zip(("intercept", "coef_h_rx", "coef_h_ry",
-                              "coef_h_z"), SWEEP_EXPECTED_COEFFS):
+    for key, expected in zip(_REGRESSION_KEYS, SWEEP_EXPECTED_COEFFS):
         label = f"{key} (expected {expected:g})"
         ok = abs(reg[key] - expected) <= SWEEP_COEFF_TOL
         lines.append(_check(label, reg[key], ok) if determined else
@@ -657,57 +630,78 @@ def summarize_mf(result: MfRecoveryResult) -> str:
     return "\n".join(lines)
 
 
-def write_sweep_outputs(result: SweepResult, outdir) -> None:
+def write_outputs(result, outdir) -> None:
+    """Write ``results.json`` from the result's ``to_dict()`` and its CSV
+    from ``table()`` into outdir."""
     outdir = Path(outdir)
     write_json(outdir / "results.json", result.to_dict())
-    rows = []
-    for entry in result.triples:
-        for key in _EXPONENT_KEYS:
-            rows.append([entry["H_rx"], entry["H_ry"], entry["H_z"], key,
-                         entry[key]])
-    for entry in result.relative_errors:
-        rows.append([entry["H_rx"], entry["H_ry"], "", "rel_err",
-                     entry["rel_err"]])
-    write_table_csv(outdir / "sweep.csv",
-                    ["H_rx", "H_ry", "H_z", "statistic", "value"], rows)
+    name, header, rows = result.table()
+    write_table_csv(outdir / name, header, rows)
 
 
-def write_rho_outputs(result: RhoComparisonResult, outdir) -> None:
-    outdir = Path(outdir)
-    write_json(outdir / "results.json", result.to_dict())
-    rows = []
-    for name, curve in (("rho_dcca_xy", result.rho_dcca_xy),
-                        ("rho_dcca_r", result.rho_dcca_r),
-                        ("rho_dpxa", result.rho_dpxa)):
-        for s, v in zip(result.scales, curve):
-            rows.append([int(s), name, v])
-    write_table_csv(outdir / "rho.csv", ["scale", "curve", "rho"], rows)
-
-
-def write_mf_outputs(result: MfRecoveryResult, outdir) -> None:
-    outdir = Path(outdir)
-    write_json(outdir / "results.json", result.to_dict())
-    rows = []
-    for name, fit in result.fits.items():
-        for i, q in enumerate(result.orders):
-            rows.append([q, name, fit.h[i], fit.tau[i], fit.alpha[i],
-                         fit.f_alpha[i]])
-    for i, q in enumerate(result.orders):
-        rows.append([q, "theory", "", result.theory_tau[i], "", ""])
-    write_table_csv(outdir / "mass_exponents.csv",
-                    ["q", "curve", "h", "tau", "alpha", "f_alpha"], rows)
+write_sweep_outputs = write_rho_outputs = write_mf_outputs = write_outputs
 
 
 # --------------------------------------------------------------------------- #
-# the experiments by name
+# the experiments by name and the one runner
 
-# name -> (spec type, presets, run, write outputs, summarize): the one
-# table through which the CLI reaches an experiment
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment: ``run`` maps the realization over ``spec.tasks``
+    and hands the outputs, in index order, to the reduce."""
+
+    spec: type
+    presets: dict
+    realization: Callable
+    reduce: Callable
+    summary: Callable
+
+
+# the one table through which the CLI reaches an experiment
 EXPERIMENTS = {
-    "sweep": (SweepSpec, SWEEP_PRESETS, run_sweep, write_sweep_outputs,
-              summarize_sweep),
-    "rho": (RhoSpec, RHO_PRESETS, run_rho_comparison, write_rho_outputs,
-            summarize_rho),
-    "mf": (MfSpec, MF_PRESETS, run_mf_recovery, write_mf_outputs,
-           summarize_mf),
+    "sweep": Experiment(SweepSpec, SWEEP_PRESETS, _sweep_realization,
+                        _reduce_sweep, summarize_sweep),
+    "rho": Experiment(RhoSpec, RHO_PRESETS, _rho_realization, _reduce_rho,
+                      summarize_rho),
+    "mf": Experiment(MfSpec, MF_PRESETS, _mf_realization, _reduce_mf,
+                     summarize_mf),
 }
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def workers(jobs: int, tasks: int) -> int:
+    """The worker processes a run of ``tasks`` tasks uses at ``jobs``: a
+    fork pool starts every worker at the first submit, and workers beyond
+    the usable CPUs only wait for them."""
+    return min(jobs, tasks, usable_cpus())
+
+
+def _map_tasks(fn, tasks, jobs: int):
+    jobs = workers(jobs, len(tasks))
+    if jobs <= 1:
+        return [fn(t) for t in tasks]
+    # imported here: the pool's modules would slow every start of the CLI
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        chunk = max(1, len(tasks) // (4 * jobs))
+        return list(pool.map(fn, tasks, chunksize=chunk))
+
+
+def run(experiment: Experiment, spec, jobs: int = 1):
+    """Map the experiment's realization over ``spec.tasks`` on up to
+    ``jobs`` workers and reduce the outputs, in index order."""
+    return experiment.reduce(spec, _map_tasks(
+        partial(experiment.realization, spec), spec.tasks, jobs))
+
+
+# run_sweep(spec, jobs=1) and the others: ``run`` of one row
+run_sweep = partial(run, EXPERIMENTS["sweep"])
+run_rho_comparison = partial(run, EXPERIMENTS["rho"])
+run_mf_recovery = partial(run, EXPERIMENTS["mf"])

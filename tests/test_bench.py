@@ -10,8 +10,8 @@ from pathlib import Path
 BENCH = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
 LAYERS = {"gen_fgn", "gen_bfbm_increments", "window_sweep", "window_analyze",
           "surface_17q_2pairs", "full_fit", "sweep_realization",
-          "rho_realization", "read_series_csv_3col", "write_table_csv_3col",
-          "write_json_surfaces"}
+          "rho_realization", "mf_realization", "read_series_csv_3col",
+          "write_table_csv_3col", "write_json_surfaces"}
 
 
 def test_quick_bench_writes_its_record(tmp_path):
@@ -21,8 +21,11 @@ def test_quick_bench_writes_its_record(tmp_path):
                    check=True, stdout=subprocess.DEVNULL, timeout=60)
     assert time.perf_counter() - start < 2.0
     record = json.loads(out.read_text())
-    assert set(record) == {"host", "quick", "repeats", "preset_repeats",
-                           "layers", "presets"}
+    assert set(record) == {"host", "src_lines", "quick", "repeats",
+                           "preset_repeats", "layers", "presets"}
+    lines = record["src_lines"]
+    assert {"cli", "experiments", "total"} <= set(lines)
+    assert lines["total"] == sum(v for k, v in lines.items() if k != "total")
     assert {"cpus", "usable_cpus", "cpu_model", "machine", "python",
             "numpy"} <= set(record["host"])
     assert (record["quick"], record["repeats"], record["presets"]) == \

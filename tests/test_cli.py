@@ -12,6 +12,8 @@ from dpxa import ContaminationSpec, FgnSpec, contaminate, gen_bfbm_increments, \
 from dpxa import DetrendConfig, ForceMatrix, QGrid, ScaleGrid, cli, \
     fluctuation_dcca, fluctuation_dfa, fluctuation_dpxa, rho_curve, rho_dcca
 from dpxa.cli import main
+from dpxa.core import MAX_GRID_COUNT
+from dpxa.experiments import EXPERIMENTS, MAX_TASKS
 from dpxa.generators import BfbmSpec
 from dpxa.io import read_series_csv, write_table_csv
 
@@ -357,6 +359,24 @@ def test_experiment_spec_file(tmp_path):
     assert payload["spec"]["seed_base"] == 5
 
 
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_recorded_spec_reproduces_the_run(tmp_path, name):
+    # the spec a run records in results.json, fed back through --spec,
+    # gives the same files byte for byte
+    preset, again = tmp_path / "preset", tmp_path / "again"
+    assert run(["experiment", name, "--preset", "smoke", "--out", preset,
+                "--jobs", 1]) == 0
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(
+        json.loads((preset / "results.json").read_text())["spec"]))
+    assert run(["experiment", name, "--spec", path, "--out", again,
+                "--jobs", 1]) == 0
+    files = sorted(f.name for f in preset.iterdir() if f.suffix != ".txt")
+    assert len(files) == 2 and "results.json" in files
+    for file in files:
+        assert (preset / file).read_bytes() == (again / file).read_bytes()
+
+
 def test_experiment_spec_file_lists_all_violations(tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"corr": 0.7, "beta_x": {"bad": 1}}))
@@ -417,6 +437,13 @@ MF_SPEC = {"p_x": 0.3, "p_y": 0.4, "depth": 10, "seeds": 1,
      "length 16777217 exceeds the limit of 2^24 points"),
     ("sweep", SWEEP_SPEC, "length", 2 ** 24 + 1,
      "length 16777217 exceeds the limit of 2^24 points"),
+    # more tasks than the runner holds: refused before any run
+    ("rho", RHO_SPEC, "seeds", 10 ** 19,
+     f"10000000000000000000 tasks exceed the limit of {MAX_TASKS}"),
+    ("sweep", SWEEP_SPEC, "realizations", MAX_TASKS + 1,
+     f"{MAX_TASKS + 1} tasks exceed the limit of {MAX_TASKS}"),
+    ("mf", MF_SPEC, "seeds", MAX_TASKS + 1,
+     f"{MAX_TASKS + 1} tasks exceed the limit of {MAX_TASKS}"),
 ])
 def test_bad_spec_field_is_config_error(tmp_path, capsys, name, base, key,
                                         value, message):
@@ -490,7 +517,10 @@ def test_dyadic_scale_two_is_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("method,flag,count", [
     ("dfa", "--s-count", -1), ("mfdfa", "--q-count", -2),
-    ("dfa", "--s-count", 0), ("mfdfa", "--q-count", 0)])
+    ("dfa", "--s-count", 0), ("mfdfa", "--q-count", 0),
+    # counts above the limit are refused before anything is allocated
+    ("dfa", "--s-count", 10 ** 13), ("mfdfa", "--q-count", 10 ** 13),
+    ("dfa", "--s-count", MAX_GRID_COUNT + 1)])
 def test_count_below_one_is_config_error(tmp_path, capsys, method, flag,
                                          count):
     src = tmp_path / "fgn.csv"
@@ -500,9 +530,21 @@ def test_count_below_one_is_config_error(tmp_path, capsys, method, flag,
     assert run(["analyze", method, src, "--col", "fgn", flag, count,
                 "--out", tmp_path / "run"]) == 4
     name = flag[2:].replace("-", "_")
-    assert capsys.readouterr().err == \
-        f"dpxa: error: {name} must be >= 1, got {count}\n"
+    problem = (f"must be >= 1, got {count}" if count < 1 else
+               f"{count} exceeds the limit of {MAX_GRID_COUNT}")
+    assert capsys.readouterr().err == f"dpxa: error: {name} {problem}\n"
     assert not list(tmp_path.glob("run_*"))
+
+
+def test_count_at_the_limit_runs(tmp_path):
+    # the limit bounds the count, not the series: the default scale grid
+    # of a short series drops its repeats
+    src = tmp_path / "fgn.csv"
+    run(["gen", "fgn", "--hurst", 0.5, "--length", 1024, "--seed", 1,
+         "--out", src])
+    assert run(["analyze", "dfa", src, "--col", "fgn", "--s-count",
+                MAX_GRID_COUNT, "--out", tmp_path / "run"]) == 0
+    assert len(QGrid.default(count=MAX_GRID_COUNT)) == MAX_GRID_COUNT
 
 
 # flag -> (the arguments beside which the method does not read it, how

@@ -35,10 +35,11 @@ from dpxa.experiments import (
     write_rho_outputs,
     write_sweep_outputs,
 )
-from dpxa.fluctuation import fluctuation_dcca, fluctuation_dfa, rho_values, \
-    window_covariances
-from dpxa.generators import BfbmSpec, FgnSpec, _bfbm_factor, _fgn_factor, \
-    contaminate, derive_seed, gen_bfbm_increments, gen_fgn
+from dpxa.fluctuation import KIND_DPXA, fluctuation_dcca, fluctuation_dfa, \
+    rho_values, surface, window_covariances
+from dpxa.generators import BfbmSpec, BinomialSpec, FgnSpec, _bfbm_factor, \
+    _fgn_factor, contaminate, derive_seed, gen_bfbm_increments, \
+    gen_binomial, gen_fgn
 from dpxa.io import jsonable
 from dpxa.scaling import fit_exponent
 from oracle import longdouble_products
@@ -81,6 +82,19 @@ def test_experiment_length_limit(make):
     assert make(2 ** 24).scales().scales[-1] <= 2 ** 24
     with pytest.raises(SizeError):
         make(2 ** 24 + 1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: SweepSpec(((0.5, 0.5, 0.5), (0.4, 0.6, 0.5)), n // 2, 1024,
+                        BETAS, BETAS),
+    lambda n: RhoSpec(0.5, 0.3, 0.7, 0.9, 1024, n, BETAS, BETAS),
+    lambda n: MfSpec(0.3, 0.4, 10, n, BETAS, BETAS)],
+    ids=["sweep", "rho", "mf"])
+def test_experiment_task_limit(make):
+    # specs are only built here: a run of the limit's size is never started
+    assert len(make(experiments.MAX_TASKS).tasks) == experiments.MAX_TASKS
+    with pytest.raises(SizeError, match="tasks exceed the limit"):
+        make(experiments.MAX_TASKS + 2)
 
 
 def test_sweep_spec_defaults():
@@ -503,8 +517,53 @@ def test_contaminated_realizations_build_three_rows(monkeypatch):
     spec = SWEEP_PRESETS["smoke"]
     _sweep_realization(spec, 0)
     _rho_realization(RHO_PRESETS["smoke"], 0)
-    assert [len(rows) for rows in named] == [3, 3]
+    _mf_realization(MF_PRESETS["smoke"], 0)
+    assert [len(rows) for rows in named] == [3, 3, 3]
     assert residuals and set(residuals) == {0}
+
+
+@pytest.mark.parametrize("seed_idx", [0, 1])
+def test_mf_dpxa_rows_match_extended_precision(monkeypatch, seed_idx):
+    # the DPXA row the mf realization fits, against rx|z and ry|z of the
+    # drawn cascades and noise detrended in long double, judged on the
+    # scale sqrt(F2_ii F2_jj); the cascades' rms is 6e-4 of the noise's
+    seen = []
+
+    def spy(covs, scales, orders, kinds):
+        seen.append((covs.f2[list(kinds).index(KIND_DPXA)], covs.windows))
+        return surface(covs, scales, orders, kinds)
+
+    monkeypatch.setattr(experiments, "surface", spy)
+    spec = MF_PRESETS["smoke"]
+    _mf_realization(spec, seed_idx)
+    [(got, windows)] = seen
+    r = np.stack([gen_binomial(BinomialSpec(p, spec.depth)).values
+                  for p in (spec.p_x, spec.p_y)])
+    z = gen_fgn(FgnSpec(spec.noise_hurst, 2 ** spec.depth,
+                        derive_seed(spec.seed_base, seed_idx, 0))).values
+    split = np.cumsum(windows)[:-1]
+    for s, row in zip(spec.scales().scales, np.split(got, split)):
+        [want], own = longdouble_products(r, s, 1, ((0, 1),),
+                                          forces=z[None])
+        assert float((np.abs(row - want) / np.sqrt(own[0] * own[1])).max()) \
+            <= 1e-12, s
+
+
+def test_one_runner_maps_the_tasks():
+    # _map_tasks is called from ``run`` and nowhere else
+    import ast
+    import inspect
+
+    from dpxa import cli
+
+    callers = []
+    for module in (experiments, cli):
+        for fn in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(fn, ast.FunctionDef):
+                callers += [fn.name for node in ast.walk(fn)
+                            if isinstance(node, ast.Name)
+                            and node.id == "_map_tasks"]
+    assert callers == ["run"]
 
 
 def test_sweep_exponents_are_those_of_the_plain_estimators():
