@@ -13,14 +13,17 @@ ry on z) and of the analyze stack (x, y, z with the DCCA and DPXA pairs),
 ``surface`` over 17 q, ``full_fit``, one sweep, one rho and one mf
 realization through ``run_sweep``, ``run_rho_comparison`` and
 ``run_mf_recovery`` (cascade depth log2 N), and the CSV and JSON readers
-and writers. One untimed call comes first; the record gives the median
-and quartiles of ``--repeats`` timed calls in ms. Every preset of every
-experiment but ``full`` is then run ``--preset-repeats`` times as a fresh
-``python -m dpxa.cli experiment`` process at ``--jobs`` 1 and 2, in
-seconds of wall time. ``--quick`` times the layers once at N = 2^10 and
-runs no preset. The JSON record, which also names the host and counts the
-lines of each module under ``src/dpxa``, goes to standard output and to
-``--out`` when given.
+and writers. One untimed call comes first, then ``--repeats`` timed ones.
+A layer's median moves between processes of one tree by as much as a
+change under test would move it, so the layers are timed in 3 fresh
+processes, one after the other, and the record gives for each row the
+median of the per-process medians and the lowest and highest of them, in
+ms. Every preset of every experiment but ``full`` is then run
+``--preset-repeats`` times as a fresh ``python -m dpxa.cli experiment``
+process at ``--jobs`` 1 and 2, in seconds of wall time. ``--quick`` times
+the layers once at N = 2^10 in this process and runs no preset. The JSON
+record, which also names the host and counts the lines of each module
+under ``src/dpxa``, goes to standard output and to ``--out`` when given.
 """
 
 from __future__ import annotations
@@ -64,19 +67,19 @@ def quartiles(samples, unit: str) -> dict:
             f"q3_{unit}": round(float(q3), 4)}
 
 
-def timed(fn, repeats: int) -> dict:
-    """Quartiles in ms of ``repeats`` calls of fn after an untimed one."""
+def timed(fn, repeats: int) -> float:
+    """The median in ms of ``repeats`` calls of fn after an untimed one."""
     fn()
     samples = []
     for _ in range(repeats):
         start = time.perf_counter()
         fn()
         samples.append((time.perf_counter() - start) * 1e3)
-    return quartiles(samples, "ms")
+    return float(np.median(samples))
 
 
 def layers(n: int, repeats: int, workdir: Path) -> dict:
-    """Timings of every layer at length n."""
+    """The median time in ms of every layer at length n."""
     grid = ScaleGrid.default(n)
     cfg = DetrendConfig()
     z = gen_fgn(FgnSpec(0.5, n, 1))
@@ -120,6 +123,36 @@ def layers(n: int, repeats: int, workdir: Path) -> dict:
                                             surfaces)}),
     }
     return {name: timed(fn, repeats) for name, fn in cases.items()}
+
+
+def all_layers(lengths, repeats: int, workdir) -> dict:
+    """``layers`` at each length, keyed by the length as a string."""
+    with warnings.catch_warnings():
+        # the fits of these inputs may warn; the timings are what counts
+        warnings.simplefilter("ignore")
+        return {str(n): layers(n, repeats, Path(workdir)) for n in lengths}
+
+
+def layers_process(lengths, repeats: int, workdir: Path) -> dict:
+    """``all_layers`` timed in a fresh process."""
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+            "from layers import all_layers; print(json.dumps(all_layers("
+            "json.loads(sys.argv[2]), int(sys.argv[3]), sys.argv[4])))")
+    return json.loads(subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "bench"),
+         json.dumps(list(lengths)), str(repeats), str(workdir)],
+        check=True, capture_output=True, text=True).stdout)
+
+
+def spread(runs) -> dict:
+    """Per length and layer, the median of the per-process medians of
+    ``runs`` and the lowest and highest of them, in ms."""
+    return {n: {name: {"median_ms": round(float(np.median(medians)), 4),
+                       "lowest_ms": round(min(medians), 4),
+                       "highest_ms": round(max(medians), 4)}
+                for name in row
+                for medians in [[run[n][name] for run in runs]]}
+            for n, row in runs[0].items()}
 
 
 def presets(repeats: int, workdir: Path) -> dict:
@@ -175,24 +208,25 @@ def main(argv=None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="one repeat at N = 2^10 and no presets")
     parser.add_argument("--repeats", type=int, default=9,
-                        help="timed calls per layer")
+                        help="timed calls per layer and process")
     parser.add_argument("--preset-repeats", type=int, default=3,
                         help="runs per preset and --jobs value")
     parser.add_argument("--out", help="also write the record here")
     args = parser.parse_args(argv)
     lengths = (2 ** 10,) if args.quick else (2 ** 14, 2 ** 16)
     repeats = 1 if args.quick else args.repeats
-    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
-        # the fits of these inputs may warn; the timings are what counts
-        warnings.simplefilter("ignore")
+    with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
+        runs = ([all_layers(lengths, repeats, workdir)] if args.quick else
+                [layers_process(lengths, repeats, workdir) for _ in range(3)])
         record = {
             "host": host(),
             "src_lines": source_lines(),
             "quick": args.quick,
             "repeats": repeats,
+            "processes": len(runs),
             "preset_repeats": 0 if args.quick else args.preset_repeats,
-            "layers": {str(n): layers(n, repeats, workdir) for n in lengths},
+            "layers": spread(runs),
             "presets": ({} if args.quick else
                         presets(args.preset_repeats, workdir)),
         }

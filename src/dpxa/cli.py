@@ -345,8 +345,6 @@ def _parse_spec_file(cls: type, path: str):
     if not issues:
         try:
             spec = cls(**values)
-            # a spec too short for its own scale grid fails before any run
-            spec.scales()
         except DpxaError as exc:
             issues.append(str(exc))
     if issues:
@@ -370,10 +368,18 @@ def _cmd_experiment(args) -> int:
         spec = _parse_spec_file(experiment.spec, args.spec)
 
     outdir = Path(args.out)
+    created = [d for d in (outdir, *outdir.parents) if not d.exists()]
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    result = experiments.run(experiment, spec, jobs=args.jobs)
-    experiments.write_outputs(result, outdir)
+    try:
+        result = experiments.run(experiment, spec, jobs=args.jobs)
+        experiments.write_outputs(result, outdir)
+    finally:
+        # a failed run leaves none of the empty directories it made behind
+        for made in created:
+            if any(made.iterdir()):
+                break
+            made.rmdir()
     summary = experiment.summary(result)
     elapsed = time.perf_counter() - started
     used = experiments.workers(args.jobs, len(spec.tasks))

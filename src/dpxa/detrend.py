@@ -9,11 +9,12 @@ profiles. So each estimator is a pair of rows of one stack, and
 ``window_products`` takes these steps for every pair and size in one call,
 which returns one ``WindowCovariances`` record. The stack holds k distinct
 series, some of them force columns; a pair index i < k names series i, and
-k + i its residual on the forces. Only the named rows are built, each
-centred from its own series, and forces the pairs name plain (the sweep's
-z) lend their centred windows to the regression. A call may also ask for
-the per-window force coefficients of named series, which the regression
-gives without building their residual rows.
+k + i its residual on the forces. Only the named rows become profiles,
+but they and every force sit once in one window buffer, each centred
+from its own series, and the regression reads only buffer rows and their
+window means. A call may also ask for the per-window force coefficients
+of named series, which the regression gives without building their
+residual rows.
 
 The forces go before the cumsum: with an intercept the window residual is
 (x - mean x) less its projection on the centred force windows. Modified
@@ -64,18 +65,19 @@ from .errors import ConfigError, DataError, ShapeError, WindowTooSmallError
 POLYNOMIAL = "polynomial"
 MOVING_AVERAGE = "moving_average"
 
-# one rule for force and residual windows: a window whose moment after the
-# intercept and the forces before it is at most this share of its moment
-# before the forces (centred with an intercept), plus the rounding
-# _OFFSET_ROUNDING s mean^2 of its offset, is explained by them up to
-# rounding: a force is then left out of the window (it is constant there
-# or a combination of the forces before it) and a residual window is zero
+# one rule, ``_vanishes``, for force and residual windows: a window whose
+# moment after the intercept and the forces before it is at most this
+# share of its moment before the forces (centred with an intercept), plus
+# the rounding _OFFSET_ROUNDING s mean^2 of its offset, is explained by
+# them up to rounding: a force is then left out of the window (it is
+# constant there or a combination of the forces before it) and a residual
+# window is zero
 _VANISHING = 1e-24
-# the rounding an offset leaves in a centred window, per s mean^2 (the raw
-# moment less the centred one; 0 without an intercept): each point is
-# stored to eps |x| / 2 and the mean's sum errs about as much; 16 eps^2 is
-# 6 times the most seen (offsets 1e2 to 3e15, s = 4 to 4096) and keeps
-# windows of rms 4 eps |mean| (4 to 8 ulps of the mean) or more
+# the rounding an offset leaves in a centred window, per s mean^2, the
+# mean being the buffer row's window mean (0 without an intercept): each
+# point is stored to eps |x| / 2 and the mean's sum errs about as much;
+# 16 eps^2 is 6 times the most seen (offsets 1e2 to 3e15, s = 4 to 4096)
+# and keeps windows of rms 4 eps |mean| (4 to 8 ulps of the mean) or more
 _OFFSET_ROUNDING = 16 * np.finfo(float).eps ** 2
 # longest window summed by column adds; they lose to np.cumsum from s ~ 48
 _SHORT_SCAN = 32
@@ -114,10 +116,6 @@ class ForceMatrix:
         if len(lengths) > 1:
             raise ShapeError(f"force columns differ in length: {sorted(lengths)}")
         return cls(np.column_stack([s.values for s in series]))
-
-    @property
-    def length(self) -> int:
-        return self.data.shape[0]
 
     @property
     def p(self) -> int:
@@ -200,32 +198,31 @@ def _cumulate(A: np.ndarray) -> None:
         np.add(A[..., t - 1], A[..., t], out=A[..., t])
 
 
-def _remove_forces(A: np.ndarray, means: np.ndarray, Z, Zc,
-                   with_intercept: bool, S: np.ndarray,
-                   slopes: np.ndarray) -> int:
+def _vanishes(moment, centred, means, s: int) -> np.ndarray:
+    """Where a window is explained up to rounding (see ``_VANISHING``)."""
+    return moment <= _VANISHING * centred + _OFFSET_ROUNDING * s * means ** 2
+
+
+def _remove_forces(A: np.ndarray, means: np.ndarray, Z, zmeans,
+                   S: np.ndarray, slopes: np.ndarray) -> int:
     """Replace the increments A (r, M, s) by their OLS residuals on the
-    force windows, in place, by modified Gram-Schmidt: each centred force
-    window Zc[f], an (M, s) array, is orthogonalised against those before
-    it and its projection removed from A. Z holds the raw windows; A and Zc
-    are already centred when ``with_intercept``, A by its (r, M) window
-    ``means`` (zero without an intercept). A force window, or a residual
-    one, that the intercept and the forces before it explain up to
-    rounding (see ``_VANISHING``) is left out, or set to zero. The
-    windows S (n, M, s), centred like A, are left as they are: their OLS
-    coefficients on the forces go to ``slopes`` (n, p, M), projected on
-    the orthogonalised forces and back-substituted into the forces' own
-    basis, 0 for a force left out. Returns the number of windows that
-    leave out a force: rank-deficient ones."""
+    force windows, in place, by modified Gram-Schmidt: each force window
+    Z[f], an (M, s) array, is orthogonalised against those before it and
+    its projection removed from A. A, Z and S are rows of one buffer,
+    each centred by its (M,) window means (zero without an intercept):
+    ``means`` (r, M) of A and ``zmeans`` of Z. A force window, or a
+    residual one, that the intercept and the forces before it explain up
+    to rounding (``_vanishes``) is left out, or set to zero. The windows
+    S (n, M, s) are left as they are: their OLS coefficients on the
+    forces go to ``slopes`` (n, p, M), projected on the orthogonalised
+    forces and back-substituted into the forces' own basis, 0 for a force
+    left out. Returns the number of windows that leave out a force:
+    rank-deficient ones."""
     M, s = A.shape[1:]
-    d = len(Z) + int(with_intercept)
-    if s <= d:
-        raise WindowTooSmallError(
-            f"window of size {s} cannot fit {d} regression columns"
-        )
     left_out = np.zeros(M, dtype=bool)
     # (q, |q|^2, coefficients of the earlier q in the force)
     basis = []
-    for z, q in zip(Z, Zc):
+    for q, mean in zip(Z, zmeans):
         moment = np.einsum("ms,ms->m", q, q)
         coefs = []
         for u, norm, _ in basis:
@@ -233,10 +230,7 @@ def _remove_forces(A: np.ndarray, means: np.ndarray, Z, Zc,
             coefs.append(np.einsum("ms,ms->m", u, q) / norm)
             q = q - coefs[-1][:, None] * u
         norm = np.einsum("ms,ms->m", q, q) if basis else moment
-        # its s mean^2 is the raw moment less the centred one
-        offset = (np.einsum("ms,ms->m", z, z) - moment if with_intercept
-                  else 0.0)
-        vanished = norm <= _VANISHING * moment + _OFFSET_ROUNDING * offset
+        vanished = _vanishes(norm, moment, mean, s)
         left_out |= vanished
         basis.append((q, np.where(vanished, np.inf, norm), coefs))
     if len(S):
@@ -264,8 +258,7 @@ def _remove_forces(A: np.ndarray, means: np.ndarray, Z, Zc,
     # up to rounding is zero: its profile is rounding noise, whose
     # fluctuations would pass for a signal
     after = np.einsum("rms,rms->rm", A, A)
-    A[after <= _VANISHING * (after + explained)
-      + _OFFSET_ROUNDING * s * means ** 2] = 0.0
+    A[_vanishes(after, after + explained, means, s)] = 0.0
     return int(np.count_nonzero(left_out))
 
 
@@ -281,14 +274,6 @@ def _products(P: np.ndarray, pairs, out: np.ndarray,
         else:
             np.einsum("ms,ms->m", P[i], P[j], out=out[n])
     return out
-
-
-def _mean(X: np.ndarray) -> np.ndarray:
-    """The (..., 1) means of X along the last axis: the sum and division of
-    ``ndarray.mean``, without its dispatch."""
-    mean = np.add.reduce(X, axis=-1, keepdims=True)
-    mean /= X.shape[-1]
-    return mean
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,16 +308,16 @@ def window_products(rows, sizes, cfg: DetrendConfig, pairs, forces=(),
     force columns. In a pair, index i < k names series i and index k + i
     the residual of series i on the forces. In every size-s window a row
     is the increments of its series, centred with an intercept; a residual
-    row then has its OLS fit on the force windows removed. Only the r rows
-    some pair names are built, each centred from its own series, and each
-    force the pairs name plain lends its row's centred windows to the
-    regression. The rows are cumulated and detrended together, in one
-    buffer of r T values that serves every size; the moving average's
-    running sums are a fresh array at each size. Returns the
-    signed mean products of the detrended profiles of each pair in the
-    T // s windows of each size s (points beyond the last whole window are
-    excluded), with the per-size counts of windows and of rank-deficient
-    force designs.
+    row then has its OLS fit on the force windows removed. One buffer,
+    which serves every size, holds the r rows some pair names and after
+    them the forces no pair names plain, each row centred from its own
+    series: a force has one copy per window, and the regression reads the
+    forces' offsets from the same window means as the residuals'. Only the
+    r named rows are cumulated and detrended; the moving average's running
+    sums are a fresh array at each size. Returns the signed mean products
+    of the detrended profiles of each pair in the T // s windows of each
+    size s (points beyond the last whole window are excluded), with the
+    per-size counts of windows and of rank-deficient force designs.
 
     ``slopes`` names distinct series i < k whose per-window OLS
     coefficients on the forces (not the intercept's) the record returns,
@@ -347,19 +332,26 @@ def window_products(rows, sizes, cfg: DetrendConfig, pairs, forces=(),
     rows = list(rows)
     k, T = len(rows), len(rows[0])
     sizes = [int(s) for s in sizes]
+    d = len(forces) + int(cfg.with_intercept)
     for s in sizes:
         cfg.check_scale(s)
+        if forces and s <= d:
+            raise WindowTooSmallError(
+                f"window of size {s} cannot fit {d} regression columns")
     slopes = list(slopes)
-    # the slope series lead, so their windows are one slice of the buffer
+    # the slope series lead, so their windows are one slice of the buffer;
+    # the forces no pair names plain follow the r profile rows
     named = slopes + sorted({i for pair in pairs for i in pair}
                             - set(slopes))
+    r, plain = len(named), sum(i < k for i in named)
+    named += [f for f in forces if f not in named]
     slot = {i: n for n, i in enumerate(named)}
     pairs = [(slot[i], slot[j]) for i, j in pairs]
-    r, plain = len(named), sum(i < k for i in named)
+    zrows = [slot[f] for f in forces]
     # one buffer for every size: fresh multi-MB arrays go back to the
     # system whenever glibc trims its heap and are faulted in again, up to
     # 32,000 minor faults per 7-row stack at N = 2^16
-    work = np.empty(r * T)
+    work = np.empty(len(named) * T)
     windows = np.array([T // size for size in sizes])
     out = np.empty((len(pairs), windows.sum()))
     coefs = np.zeros((len(slopes), len(forces), windows.sum()))
@@ -368,23 +360,22 @@ def window_products(rows, sizes, cfg: DetrendConfig, pairs, forces=(),
                                           np.cumsum(windows) - windows)):
         M = T // size
         dest = out[:, start:start + M]
-        A = work[:r * M * size].reshape(r, M, size)
+        B = work[:len(named) * M * size].reshape(len(named), M, size)
         # without an intercept the means stay zero and the rows raw
-        means = np.zeros((r, M, 1))
+        means = np.zeros((len(named), M, 1))
         for a, i in enumerate(named):
             X = rows[i % k][: M * size].reshape(M, size)
             if cfg.with_intercept:
-                means[a] = _mean(X)
-            np.subtract(X, means[a], out=A[a])
-        if forces and (plain < r or slopes):
-            Z = [rows[f][: M * size].reshape(M, size) for f in forces]
-            # a force the pairs name plain lends its centred windows
-            Zc = Z if not cfg.with_intercept else [
-                A[slot[f]] if f in slot else z - _mean(z)
-                for f, z in zip(forces, Z)]
+                # the sum and division of ndarray.mean, without its dispatch
+                np.add.reduce(X, axis=-1, keepdims=True, out=means[a])
+                means[a] /= size
+            np.subtract(X, means[a], out=B[a])
+        A = B[:r]
+        if forces:
             deficient[j] = _remove_forces(
-                A[plain:], means[plain:, :, 0], Z, Zc, cfg.with_intercept,
-                A[:len(slopes)], coefs[:, :, start:start + M])
+                A[plain:], means[plain:r, :, 0], [B[f] for f in zrows],
+                means[zrows, :, 0], A[:len(slopes)],
+                coefs[:, :, start:start + M])
         _cumulate(A)
         flat = A.reshape(r * M, size)
         if cfg.method == MOVING_AVERAGE:

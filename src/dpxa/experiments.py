@@ -137,6 +137,7 @@ class SweepSpec:
                 if not (0.0 < h < 1.0):
                     raise ConfigError(f"triple {triple}: Hurst index {h} "
                                       "outside (0, 1)")
+        self.scales()
 
     @property
     def tasks(self) -> range:
@@ -170,6 +171,7 @@ class RhoSpec:
         check_length(self.length)
         if not -1.0 <= self.corr <= 1.0:
             raise ConfigError(f"corr must lie in [-1, 1], got {self.corr}")
+        self.scales()
 
     @property
     def tasks(self) -> range:
@@ -207,6 +209,7 @@ class MfSpec:
         if self.depth > MAX_BINOMIAL_DEPTH:
             raise ConfigError(f"depth must be <= {MAX_BINOMIAL_DEPTH}, got "
                               f"{self.depth}")
+        self.scales()
 
     @property
     def tasks(self) -> range:

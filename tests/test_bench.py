@@ -1,5 +1,5 @@
-"""The layer bench's quick mode: one timed call per layer at N = 2^10 and
-no presets, as a fresh process."""
+"""The layer bench's quick mode: one timed call per layer at N = 2^10 in
+the bench's own process and no presets, run as a fresh process."""
 
 import json
 import subprocess
@@ -22,16 +22,18 @@ def test_quick_bench_writes_its_record(tmp_path):
     assert time.perf_counter() - start < 2.0
     record = json.loads(out.read_text())
     assert set(record) == {"host", "src_lines", "quick", "repeats",
-                           "preset_repeats", "layers", "presets"}
+                           "processes", "preset_repeats", "layers",
+                           "presets"}
     lines = record["src_lines"]
     assert {"cli", "experiments", "total"} <= set(lines)
     assert lines["total"] == sum(v for k, v in lines.items() if k != "total")
     assert {"cpus", "usable_cpus", "cpu_model", "machine", "python",
             "numpy"} <= set(record["host"])
-    assert (record["quick"], record["repeats"], record["presets"]) == \
-        (True, 1, {})
+    assert (record["quick"], record["repeats"], record["processes"],
+            record["presets"]) == (True, 1, 1, {})
     [(n, layers)] = record["layers"].items()
     assert n == "1024" and set(layers) == LAYERS
     for times in layers.values():
-        assert set(times) == {"median_ms", "q1_ms", "q3_ms"}
-        assert 0.0 <= times["q1_ms"] <= times["median_ms"] <= times["q3_ms"]
+        assert set(times) == {"median_ms", "lowest_ms", "highest_ms"}
+        assert 0.0 <= times["lowest_ms"] <= times["median_ms"] \
+            <= times["highest_ms"]

@@ -455,6 +455,25 @@ def test_bad_spec_field_is_config_error(tmp_path, capsys, name, base, key,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("existing, out", [
+    ((), "new/run"), (("there",), "there"), (("there",), "there/run")],
+    ids=["made", "existing", "made-in-existing"])
+def test_failed_run_leaves_no_empty_out(tmp_path, capsys, existing, out):
+    # cascades of p = 0.5 are flat, so every window is degenerate: the
+    # directories the run made are removed again, one that was there stays
+    for name in existing:
+        (tmp_path / name).mkdir()
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**MF_SPEC, "p_x": 0.5, "p_y": 0.5}))
+    assert run(["experiment", "mf", "--spec", path, "--out", tmp_path / out,
+                "--jobs", 1]) == 5
+    assert "exactly degenerate" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        sorted(["spec.json", *existing])
+    for name in existing:
+        assert not any((tmp_path / name).iterdir())
+
+
 def test_sweep_with_no_pair_for_the_relative_error_check(tmp_path):
     # min(H) < 0.2 for the only pair: the check is reported, not passed
     path = tmp_path / "spec.json"

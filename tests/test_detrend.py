@@ -190,7 +190,7 @@ def test_detrend_config_validation():
 
 def test_force_matrix():
     fm = ForceMatrix.from_series([[1.0, 2.0], [3.0, 4.0]])
-    assert fm.p == 2 and fm.length == 2
+    assert fm.p == 2 and fm.data.shape == (2, 2)
     with pytest.raises(ShapeError):
         ForceMatrix(np.empty((5, 0)))
     with pytest.raises(ShapeError):
@@ -493,7 +493,7 @@ def test_slope_of_a_left_out_force_is_zero():
     assert not twice.slopes[:, 1].any()
 
 
-@pytest.mark.parametrize("a", [1e-3, 1e-5])
+@pytest.mark.parametrize("a", [1e-3, 1e-5, 1e-8])
 def test_force_under_a_large_offset_is_kept(a):
     # z = 1e8 + a n varies by a in every window: 670 ulps of 1e8 at
     # a = 1e-5, far above the rounding of the offset, so the force is kept
@@ -503,18 +503,37 @@ def test_force_under_a_large_offset_is_kept(a):
     # products move by its square: 2 (4u / a)^2 for the residual's
     # relative error, twice that for a window whose force moment is half
     # its expectation, and three times that again for the profile gains of
-    # the force and residual differing, about 200 (u / a)^2
+    # the force and residual differing, about 200 (u / a)^2. At a = 1e-8
+    # the force's rms is under 4 eps 1e8, the rounding of the offset, and
+    # it is left out of every window. Either way a force no pair names
+    # gives what z named plain, as in the sweep, gives; a copy of z named
+    # plain beside the first keeps the rows of the two calls alike, since
+    # a trend-ruled profile in any row has its window detrended explicitly
     rng = np.random.default_rng(7)
     n, s = 4000, 40
     z = 1e8 + a * rng.standard_normal(n)
     r = rng.standard_normal((2, n))
     rows = np.stack([3.0 * z + r[0], -2.0 * z + r[1]])
     pairs = ((0, 0), (0, 1), (1, 1))
-    covs = window_products([*rows, z], (s,), DetrendConfig(),
-                           [(i + 3, j + 3) for i, j in pairs], (2,))
+    residuals = [(i + 4, j + 4) for i, j in pairs]
+    covs, sweep = (window_products([*rows, z, z.copy()], (s,),
+                                   DetrendConfig(), residuals + [named],
+                                   (2,), slopes=(0, 1))
+                   for named in ((3, 3), (2, 2)))
+    assert covs.deficient.tolist() == sweep.deficient.tolist()
+    assert covs.f2.tobytes() == sweep.f2.tobytes()
+    assert covs.slopes.tobytes() == sweep.slopes.tobytes()
+    if a < 4 * np.finfo(float).eps * 1e8:
+        # the residuals are the centred series, their slopes 0
+        assert covs.deficient.tolist() == [n // s]
+        assert not covs.slopes.any()
+        plain = window_products([*rows, z], (s,), DetrendConfig(),
+                                pairs + ((2, 2),))
+        assert covs.f2.tobytes() == plain.f2.tobytes()
+        return
     want, own = longdouble_products(rows, s, 1, pairs, forces=z[None])
     scale = np.sqrt(np.stack([own[i] * own[j] for i, j in pairs]))
-    err = (np.abs(covs.f2 - want) / scale).astype(float)
+    err = (np.abs(covs.f2[:3] - want) / scale).astype(float)
     assert covs.deficient.tolist() == [0]
     assert float(err.max()) <= 200 * (2.0 ** -27 / a) ** 2
 

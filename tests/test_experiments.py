@@ -9,7 +9,8 @@ import pytest
 from dpxa import ConfigError, ContaminationSpec, DegenerateInputError, \
     QGrid, ScaleGrid, SizeError, detrend, experiments
 from dpxa.detrend import DetrendConfig
-from dpxa.errors import RankDeficiencyWarning
+from dpxa.errors import InsufficientScalesError, InvalidScaleError, \
+    RankDeficiencyWarning
 from dpxa.experiments import (
     _BASE_PAIRS,
     _EXPONENT_KEYS,
@@ -82,6 +83,20 @@ def test_experiment_length_limit(make):
     assert make(2 ** 24).scales().scales[-1] <= 2 ** 24
     with pytest.raises(SizeError):
         make(2 ** 24 + 1)
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: SweepSpec(((0.5, 0.5, 0.5),), 1, 16, BETAS, BETAS),
+     InvalidScaleError),
+    (lambda: RhoSpec(0.5, 0.3, 0.7, 0.9, 50, 1, BETAS, BETAS),
+     InsufficientScalesError),
+    (lambda: MfSpec(0.3, 0.4, 3, 1, BETAS, BETAS), InvalidScaleError)],
+    ids=["sweep", "rho", "mf"])
+def test_spec_refuses_a_length_its_grid_cannot_serve(make, error):
+    # the spec checks its own scale grid when it is built, before any run
+    with pytest.raises(error) as info:
+        make()
+    assert type(info.value) is error and info.value.exit_code == 4
 
 
 @pytest.mark.parametrize("make", [
