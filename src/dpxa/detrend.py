@@ -30,8 +30,9 @@ s = 16. A force the intercept and the forces before it explain in a
 window, up to rounding, is left out there with coefficient 0, and the
 window counts as rank deficient; Gram-Schmidt on the forces and then the
 series is backward stable for least squares, so this one path also serves
-nearly collinear forces. Windows of at most 32 points are cumulated a
-column at a time, which adds in np.cumsum's order and is faster there.
+nearly collinear forces. A size with some 1,000 windows or more over
+the profile rows is cumulated a column at a time, which adds in
+np.cumsum's order and is faster there.
 
 At the sweep's N = 2^14 much of a call is numpy dispatch rather than
 arithmetic, so the kernel calls the ufunc reductions that ndarray.mean,
@@ -44,12 +45,14 @@ The polynomial trend is never formed. With Q an orthonormal basis of the
 polynomials of the fit order on the box and c = Q'P the projection
 coefficients of a profile P, the products of detrended profiles are
 <P_i, P_j> - <c_i, c_j>. That difference loses up to about
-1.2e-15 <P, P> / F^2 of F^2, so it is used only where the trend carries at
-most 99% of every profile of the window. The other windows (profiles ruled
-by a trend of the fit order, as without an intercept on offset data) are
-detrended explicitly. The moving average is not a projection, so that
-method subtracts its trend from the profiles explicitly: the prefix, centre
-and suffix means of each point, read off one running sum of the profiles.
+1.2e-15 <P, P> / F^2 of F^2, so a pair takes it only in the windows where
+the trend carries at most 99% of each of its two profiles. In the others
+(a profile ruled by a trend of the fit order, as without an intercept on
+offset data) it takes the products of explicitly detrended profiles, so
+its F^2 does not depend on the other rows of the call. The moving average
+is not a projection, so that method subtracts its trend from the profiles
+explicitly: the prefix, centre and suffix means of each point, read off
+one running sum of the profiles.
 """
 
 from __future__ import annotations
@@ -79,10 +82,16 @@ _VANISHING = 1e-24
 # 16 eps^2 is 6 times the most seen (offsets 1e2 to 3e15, s = 4 to 4096)
 # and keeps windows of rms 4 eps |mean| (4 to 8 ulps of the mean) or more
 _OFFSET_ROUNDING = 16 * np.finfo(float).eps ** 2
-# longest window summed by column adds; they lose to np.cumsum from s ~ 48
-_SHORT_SCAN = 32
-# largest <P, P> / F^2 of a window whose F^2 is taken from the projection
-# coefficients: above it the window is detrended explicitly
+# fewest windows (rows of a (r, M, s) stack, r M) for which running sums
+# are taken a column at a time: each of the s - 1 column adds costs a call
+# and a strided pass over r M points, np.cumsum about 4 ns a point. On a
+# 2-core Xeon with numpy 2.4 the column adds win from about 1,000 windows
+# at N = 2^14 and 2^16 alike, for r = 3 and 4 (2^16, r = 3: 463 against
+# 697 us at s = 48, 720 against 667 us at s = 226)
+_SCAN_WINDOWS = 1000
+# largest <P, P> / F^2 of a profile whose products in a window are taken
+# from the projection coefficients: above it, every pair with that profile
+# takes the explicitly detrended products of the window
 _CANCELLATION = 1e2
 
 
@@ -188,13 +197,13 @@ def _subtract_moving_average(flat: np.ndarray) -> None:
 
 
 def _cumulate(A: np.ndarray) -> None:
-    """Running sums along the last axis of A, in place. Short windows are
-    summed a column at a time, which adds in the order np.cumsum does."""
-    size = A.shape[-1]
-    if size > _SHORT_SCAN:
+    """Running sums along the last axis of A, in place. A stack of many
+    windows is summed a column at a time, which adds in the order
+    np.cumsum does."""
+    if A.size // A.shape[-1] < _SCAN_WINDOWS:
         np.cumsum(A, axis=-1, out=A)
         return
-    for t in range(1, size):
+    for t in range(1, A.shape[-1]):
         np.add(A[..., t - 1], A[..., t], out=A[..., t])
 
 
@@ -389,15 +398,17 @@ def window_products(rows, sizes, cfg: DetrendConfig, pairs, forces=(),
             trends = np.einsum("kmd,kmd->km", c, c)
             f2 = _products(A, pairs, dest, norms)
             f2 -= _products(c, pairs, np.empty((len(pairs), M)), trends)
-            # the difference loses up to 1.2e-15 * <P, P> / F^2 of F^2:
-            # windows where a trend carries most of a profile are detrended
-            # explicitly
-            bad = np.logical_or.reduce(
-                norms > _CANCELLATION * (norms - trends), axis=0).nonzero()[0]
+            # the difference loses up to 1.2e-15 * <P, P> / F^2 of F^2: a
+            # pair takes the explicitly detrended products in the windows
+            # where a trend carries most of one of its two profiles
+            ruled = norms > _CANCELLATION * (norms - trends)
+            bad = np.logical_or.reduce(ruled, axis=0).nonzero()[0]
             if bad.size:
                 R = A[:, bad]
                 R -= (R @ Q) @ Q.T
-                f2[:, bad] = _products(R, pairs,
-                                       np.empty((len(pairs), bad.size)))
+                own = (ruled[[i for i, _ in pairs]]
+                       | ruled[[j for _, j in pairs]])[:, bad]
+                f2[:, bad] = np.where(own, _products(
+                    R, pairs, np.empty((len(pairs), bad.size))), f2[:, bad])
         f2 /= size
     return WindowCovariances(out, windows, deficient, coefs)

@@ -21,11 +21,12 @@ a * (re + i im), over sqrt(2N), where re and im are two standard normal
 draws of shape (2N, p) for p components, real part first. Those outputs
 see the noise only through the folded pairs re(t) + re(2N - t) and
 im(2N - t) - im(t), t = 0..N, indices mod 2N. So one sampler serves both
-generators: it folds each draw into a real (N+1, p) array, writes the
-spectrum sum_j a_cj(t) (re_j + i im_j) of component c with real
-multiplies, and takes one inverse real FFT of length 2N per component.
-FGN passes the 1x1 factor sqrt(lambda), the bivariate case the
-symmetric 2x2 root.
+generators: it folds each column j of a draw into a contiguous row of a
+real (p, N+1) array, writes the spectrum sum_j a_cj(t) (re_j + i im_j)
+of component c with real multiplies, one reused row holding each
+product, and takes one inverse real FFT of length 2N per component,
+whose first N points, scaled, are the sample. FGN passes the 1x1 factor
+sqrt(lambda), the bivariate case the symmetric 2x2 root.
 
 Only the noise and its transform depend on the seed. The square-root
 weights a(0..N) come from the spectrum of each distinct Hurst index, once
@@ -186,19 +187,24 @@ def _spectrum(gamma: np.ndarray) -> np.ndarray:
 
 
 def _fold(draw: np.ndarray, combine) -> np.ndarray:
-    """combine(draw(t), draw(-t)) for t = 0..N along axis 0, indices mod 2N."""
+    """combine(draw(t), draw(-t)) for t = 0..N, indices mod 2N, of each
+    column of the (2N, p) draw, into the rows of a (p, N+1) array."""
     n = draw.shape[0] // 2
-    out = np.empty((n + 1, *draw.shape[1:]))
-    combine(draw[:1], draw[:1], out=out[:1])
-    combine(draw[1:n + 1], draw[:n - 1:-1], out=out[1:])
+    out = np.empty((draw.shape[1], n + 1))
+    for column, row in zip(draw.T, out):
+        combine(column[:1], column[:1], out=row[:1])
+        combine(column[1:n + 1], column[:n - 1:-1], out=row[1:])
     return out
 
 
-def _weigh(row, fold: np.ndarray, out: np.ndarray) -> None:
-    """sum_j row[j] * fold[:, j] into ``out``, one temporary at a time."""
-    np.multiply(row[0], fold[:, 0], out=out)
+def _weigh(row, fold: np.ndarray, out: np.ndarray,
+           scratch: np.ndarray) -> None:
+    """sum_j row[j] * fold[j] of the (p, N+1) ``fold`` into ``out``, each
+    product after the first written to the (N+1,) ``scratch`` row and
+    then added."""
+    np.multiply(row[0], fold[0], out=out)
     for j in range(1, len(row)):
-        out += row[j] * fold[:, j]
+        out += np.multiply(row[j], fold[j], out=scratch)
 
 
 def _sample(weights, seed: int, n: int) -> list[np.ndarray]:
@@ -213,14 +219,15 @@ def _sample(weights, seed: int, n: int) -> list[np.ndarray]:
     # allocated after the draws: allocated before them, it left glibc's heap
     # untrimmed between calls (2 MB more peak RSS in a rho run at N = 2^16)
     w = np.empty((len(weights), n + 1), dtype=complex)
+    scratch = np.empty(n + 1)
     for spectrum, row in zip(w, weights):
-        _weigh(row, re, spectrum.real)
-        _weigh(row, im, spectrum.imag)
-    del re, im  # freed before the transforms allocate their outputs
-    samples = [np.fft.irfft(spectrum, 2 * n)[:n] for spectrum in w]
-    for sample in samples:
-        sample *= math.sqrt(0.5 * n)
-    return samples
+        _weigh(row, re, spectrum.real, scratch)
+        _weigh(row, im, spectrum.imag, scratch)
+    del re, im, scratch  # freed before the transforms allocate their outputs
+    # a sample is a new array of N points: the 2N-point transform is freed
+    # once they are scaled out of it, not kept alive by a view
+    return [np.fft.irfft(spectrum, 2 * n)[:n] * math.sqrt(0.5 * n)
+            for spectrum in w]
 
 
 # factors kept per process and generator: a sweep task needs one of each

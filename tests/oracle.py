@@ -206,3 +206,26 @@ def unfolded_bfbm(spec) -> tuple[np.ndarray, np.ndarray]:
     w[:, 1] = b12 * eps[:, 0] + b22 * eps[:, 1]
     sample = np.sqrt(2.0) * (np.fft.fft(w, axis=0) / np.sqrt(2 * n)).real
     return sample[:n, 0], sample[:n, 1]
+
+
+def folded_sample(weights, seed: int, n: int) -> list:
+    """The folded sampler's arithmetic, written plainly: the folds
+    re(t) + re(-t) and im(-t) - im(t), t = 0..N, of two (2N, p) draws,
+    the spectrum of component c summed product by product from their
+    columns, and the first N points of its inverse FFT scaled. The
+    package stores these numbers differently and must match bitwise."""
+    rng = np.random.default_rng(seed)
+    draws = [rng.standard_normal((2 * n, len(weights))) for _ in range(2)]
+    back = np.arange(0, -n - 1, -1) % (2 * n)
+    re = draws[0][:n + 1] + draws[0][back]
+    im = draws[1][back] - draws[1][:n + 1]
+    samples = []
+    for row in weights:
+        spectrum = np.empty(n + 1, dtype=complex)
+        spectrum.real = row[0] * re[:, 0]
+        spectrum.imag = row[0] * im[:, 0]
+        for j in range(1, len(row)):
+            spectrum.real = spectrum.real + row[j] * re[:, j]
+            spectrum.imag = spectrum.imag + row[j] * im[:, j]
+        samples.append(np.fft.irfft(spectrum, 2 * n)[:n] * np.sqrt(0.5 * n))
+    return samples

@@ -11,7 +11,8 @@ from dpxa import (
     ShapeError,
     WindowTooSmallError,
 )
-from dpxa.detrend import _cumulate, _projection_basis, window_products
+from dpxa.detrend import (_SCAN_WINDOWS, _cumulate, _projection_basis,
+                          window_products)
 from dpxa.errors import RankDeficiencyWarning
 from oracle import (longdouble_products, local_trend, oracle_products, profile,
                     window_ols)
@@ -356,11 +357,25 @@ def test_force_regression_matches_extended_precision(p):
         assert float(err.max()) <= 1e-12, (s, pairs[int(err.max(1).argmax())])
 
 
-@pytest.mark.parametrize("s", [2, 10, 31, 32])
-def test_short_window_scan_equals_cumsum_bitwise(s):
-    A = np.random.default_rng(s).standard_normal((3, 50, s)) * 1e3
+# stacks of r M windows of s points on both sides of _SCAN_WINDOWS: column
+# adds from 1,000 windows (at s = 48 and 153 of N = 2^16, and 1,000 x 4),
+# np.cumsum below (the 50-window stacks, s = 226 and 333, and 999 x 4)
+@pytest.mark.parametrize("shape", [
+    (3, 50, 2), (3, 50, 10), (3, 50, 31), (3, 50, 32),
+    *[(3, 2 ** 16 // s, s) for s in (48, 153, 226, 333)],
+    (1, 1000, 4), (1, 999, 4)],
+    ids=["2", "10", "31", "32", "48", "153", "226", "333", "1000x4",
+         "999x4"])
+def test_short_window_scan_equals_cumsum_bitwise(shape, monkeypatch):
+    A = np.random.default_rng(shape[-1]).standard_normal(shape) * 1e3
     expected = np.cumsum(A, axis=2)
+    scans, cumsum = [], np.cumsum
+    monkeypatch.setattr(np, "cumsum",
+                        lambda *a, **kw: scans.append(1) or cumsum(*a, **kw))
     _cumulate(A)
+    monkeypatch.undo()
+    # the column adds run where the rule asks, and add as np.cumsum does
+    assert bool(scans) == (shape[0] * shape[1] < _SCAN_WINDOWS)
     assert A.tobytes() == expected.tobytes()
 
 
@@ -506,36 +521,53 @@ def test_force_under_a_large_offset_is_kept(a):
     # the force and residual differing, about 200 (u / a)^2. At a = 1e-8
     # the force's rms is under 4 eps 1e8, the rounding of the offset, and
     # it is left out of every window. Either way a force no pair names
-    # gives what z named plain, as in the sweep, gives; a copy of z named
-    # plain beside the first keeps the rows of the two calls alike, since
-    # a trend-ruled profile in any row has its window detrended explicitly
+    # gives what z named plain, as in the sweep, gives
     rng = np.random.default_rng(7)
     n, s = 4000, 40
     z = 1e8 + a * rng.standard_normal(n)
     r = rng.standard_normal((2, n))
     rows = np.stack([3.0 * z + r[0], -2.0 * z + r[1]])
     pairs = ((0, 0), (0, 1), (1, 1))
-    residuals = [(i + 4, j + 4) for i, j in pairs]
-    covs, sweep = (window_products([*rows, z, z.copy()], (s,),
-                                   DetrendConfig(), residuals + [named],
-                                   (2,), slopes=(0, 1))
-                   for named in ((3, 3), (2, 2)))
+    residuals = [(i + 3, j + 3) for i, j in pairs]
+    covs, sweep = (window_products([*rows, z], (s,), DetrendConfig(),
+                                   residuals + named, (2,), slopes=(0, 1))
+                   for named in ([], [(2, 2)]))
     assert covs.deficient.tolist() == sweep.deficient.tolist()
-    assert covs.f2.tobytes() == sweep.f2.tobytes()
+    assert covs.f2.tobytes() == sweep.f2[:3].tobytes()
     assert covs.slopes.tobytes() == sweep.slopes.tobytes()
     if a < 4 * np.finfo(float).eps * 1e8:
         # the residuals are the centred series, their slopes 0
         assert covs.deficient.tolist() == [n // s]
         assert not covs.slopes.any()
-        plain = window_products([*rows, z], (s,), DetrendConfig(),
-                                pairs + ((2, 2),))
+        plain = window_products([*rows, z], (s,), DetrendConfig(), pairs)
         assert covs.f2.tobytes() == plain.f2.tobytes()
         return
     want, own = longdouble_products(rows, s, 1, pairs, forces=z[None])
     scale = np.sqrt(np.stack([own[i] * own[j] for i, j in pairs]))
-    err = (np.abs(covs.f2[:3] - want) / scale).astype(float)
+    err = (np.abs(covs.f2 - want) / scale).astype(float)
     assert covs.deficient.tolist() == [0]
     assert float(err.max()) <= 200 * (2.0 ** -27 / a) ** 2
+
+
+def test_trend_ruled_windows_are_pair_local():
+    # z = 1e8 + 1e-8 n is quantised to the ulps of 1e8, so its profile is
+    # ruled by a linear trend in some windows of 40 points. Those windows
+    # are detrended explicitly for a pair with z in it, not for the pair
+    # (x|z, y|z): its products are the same whether or not z is named
+    rng = np.random.default_rng(7)
+    n, s = 4000, 40
+    z = 1e8 + 1e-8 * rng.standard_normal(n)
+    r = rng.standard_normal((2, n))
+    rows = [3.0 * z + r[0], -2.0 * z + r[1], z]
+    alone, beside = (window_products(rows, (s,), DetrendConfig(), pairs,
+                                     (2,))
+                     for pairs in ([(3, 4)], [(3, 4), (2, 2)]))
+    W = z.reshape(n // s, s)
+    P = np.cumsum(W - W.mean(axis=1, keepdims=True), axis=1)
+    c = P @ _projection_basis(s, 1)
+    norms = np.einsum("ms,ms->m", P, P)
+    assert np.any(norms > 100 * (norms - np.einsum("md,md->m", c, c)))
+    assert alone.f2[0].tobytes() == beside.f2[0].tobytes()
 
 
 @pytest.mark.parametrize("constant", [0, 60, 75, 300])

@@ -25,7 +25,8 @@ from dpxa.generators import (
     _spectrum,
     fgn_autocovariance,
 )
-from oracle import three_power_autocovariance, unfolded_bfbm, unfolded_fgn
+from oracle import (folded_sample, three_power_autocovariance, unfolded_bfbm,
+                    unfolded_fgn)
 
 SIZES = [1, 2, 3, 7, 4096, 2 ** 16]
 HURSTS = [0.1, 0.5, 0.95]
@@ -101,6 +102,19 @@ def test_bfbm_matches_unfolded_synthesis(n, hurst, partner, corr):
         _assert_matches(got.values, want)
 
 
+@pytest.mark.parametrize("n", SIZES)
+def test_sampler_matches_its_plain_arithmetic_bitwise(n):
+    # the sampler's contiguous fold rows and reused product row change
+    # where its numbers are stored, not an operation or its order
+    fgn = gen_fgn(FgnSpec(0.7, n, 5)).values
+    want = folded_sample([[_fgn_factor(0.7, n)]], 5, n)
+    assert fgn.tobytes() == want[0].tobytes()
+    b11, b12, b22 = _bfbm_factor(0.3, 0.8, 0.5, n)
+    want = folded_sample([[b11, b12], [b12, b22]], 6, n)
+    got = gen_bfbm_increments(BfbmSpec(0.3, 0.8, 0.5, n, 6))
+    assert [g.values.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
 def _components(sample):
     return [s.values for s in sample] if isinstance(sample, tuple) \
         else [sample.values]
@@ -157,9 +171,11 @@ def test_generator_peak_memory(make, bound_mib):
 
 
 def test_bfbm_peak_memory_with_cached_factor():
-    # the real folds are freed before the transforms: 4.5 MiB; folding the
-    # draws apart and then combining them into one complex array peaked at
-    # 6.1 MiB, and folding them straight into it at 5.1 MiB
+    # the real folds are freed before the transforms: 4.5 MiB, the two
+    # folds, the complex spectra and the scratch row that each weighed
+    # product goes to; folding the draws apart and then combining them into
+    # one complex array peaked at 6.1 MiB, and folding them straight into
+    # it at 5.1 MiB
     spec = BfbmSpec(0.3, 0.8, 0.5, 2 ** 16, 0)
     gen_bfbm_increments(spec)
     tracemalloc.start()
