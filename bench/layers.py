@@ -16,14 +16,21 @@ realization through ``run_sweep``, ``run_rho_comparison`` and
 and writers. One untimed call comes first, then ``--repeats`` timed ones.
 A layer's median moves between processes of one tree by as much as a
 change under test would move it, so the layers are timed in 3 fresh
-processes, one after the other, and the record gives for each row the
-median of the per-process medians and the lowest and highest of them, in
-ms. Every preset of every experiment but ``full`` is then run
-``--preset-repeats`` times as a fresh ``python -m dpxa.cli experiment``
-process at ``--jobs`` 1 and 2, in seconds of wall time. ``--quick`` times
-the layers once at N = 2^10 in this process and runs no preset. The JSON
-record, which also names the host and counts the lines of each module
-under ``src/dpxa``, goes to standard output and to ``--out`` when given.
+processes. After each of them every preset of every experiment but
+``full`` runs once as a fresh ``python -m dpxa.cli experiment`` process
+at ``--jobs`` 1 and 2, so the layers and presets of a round share one
+stretch of machine load. The record gives for each layer row the median
+of the per-process medians and the lowest and highest of them, in ms,
+and for each preset the median, lowest and highest wall time of the 3
+rounds, in s. ``--quick`` times the layers once at N = 2^10 in this
+process and runs no preset. The JSON record, which also names the host
+and counts the lines of each module under ``src/dpxa``, goes to standard
+output and to ``--out`` when given.
+
+Two trees' records compare only when the trees ran in turn: one record
+of each compares two stretches of machine load, so alternate the script
+on a checkout of each tree several times and compare the rows pair by
+pair.
 """
 
 from __future__ import annotations
@@ -58,13 +65,6 @@ BETAS = ContaminationSpec(intercept=2.0, slope=3.0)
 SWEEP_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 # DCCA of (x, y) and DPXA of (x|z, y|z) on the stack (x, y, z)
 ANALYZE_PAIRS = ((0, 1), (3, 4))
-
-
-def quartiles(samples, unit: str) -> dict:
-    q1, median, q3 = np.percentile(samples, [25, 50, 75])
-    return {f"median_{unit}": round(float(median), 4),
-            f"q1_{unit}": round(float(q1), 4),
-            f"q3_{unit}": round(float(q3), 4)}
 
 
 def timed(fn, repeats: int) -> float:
@@ -144,20 +144,16 @@ def layers_process(lengths, repeats: int, workdir: Path) -> dict:
         check=True, capture_output=True, text=True).stdout)
 
 
-def spread(runs) -> dict:
-    """Per length and layer, the median of the per-process medians of
-    ``runs`` and the lowest and highest of them, in ms."""
-    return {n: {name: {"median_ms": round(float(np.median(medians)), 4),
-                       "lowest_ms": round(min(medians), 4),
-                       "highest_ms": round(max(medians), 4)}
-                for name in row
-                for medians in [[run[n][name] for run in runs]]}
-            for n, row in runs[0].items()}
+def spread(samples, unit: str) -> dict:
+    """The median, lowest and highest of ``samples``, in ``unit``."""
+    return {f"median_{unit}": round(float(np.median(samples)), 4),
+            f"lowest_{unit}": round(min(samples), 4),
+            f"highest_{unit}": round(max(samples), 4)}
 
 
-def presets(repeats: int, workdir: Path) -> dict:
-    """Wall times in s of each preset at --jobs 1 and 2, each run a fresh
-    process."""
+def preset_round(workdir: Path) -> dict:
+    """The wall time in s of one run of each preset at --jobs 1 and 2,
+    each a fresh process."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     record = {}
     for name, experiment in EXPERIMENTS.items():
@@ -165,17 +161,14 @@ def presets(repeats: int, workdir: Path) -> dict:
             if preset == "full":
                 continue
             for jobs in (1, 2):
-                command = [sys.executable, "-m", "dpxa.cli", "experiment",
-                           name, "--preset", preset, "--jobs", str(jobs),
-                           "--out", str(workdir / f"{name}-{preset}")]
-                samples = []
-                for _ in range(repeats):
-                    start = time.perf_counter()
-                    subprocess.run(command, cwd=ROOT, env=env, check=True,
-                                   stdout=subprocess.DEVNULL)
-                    samples.append(time.perf_counter() - start)
-                record[f"{name} {preset} --jobs {jobs}"] = quartiles(
-                    samples, "s")
+                start = time.perf_counter()
+                subprocess.run(
+                    [sys.executable, "-m", "dpxa.cli", "experiment", name,
+                     "--preset", preset, "--jobs", str(jobs),
+                     "--out", str(workdir / f"{name}-{preset}")],
+                    cwd=ROOT, env=env, check=True, stdout=subprocess.DEVNULL)
+                record[f"{name} {preset} --jobs {jobs}"] = \
+                    time.perf_counter() - start
     return record
 
 
@@ -209,26 +202,30 @@ def main(argv=None) -> int:
                         help="one repeat at N = 2^10 and no presets")
     parser.add_argument("--repeats", type=int, default=9,
                         help="timed calls per layer and process")
-    parser.add_argument("--preset-repeats", type=int, default=3,
-                        help="runs per preset and --jobs value")
     parser.add_argument("--out", help="also write the record here")
     args = parser.parse_args(argv)
     lengths = (2 ** 10,) if args.quick else (2 ** 14, 2 ** 16)
     repeats = 1 if args.quick else args.repeats
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
-        runs = ([all_layers(lengths, repeats, workdir)] if args.quick else
-                [layers_process(lengths, repeats, workdir) for _ in range(3)])
+        if args.quick:
+            runs, rounds = [all_layers(lengths, repeats, workdir)], []
+        else:
+            runs, rounds = [], []
+            for _ in range(3):
+                runs.append(layers_process(lengths, repeats, workdir))
+                rounds.append(preset_round(workdir))
         record = {
             "host": host(),
             "src_lines": source_lines(),
             "quick": args.quick,
             "repeats": repeats,
             "processes": len(runs),
-            "preset_repeats": 0 if args.quick else args.preset_repeats,
-            "layers": spread(runs),
-            "presets": ({} if args.quick else
-                        presets(args.preset_repeats, workdir)),
+            "layers": {n: {name: spread([run[n][name] for run in runs], "ms")
+                           for name in row}
+                       for n, row in runs[0].items()},
+            "presets": {key: spread([run[key] for run in rounds], "s")
+                        for key in (rounds[0] if rounds else {})},
         }
     text = json.dumps(record, indent=2, sort_keys=True)
     if args.out:

@@ -20,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments
-from .core import QGrid, ScaleGrid, as_series
+from .core import QGrid, ScaleGrid, TimeSeries, as_series
 from .detrend import DetrendConfig, ForceMatrix, MOVING_AVERAGE, POLYNOMIAL
-from .errors import ConfigError, DpxaError, IngestionError
+from .errors import ConfigError, DataError, DpxaError, IngestionError
 from .fluctuation import KIND_DCCA, KIND_DFA, KIND_DPXA, fluctuation_dpxa, \
     rho_curve
 from .generators import (
@@ -159,14 +159,18 @@ def _cmd_gen(args) -> int:
 # analyze
 
 def _pick_column(columns: dict, name: str | None, flag: str,
-                 method: str) -> np.ndarray:
+                 method: str) -> TimeSeries:
+    """The validated series of column ``name``; an invalid one is named."""
     if name is None:
         raise ConfigError(f"method {method!r} requires {flag}")
     if name not in columns:
         raise IngestionError(
             f"column {name!r} not found; available: {list(columns)}"
         )
-    return columns[name]
+    try:
+        return as_series(columns[name])
+    except DataError as exc:
+        raise type(exc)(f"column {name!r}: {exc}") from None
 
 
 def _check_flags(args, kind: str, multifractal: bool, rho: bool) -> None:
@@ -208,15 +212,14 @@ def _cmd_analyze(args) -> int:
     y = None if kind == KIND_DFA else \
         _pick_column(columns, args.y, "--y", method)
     # no --z on DPXA is the name None, which _pick_column rejects
-    forces = None if kind != KIND_DPXA else ForceMatrix.from_series(
+    forces = None if kind != KIND_DPXA else ForceMatrix(
         [_pick_column(columns, name, "--z", method)
          for name in args.z or [None]])
-    series_x = as_series(x)
     # DFA is the pair (x, x); one object passed twice is one stack row
-    y = series_x if y is None else y
+    y = x if y is None else y
     # --s-count is None beside --dyadic, which the check enforces
     grid = ScaleGrid.dyadic if args.dyadic else ScaleGrid.default
-    scales = grid(len(series_x), **_given(
+    scales = grid(len(x), **_given(
         count=args.s_count, s_min=args.s_min, s_max=args.s_max))
     orders = QGrid.default(**_given(
         q_min=args.q_min, q_max=args.q_max, count=args.q_count)) \
@@ -244,7 +247,7 @@ def _cmd_analyze(args) -> int:
     }
 
     if rho:
-        curve = rho_curve(series_x, y, forces, scales, cfg)
+        curve = rho_curve(x, y, forces, scales, cfg)
         write_table_csv(f"{prefix}_rho.csv", ["scale", "rho"],
                         list(zip(scales.scales.tolist(), curve.rho)))
         write_json(f"{prefix}_rho.json", {"config": echo, "kind": curve.kind,
@@ -252,7 +255,7 @@ def _cmd_analyze(args) -> int:
         print(f"wrote {prefix}_rho.csv")
         return 0
 
-    surface = fluctuation_dpxa(series_x, y, forces, scales, orders, cfg,
+    surface = fluctuation_dpxa(x, y, forces, scales, orders, cfg,
                                kind=kind)
     fit = full_fit(surface, fit_range)
 

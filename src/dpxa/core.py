@@ -54,7 +54,8 @@ class TimeSeries:
         if bad.any():
             first = int(np.argmax(bad))
             raise DataError(
-                f"non-finite value {arr[first]!r} at element {first + 1} (1-based)"
+                f"non-finite value {float(arr[first])!r} at element "
+                f"{first + 1} (1-based)"
             )
         object.__setattr__(self, "values", _frozen_array(arr))
 

@@ -12,9 +12,9 @@ series, some of them force columns; a pair index i < k names series i, and
 k + i its residual on the forces. Only the named rows become profiles,
 but they and every force sit once in one window buffer, each centred
 from its own series, and the regression reads only buffer rows and their
-window means. A call may also ask for the per-window force coefficients
-of named series, which the regression gives without building their
-residual rows.
+window means. A call with one force, as the experiments make, may also
+ask for the per-window slopes of named series on it, which the
+regression gives without building their residual rows.
 
 The forces go before the cumsum: with an intercept the window residual is
 (x - mean x) less its projection on the centred force windows. Modified
@@ -62,8 +62,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import as_series, _frozen_array, _resident_array
-from .errors import ConfigError, DataError, ShapeError, WindowTooSmallError
+from .core import as_series, _resident_array
+from .errors import ConfigError, ShapeError, WindowTooSmallError
 
 POLYNOMIAL = "polynomial"
 MOVING_AVERAGE = "moving_average"
@@ -97,38 +97,25 @@ _CANCELLATION = 1e2
 
 @dataclass(frozen=True, eq=False)
 class ForceMatrix:
-    """The p >= 1 external-force series as a (T, p) column matrix; no
-    forces is ``None``."""
+    """The p >= 1 external-force series: ``columns`` holds them as
+    validated ``TimeSeries`` of one length, which the kernel stacks as
+    rows as they are; no forces is ``None``."""
 
-    data: np.ndarray
+    columns: tuple
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=float)
-        if arr.ndim != 2:
-            raise ShapeError(f"force matrix must be 2-d, got shape {arr.shape}")
-        if arr.shape[0] == 0:
-            raise ShapeError("force matrix has no rows")
-        if arr.shape[1] == 0:
-            raise ShapeError("force matrix has no columns; pass None for "
-                             "no forces")
-        if not np.all(np.isfinite(arr)):
-            raise DataError("force matrix contains non-finite values")
-        object.__setattr__(self, "data", _frozen_array(arr))
-
-    @classmethod
-    def from_series(cls, columns) -> "ForceMatrix":
-        series = [as_series(c) for c in columns]
-        if not series:
-            raise ShapeError("from_series needs at least one column; pass "
-                             "None for no forces")
-        lengths = {len(s) for s in series}
+        columns = tuple(as_series(c) for c in self.columns)
+        if not columns:
+            raise ShapeError("a force matrix needs at least one column; "
+                             "pass None for no forces")
+        lengths = {len(c) for c in columns}
         if len(lengths) > 1:
             raise ShapeError(f"force columns differ in length: {sorted(lengths)}")
-        return cls(np.column_stack([s.values for s in series]))
+        object.__setattr__(self, "columns", columns)
 
     @property
     def p(self) -> int:
-        return self.data.shape[1]
+        return len(self.columns)
 
 
 @dataclass(frozen=True)
@@ -222,41 +209,32 @@ def _remove_forces(A: np.ndarray, means: np.ndarray, Z, zmeans,
     ``means`` (r, M) of A and ``zmeans`` of Z. A force window, or a
     residual one, that the intercept and the forces before it explain up
     to rounding (``_vanishes``) is left out, or set to zero. The windows
-    S (n, M, s) are left as they are: their OLS coefficients on the
-    forces go to ``slopes`` (n, p, M), projected on the orthogonalised
-    forces and back-substituted into the forces' own basis, 0 for a force
-    left out. Returns the number of windows that leave out a force:
+    S (n, M, s) are left as they are: given them, Z holds one force, and
+    their OLS slopes on it go to ``slopes`` (n, M), 0 where it is left
+    out. Returns the number of windows that leave out a force:
     rank-deficient ones."""
     M, s = A.shape[1:]
     left_out = np.zeros(M, dtype=bool)
-    # (q, |q|^2, coefficients of the earlier q in the force)
+    # (q, |q|^2) of each force, inf where it is left out
     basis = []
     for q, mean in zip(Z, zmeans):
         moment = np.einsum("ms,ms->m", q, q)
-        coefs = []
-        for u, norm, _ in basis:
+        for u, norm in basis:
             # a force left out of a window divides by inf there
-            coefs.append(np.einsum("ms,ms->m", u, q) / norm)
-            q = q - coefs[-1][:, None] * u
+            q = q - (np.einsum("ms,ms->m", u, q) / norm)[:, None] * u
         norm = np.einsum("ms,ms->m", q, q) if basis else moment
         vanished = _vanishes(norm, moment, mean, s)
         left_out |= vanished
-        basis.append((q, np.where(vanished, np.inf, norm), coefs))
+        basis.append((q, np.where(vanished, np.inf, norm)))
     if len(S):
-        for f, (q, norm, _) in enumerate(basis):
-            np.divide(np.einsum("ms,nms->nm", q, S), norm, out=slopes[:, f])
-        # force g is q_g plus coefs[f] q_f over the f < g, so the
-        # coefficient of force f is that of q_f less each later force's
-        # coefficient times its share of q_f: the last force's first
-        for g in reversed(range(1, len(basis))):
-            for f, coef in enumerate(basis[g][2]):
-                slopes[:, f] -= coef * slopes[:, g]
+        [(q, norm)] = basis
+        np.divide(np.einsum("ms,nms->nm", q, S), norm, out=slopes)
     if not len(A):
         return int(np.count_nonzero(left_out))
     # b = <q, A> / |q| / |q| divides by the triangular factor's diagonal
     # |q| twice, as its two solves do; a left-out force gets b = 0
     explained = np.zeros(A.shape[:2])
-    for q, norm, _ in basis:
+    for q, norm in basis:
         root = np.sqrt(norm)
         dot = np.einsum("ms,rms->rm", q, A)
         b = dot / root / root
@@ -290,7 +268,7 @@ class WindowCovariances:
     """Window covariances of pairs of stack rows: ``f2`` is (pairs, W),
     scale j taking ``windows[j]`` consecutive columns, of which
     ``deficient[j]`` have a rank-deficient force design. ``slopes`` is
-    (series, p, W): the OLS coefficients on the p forces of the series a
+    (series, W): the OLS slopes on the one force of the series a
     ``window_products`` call names, in each window."""
 
     f2: np.ndarray
@@ -328,26 +306,29 @@ def window_products(rows, sizes, cfg: DetrendConfig, pairs, forces=(),
     size s (points beyond the last whole window are excluded), with the
     per-size counts of windows and of rank-deficient force designs.
 
-    ``slopes`` names distinct series i < k whose per-window OLS
-    coefficients on the forces (not the intercept's) the record returns,
-    in the order named. They come from the force regression's own
-    Gram-Schmidt pass, which builds no residual row for them, and a force
-    left out of a window has coefficient 0 there. With them a residual
-    need not be built: that of x = b0 + b1 z + r on z is r - a z in each
-    window, a the slope of r, so its products are bilinear forms in the
-    plain products of r and z, as the sweep and rho experiments take
-    them.
+    ``slopes`` names distinct series i < k whose per-window OLS slopes
+    on the force (not the intercept) the record returns, in the order
+    named; it needs exactly one force, the z the experiments regress on,
+    and raises ``ConfigError`` otherwise. The slopes come from the force regression's own pass, which
+    builds no residual row for them, and are 0 in a window that leaves
+    the force out. With them a residual need not be built: that of
+    x = b0 + b1 z + r on z is r - a z in each window, a the slope of r,
+    so its products are bilinear forms in the plain products of r and z,
+    as the experiments take them.
     """
     rows = list(rows)
     k, T = len(rows), len(rows[0])
     sizes = [int(s) for s in sizes]
+    slopes = list(slopes)
+    if slopes and len(forces) != 1:
+        raise ConfigError(f"slopes need exactly one force, got "
+                          f"{len(forces)}")
     d = len(forces) + int(cfg.with_intercept)
     for s in sizes:
         cfg.check_scale(s)
         if forces and s <= d:
             raise WindowTooSmallError(
                 f"window of size {s} cannot fit {d} regression columns")
-    slopes = list(slopes)
     # the slope series lead, so their windows are one slice of the buffer;
     # the forces no pair names plain follow the r profile rows
     named = slopes + sorted({i for pair in pairs for i in pair}
@@ -363,7 +344,7 @@ def window_products(rows, sizes, cfg: DetrendConfig, pairs, forces=(),
     work = np.empty(len(named) * T)
     windows = np.array([T // size for size in sizes])
     out = np.empty((len(pairs), windows.sum()))
-    coefs = np.zeros((len(slopes), len(forces), windows.sum()))
+    coefs = np.zeros((len(slopes), windows.sum()))
     deficient = np.zeros(len(sizes), dtype=int)
     for j, (size, start) in enumerate(zip(sizes,
                                           np.cumsum(windows) - windows)):
@@ -384,7 +365,7 @@ def window_products(rows, sizes, cfg: DetrendConfig, pairs, forces=(),
             deficient[j] = _remove_forces(
                 A[plain:], means[plain:r, :, 0], [B[f] for f in zrows],
                 means[zrows, :, 0], A[:len(slopes)],
-                coefs[:, :, start:start + M])
+                coefs[:, start:start + M])
         _cumulate(A)
         flat = A.reshape(r * M, size)
         if cfg.method == MOVING_AVERAGE:

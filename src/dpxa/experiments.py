@@ -369,12 +369,13 @@ _SWEEP_KINDS = (KIND_DFA,) * 5 + (KIND_DCCA, KIND_DCCA, KIND_DPXA)
 
 
 def _contaminated(f2: np.ndarray, slopes: np.ndarray,
-                  beta_x: ContaminationSpec, beta_y: ContaminationSpec,
-                  own: bool = False) -> np.ndarray:
+                  beta_x: ContaminationSpec,
+                  beta_y: ContaminationSpec) -> np.ndarray:
     """The covariance rows of the ``_BASE_PAIRS`` products ``f2`` (6, W)
     of the stack (rx, ry, z) as (rx rx, ry ry, z z, x x, y y, x y, rx ry,
-    x|z y|z), and with ``own`` also (x|z x|z, y|z y|z). ``slopes`` (2, 1,
-    W) holds the OLS slopes a_x, a_y of rx and ry on z in each window:
+    x|z y|z, x|z x|z, y|z y|z): the sweep takes the first eight, mf rows
+    5 to 7 and rho all ten. ``slopes`` (2, W) holds the OLS slopes a_x,
+    a_y of rx and ry on z in each window:
 
     F2_xx = F2_rxrx + 2 b1 F2_rxz + b1^2 F2_zz,
     F2_yy = F2_ryry + 2 b2 F2_ryz + b2^2 F2_zz,
@@ -390,15 +391,14 @@ def _contaminated(f2: np.ndarray, slopes: np.ndarray,
     row rx ry is zero and ``surface`` raises ``DegenerateInputError``."""
     rxrx, ryry, zz, rxry, rxz, ryz = f2
     b1, b2 = beta_x.slope, beta_y.slope
-    ax, ay = slopes[:, 0]
+    ax, ay = slopes
     xx = rxrx + 2.0 * b1 * rxz + b1 * b1 * zz
     yy = ryry + 2.0 * b2 * ryz + b2 * b2 * zz
     xy = rxry + b2 * rxz + b1 * ryz + b1 * b2 * zz
-    dpxa = [rxry - ay * rxz - ax * ryz + ax * ay * zz]
-    if own:
-        dpxa += [rxrx - 2.0 * ax * rxz + ax * ax * zz,
-                 ryry - 2.0 * ay * ryz + ay * ay * zz]
-    return np.stack([rxrx, ryry, zz, xx, yy, xy, rxry, *dpxa])
+    return np.stack([rxrx, ryry, zz, xx, yy, xy, rxry,
+                     rxry - ay * rxz - ax * ryz + ax * ay * zz,
+                     rxrx - 2.0 * ax * rxz + ax * ax * zz,
+                     ryry - 2.0 * ay * ryz + ay * ay * zz])
 
 
 def _stack_covariances(rx, ry, z, scales: ScaleGrid) -> WindowCovariances:
@@ -431,7 +431,7 @@ def _sweep_realization(spec: SweepSpec, i: int) -> tuple[float, ...]:
         grid = spec.scales()
         covs = _contaminated_draw(spec, (hrx, hry, hz), (t, real_idx), grid)
         covs = replace(covs, f2=_contaminated(covs.f2, covs.slopes,
-                                              spec.beta_x, spec.beta_y))
+                                              spec.beta_x, spec.beta_y)[:8])
         q2 = QGrid.second_order()
         # the eight q = 2 rows in one least-squares pass
         F = np.concatenate([sf.F for sf in
@@ -488,7 +488,7 @@ def _rho_realization(spec: RhoSpec, seed_idx: int) -> np.ndarray:
     # per-scale means: rho_dcca(x, y), rho_dcca(rx, ry) and
     # rho_curve(x, y | z)
     means = covs.sums(_contaminated(covs.f2, covs.slopes, spec.beta_x,
-                                    spec.beta_y, own=True)) / covs.windows
+                                    spec.beta_y)) / covs.windows
     return np.stack([rho_values(means, which, scales)
                      for which in ((5, 3, 4), (6, 0, 1), (7, 8, 9))])
 
@@ -519,7 +519,7 @@ def _mf_realization(spec: MfSpec, seed_idx: int) -> tuple:
                         derive_seed(spec.seed_base, seed_idx, 0)))
     covs = _stack_covariances(rx, ry, z, scales)
     # rows 5, 6 and 7 of the contaminated rows: x y, rx ry and x|z y|z
-    rows = _contaminated(covs.f2, covs.slopes, spec.beta_x, spec.beta_y)[5:]
+    rows = _contaminated(covs.f2, covs.slopes, spec.beta_x, spec.beta_y)[5:8]
     fits = [fit_exponent(sf) for sf in surface(
         replace(covs, f2=rows), scales, orders,
         (KIND_DCCA, KIND_DCCA, KIND_DPXA))]

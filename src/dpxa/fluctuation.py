@@ -6,9 +6,9 @@ distinct series with the force columns among them, and pair index k + i
 names the residual of series i on the forces: DFA of x is the pair
 (x, x), DCCA the pair (x, y), DPXA the pair (x|z, y|z) of residuals, and
 rho(s) the pairs (x, y), (x, x) and (y, y) of one family. The public
-functions append a ``ForceMatrix``'s columns to the stack as rows. The
-signed mean product of two detrended profiles in window v is its
-covariance F_v^2. ``window_covariances`` returns them as one
+functions append a ``ForceMatrix``'s validated columns to the stack as
+they are. The signed mean product of two detrended profiles in window v
+is its covariance F_v^2. ``window_covariances`` returns them as one
 ``WindowCovariances`` record, whose ``sums`` and ``means`` reduce per scale.
 ``surface`` turns every pair of the record into its F(q, s) surface, with
 one pass over the windows of all pairs and scales per order q.
@@ -92,8 +92,8 @@ def window_covariances(series, scales: ScaleGrid, cfg: DetrendConfig, pairs,
     """The window covariances at every scale of pairs of rows of the stack
     of k equal-length ``series``, of which ``forces`` index the force
     columns: pair index i < k names series i, and k + i its residual on
-    the forces; the record also holds the per-window force coefficients
-    of the series ``slopes`` names (see ``detrend.window_products``).
+    the forces; the record also holds the per-window slopes on the one
+    force of the series ``slopes`` names (see ``detrend.window_products``).
     Rank-deficient windows raise one RankDeficiencyWarning for the whole
     call."""
     rows = [as_series(s).values for s in series]
@@ -114,13 +114,13 @@ def window_covariances(series, scales: ScaleGrid, cfg: DetrendConfig, pairs,
 
 
 def _with_forces(series: tuple, forces: ForceMatrix | None):
-    """The stack of ``series`` followed by the force columns as rows, the
-    indices of those rows, and the offset that names each series in a
-    pair: k, to name its residual, when there are forces."""
+    """The stack of ``series`` followed by the force columns, the indices
+    of those rows, and the offset that names each series in a pair: k,
+    to name its residual, when there are forces."""
     if forces is None:
         return series, (), 0
     k = len(series) + forces.p
-    return series + tuple(forces.data.T), tuple(range(len(series), k)), k
+    return series + forces.columns, tuple(range(len(series), k)), k
 
 
 def surface(covs: WindowCovariances, scales: ScaleGrid, orders: QGrid,

@@ -22,8 +22,7 @@ def test_quick_bench_writes_its_record(tmp_path):
     assert time.perf_counter() - start < 2.0
     record = json.loads(out.read_text())
     assert set(record) == {"host", "src_lines", "quick", "repeats",
-                           "processes", "preset_repeats", "layers",
-                           "presets"}
+                           "processes", "layers", "presets"}
     lines = record["src_lines"]
     assert {"cli", "experiments", "total"} <= set(lines)
     assert lines["total"] == sum(v for k, v in lines.items() if k != "total")

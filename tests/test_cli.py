@@ -194,7 +194,7 @@ def test_analyze_detrend_flags_reach_the_estimator(tmp_path, method, flags,
     assert run(["analyze", method, src, *argv, *flags,
                 "--out", tmp_path / "cli"]) == 0
     x, y, z = read_series_csv(src).values()
-    forces = ForceMatrix.from_series([z]) if dpxa else None
+    forces = ForceMatrix([z]) if dpxa else None
     scales, orders = ScaleGrid.default(2048), QGrid.second_order()
     for name, config in (("direct", cfg), ("default", DetrendConfig())):
         surface = fluctuation_dpxa(x, y if dpxa else x, forces, scales,
@@ -266,6 +266,21 @@ def test_bad_cell_reports_line(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "line 3" in err and "oops" in err
+
+
+@pytest.mark.parametrize("column", ["x", "z"])
+def test_non_finite_cell_names_its_column(tmp_path, capsys, column):
+    # row 101 of the column holds nan: the message names the column and
+    # formats the value as Python does, not as numpy's repr
+    cells = np.random.default_rng(5).standard_normal((200, 3)).astype(str)
+    cells[100, "xyz".index(column)] = "nan"
+    src = tmp_path / "in.csv"
+    src.write_text("\n".join(["x,y,z", *map(",".join, cells)]) + "\n")
+    assert run(["analyze", "dpxa", src, "--x", "x", "--y", "y", "--z", "z",
+                "--out", tmp_path / "a"]) == 3
+    assert capsys.readouterr().err == (
+        f"dpxa: error: column {column!r}: non-finite value nan at element "
+        "101 (1-based)\n")
 
 
 def test_headerless_csv_rejected(tmp_path, capsys):
@@ -662,7 +677,7 @@ def test_method_runs_its_estimator(tmp_path, method):
                 "--out", tmp_path / "cli"]) == 0
 
     columns = read_series_csv(src)
-    z = ForceMatrix.from_series([columns["z"]])
+    z = ForceMatrix([columns["z"]])
     scales = ScaleGrid.default(2048)
     orders = QGrid.default() if method.startswith("mf") else \
         QGrid.second_order()

@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from dpxa import (
     ConfigError,
+    DataError,
     DetrendConfig,
     ForceMatrix,
     ShapeError,
+    TimeSeries,
     WindowTooSmallError,
 )
 from dpxa.detrend import (_SCAN_WINDOWS, _cumulate, _projection_basis,
@@ -190,12 +192,22 @@ def test_detrend_config_validation():
 
 
 def test_force_matrix():
-    fm = ForceMatrix.from_series([[1.0, 2.0], [3.0, 4.0]])
-    assert fm.p == 2 and fm.data.shape == (2, 2)
-    with pytest.raises(ShapeError):
-        ForceMatrix(np.empty((5, 0)))
-    with pytest.raises(ShapeError):
-        ForceMatrix.from_series([[1.0, 2.0], [3.0]])
+    # a validated series is kept as it is, not copied again
+    z = TimeSeries(np.array([1.0, 2.0]))
+    fm = ForceMatrix([z, [3.0, 4.0]])
+    assert fm.p == 2 and fm.columns[0] is z
+    assert fm.columns[1].values.tolist() == [3.0, 4.0]
+
+
+@pytest.mark.parametrize("columns, error, match", [
+    ([], ShapeError, "needs at least one column"),
+    ([[1.0, 2.0], [3.0]], ShapeError, r"differ in length: \[1, 2\]"),
+    ([[1.0, 2.0, 3.0], [3.0, 4.0, np.nan]], DataError,
+     r"^non-finite value nan at element 3 \(1-based\)$"),
+], ids=["no-column", "unequal", "non-finite"])
+def test_force_matrix_refuses(columns, error, match):
+    with pytest.raises(error, match=match):
+        ForceMatrix(columns)
 
 
 def test_projection_basis_is_cached_read_only():
@@ -463,49 +475,39 @@ def test_repeated_force_is_left_out(cfg):
 
 
 @pytest.mark.parametrize("with_intercept", [True, False],
-                         ids=["intercept", "nocept"])
-@pytest.mark.parametrize("p", [1, 2, 3])
-def test_slopes_match_window_ols(p, with_intercept):
-    # the forces' coefficients of each named series, in the order named,
-    # against a least-squares solve per window; p = 3 needs the
-    # back-substitution to run from the last force. Series 1 is named by
-    # no pair, and the forces are offset and mixed so that they correlate
-    rng = np.random.default_rng(40 + p)
+                         ids=["1-intercept", "1-nocept"])
+def test_slopes_match_window_ols(with_intercept):
+    # the force slopes of each named series, in the order named, against
+    # a least-squares solve per window. Series 1 is named by no pair, and
+    # the force is offset
+    rng = np.random.default_rng(41)
     T = 700
     rows = rng.standard_normal((2, T)) * [[1.0], [30.0]] + [[0.0], [4.0]]
-    Z = 2.0 + rng.standard_normal((T, p)) @ np.triu(np.ones((p, p)))
+    z = 2.0 + rng.standard_normal(T)
     cfg = DetrendConfig(with_intercept=with_intercept)
     sizes = (10, 35, 700)
-    covs = window_products(np.vstack([rows, Z.T]), sizes, cfg, ((0, 0),),
-                           tuple(range(2, 2 + p)), slopes=(1, 0))
-    assert covs.slopes.shape == (2, p, covs.windows.sum())
+    covs = window_products([*rows, z], sizes, cfg, ((0, 0),), (2,),
+                           slopes=(1, 0))
+    assert covs.slopes.shape == (2, covs.windows.sum())
     assert not covs.deficient.any()
-    got = np.split(covs.slopes, np.cumsum(covs.windows)[:-1], axis=2)
+    got = np.split(covs.slopes, np.cumsum(covs.windows)[:-1], axis=1)
     for s, slopes in zip(sizes, got):
         for v in range(T // s):
             sl = slice(v * s, (v + 1) * s)
             for n, i in enumerate((1, 0)):
-                beta, _ = window_ols(rows[i, sl], Z[sl], with_intercept)
-                want = beta[int(with_intercept):]
-                err = np.abs(slopes[n, :, v] - want) / (1.0 + np.abs(want))
-                assert err.max() <= 1e-12, (s, v, i)
+                beta, _ = window_ols(rows[i, sl], z[sl], with_intercept)
+                want = beta[-1]
+                err = abs(slopes[n, v] - want) / (1.0 + abs(want))
+                assert err <= 1e-12, (s, v, i)
 
 
-def test_slope_of_a_left_out_force_is_zero():
-    # a copy of the force is left out of every window: its coefficient is
-    # 0 and the force's own is the one-force slope
-    rng = np.random.default_rng(23)
-    z, rx = rng.standard_normal((2, 900))
-    rows = [rx, z, z.copy()]
-    sizes = (10, 90, 300)
-    once = window_products(rows[:2], sizes, DetrendConfig(), ((0, 0),), (1,),
-                           slopes=(0,))
-    twice = window_products(rows, sizes, DetrendConfig(), ((0, 0),), (1, 2),
-                            slopes=(0,))
-    assert twice.deficient.tolist() == twice.windows.tolist()
-    assert not once.deficient.any()
-    assert np.array_equal(twice.slopes[:, :1], once.slopes)
-    assert not twice.slopes[:, 1].any()
+@pytest.mark.parametrize("forces", [(), (1, 2)], ids=["none", "two"])
+def test_slopes_need_exactly_one_force(forces):
+    rows = np.random.default_rng(23).standard_normal((3, 200))
+    with pytest.raises(ConfigError, match="slopes need exactly one force, "
+                                          f"got {len(forces)}$"):
+        window_products(rows, (10,), DetrendConfig(), ((0, 0),), forces,
+                        slopes=(0,))
 
 
 @pytest.mark.parametrize("a", [1e-3, 1e-5, 1e-8])

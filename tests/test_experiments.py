@@ -411,7 +411,6 @@ def test_sweep_algebra_matches_direct_stack(monkeypatch, cancellation, hz,
     # the direct stack builds x and y: (rx, ry, z, x, y, x|z, y|z)
     direct_pairs = ((0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (3, 4), (0, 1),
                     (8, 9), (8, 8), (9, 9))
-    own = direct_pairs[:8]
     direct = window_covariances(stack, grid, cfg, direct_pairs, forces=(2,))
     # the algebra builds (rx, ry, z) and takes the slopes of rx and ry on z
     algebra = window_covariances(stack[:3], grid, cfg, _BASE_PAIRS,
@@ -419,13 +418,14 @@ def test_sweep_algebra_matches_direct_stack(monkeypatch, cancellation, hz,
     split = np.cumsum(direct.windows)[:-1]
     for want, f2, slopes in zip(np.split(direct.f2, split, axis=1),
                                 np.split(algebra.f2, split, axis=1),
-                                np.split(algebra.slopes, split, axis=2)):
+                                np.split(algebra.slopes, split, axis=1)):
         got = _contaminated(f2, slopes, *betas)
         # each pair (i, j) judged on the scale sqrt(F2_ii F2_jj)
         diag = {pair[0]: want[n] for n, pair in enumerate(direct_pairs)
                 if pair[0] == pair[1]}
-        scale = np.sqrt(np.stack([diag[i] * diag[j] for i, j in own]))
-        assert np.max(np.abs(got - want[:8]) / scale) <= 1e-12
+        scale = np.sqrt(np.stack([diag[i] * diag[j]
+                                  for i, j in direct_pairs]))
+        assert np.max(np.abs(got - want) / scale) <= 1e-12
 
 
 @pytest.mark.parametrize("cancellation", [0.0, np.inf],
@@ -468,17 +468,14 @@ def test_dpxa_rows_match_extended_precision(spec, path):
              (spec.hurst_x, spec.hurst_y, spec.hurst_z))
     scales = spec.scales()
     covs = _contaminated_draw(spec, hurst, path, scales)
-    sweep = _contaminated(covs.f2, covs.slopes, spec.beta_x, spec.beta_y)
-    rho = _contaminated(covs.f2, covs.slopes, spec.beta_x, spec.beta_y,
-                        own=True)
-    assert np.array_equal(sweep, rho[:8])
+    rows = _contaminated(covs.f2, covs.slopes, spec.beta_x, spec.beta_y)
     _, _, z, x, y = _contaminated_stack(
         hurst, spec.corr, spec.length,
         [derive_seed(spec.seed_base, *path, n) for n in (0, 1)],
         spec.beta_x, spec.beta_y)
     pairs = ((0, 1), (0, 0), (1, 1))
     split = np.cumsum(covs.windows)[:-1]
-    for s, got in zip(scales.scales, np.split(rho[7:], split, axis=1)):
+    for s, got in zip(scales.scales, np.split(rows[7:], split, axis=1)):
         want, own = longdouble_products(np.stack([x.values, y.values]), s,
                                         1, pairs, forces=z.values[None])
         scale = np.sqrt(np.stack([own[i] * own[j] for i, j in pairs]))
@@ -504,9 +501,9 @@ def test_constant_force_window_gets_slope_zero():
                                     ((8, 9), (8, 8), (9, 9)), forces=(2,))
     assert covs.deficient.tolist() == direct.deficient.tolist()
     assert covs.deficient[0] == 1
-    assert covs.slopes[:, 0, 0].tolist() == [0.0, 0.0]
-    assert covs.slopes[:, 0, 1:].all()
-    got = _contaminated(covs.f2, covs.slopes, BETAS, BETAS, own=True)[7:]
+    assert covs.slopes[:, 0].tolist() == [0.0, 0.0]
+    assert covs.slopes[:, 1:].all()
+    got = _contaminated(covs.f2, covs.slopes, BETAS, BETAS)[7:]
     scale = np.sqrt(np.stack([direct.f2[1] * direct.f2[2], direct.f2[1],
                               direct.f2[2]]))
     assert float((np.abs(got - direct.f2) / scale).max()) <= 1e-12

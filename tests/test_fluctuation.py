@@ -190,7 +190,7 @@ def test_rho_affine_invariance():
     assert np.max(np.abs(base - scaled)) <= 1e-10
 
     z = rng.standard_normal(2000)
-    forces = ForceMatrix.from_series([z])
+    forces = ForceMatrix([z])
     base = rho_curve(x, y, forces, grid).rho
     shifted = rho_curve(x + 4.0 + 2.5 * z, y, forces, grid).rho
     assert np.max(np.abs(base - shifted)) <= 1e-10
@@ -212,7 +212,7 @@ def test_kinds():
     q = QGrid.second_order()
     assert fluctuation_dfa(x, grid, q).kind == "DFA"
     assert fluctuation_dcca(x, y, grid, q).kind == "DCCA"
-    forces = ForceMatrix.from_series([z])
+    forces = ForceMatrix([z])
     assert fluctuation_dpxa(x, y, forces, grid, q).kind == "DPXA"
     assert rho_dcca(x, y, grid).kind == "DCCA"
     assert rho_curve(x, y, forces, grid).kind == "DPXA"
@@ -245,7 +245,7 @@ def test_dpxa_slope_ignores_strong_driver():
         rx, ry = gen_bfbm_increments(BfbmSpec(0.5, 0.5, 0.5, n, 600 + seed))
         x = contaminate(rx, z, betas)
         y = contaminate(ry, z, betas)
-        forces = ForceMatrix.from_series([z])
+        forces = ForceMatrix([z])
         h_dpxa.append(fit_exponent(
             fluctuation_dpxa(x, y, forces, grid, q2)).h[0])
         h_oracle.append(fit_exponent(
@@ -310,10 +310,10 @@ def test_dpxa_under_large_common_offset(offset, tol):
     x = contaminate(rx, z, betas).values
     y = contaminate(ry, z, betas).values
     grid, orders = ScaleGrid.default(n), QGrid.default()
-    base = fluctuation_dpxa(x, y, ForceMatrix.from_series([z.values]), grid,
+    base = fluctuation_dpxa(x, y, ForceMatrix([z.values]), grid,
                             orders).F
     shifted = fluctuation_dpxa(
-        x + offset, y + offset, ForceMatrix.from_series([z.values + offset]),
+        x + offset, y + offset, ForceMatrix([z.values + offset]),
         grid, orders).F
     assert np.max(np.abs(shifted - base) / base) <= tol
 
@@ -329,7 +329,7 @@ def test_force_explained_residual_is_zero_under_any_offset(offset):
     with pytest.raises(DegenerateInputError,
                        match="all 400 windows are exactly degenerate at "
                              "scale 10$"):
-        fluctuation_dpxa(x, x, ForceMatrix(z[:, None]),
+        fluctuation_dpxa(x, x, ForceMatrix([z]),
                          ScaleGrid.default(4000), QGrid.second_order())
 
 
@@ -343,7 +343,7 @@ def test_small_residual_survives_a_large_offset(scale):
 
     z = gen_fgn(FgnSpec(0.7, 4000, 1)).values
     r = scale * np.random.default_rng(7).standard_normal(4000)
-    forces = ForceMatrix(z[:, None])
+    forces = ForceMatrix([z])
     grid, orders = ScaleGrid.default(4000), QGrid.default()
     far = fluctuation_dpxa(1e8 + 3.0 * z + r, 1e8 + 3.0 * z + r, forces,
                            grid, orders)
@@ -362,7 +362,7 @@ def test_rank_deficiency_warns_once_per_call():
     n = 4000
     x, y = rng.standard_normal(n), rng.standard_normal(n)
     grid = ScaleGrid.default(n)
-    forces = ForceMatrix.from_series([np.full(n, 1.5)])
+    forces = ForceMatrix([np.full(n, 1.5)])
     windows = sum(n // int(s) for s in grid.scales)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -386,7 +386,7 @@ def test_deficient_windows_counted_per_scale():
     x, y, z = rng.standard_normal((3, n))
     z[:1000] = 1.5
     grid, q2 = ScaleGrid.default(n), QGrid.second_order()
-    forces = ForceMatrix.from_series([z])
+    forces = ForceMatrix([z])
     want = [1000 // int(s) for s in grid.scales]
     with pytest.warns(RankDeficiencyWarning, match=r" 451 of 1829 windows"):
         dpxa = fluctuation_dpxa(x, y, forces, grid, q2)
