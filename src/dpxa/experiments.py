@@ -17,19 +17,17 @@ realization, stream), so a spec reproduces its files byte for byte at
 any parallelism degree.
 
 All three experiments contaminate their pair as x = b0 + b1 z + r_x and
-y = b0' + b2 z + r_y, with the intercepts and slopes of the spec's
-``ContaminationSpec``s; r is bivariate FBM (sweep, rho) or a binomial
-cascade (mf), z FGN. With an intercept every window is centred, which
-removes b0 and b0', and cumulating and detrending are linear, so the
-window products of x and y are bilinear forms in those of (r_x, r_y, z):
-F2_xx = F2_rxrx + 2 b1 F2_rxz + b1^2 F2_zz, and likewise for yy and xy.
-In a window the residual of x on (1, z) is that of r_x, r_x - a_x z less
-its mean, with a_x the window's OLS slope of r_x on z; so the DPXA
-products are bilinear forms in the same products, with the per-window
-slopes a_x and a_y in place of b1 and b2. The window kernel therefore
-builds only r_x, r_y and z, and returns a_x and a_y from its force
-regression; x, y and their residuals are never built. The identity needs
-``with_intercept``, which every experiment uses.
+y = b0' + b2 z + r_y (the spec's ``ContaminationSpec``s); r is bivariate
+FBM (sweep, rho) or a binomial cascade (mf), z FGN. With an intercept
+every window is centred, which removes b0 and b0', and cumulating and
+detrending are linear. So each series of the one table in
+``_contaminated`` is a coefficient vector u on the stack (r_x, r_y, z):
+x = (1, 0, b1), and its residual on (1, z) is x|z = (1, 0, -a_x), with
+a_x the window's OLS slope of r_x on z. The window product of a pair
+(u, v) is then u'Gv, G the window's Gram form of the products of
+(r_x, r_y, z). The window kernel builds only r_x, r_y and z and returns
+a_x and a_y from its force regression; each experiment names the pairs
+it reads, and the kind of each surface follows from its pair.
 """
 
 from __future__ import annotations
@@ -312,8 +310,7 @@ class RhoComparisonResult:
     rho_dpxa: np.ndarray
 
     def curves(self) -> dict:
-        return {"rho_dcca_xy": self.rho_dcca_xy,
-                "rho_dcca_r": self.rho_dcca_r, "rho_dpxa": self.rho_dpxa}
+        return {name: getattr(self, name) for name in _RHO_CURVES}
 
     def to_dict(self) -> dict:
         return {"experiment": "rho", "spec": asdict(self.spec),
@@ -356,49 +353,64 @@ class MfRecoveryResult:
 
 
 # --------------------------------------------------------------------------- #
-# sweep
+# the named pairs of every experiment, and the sweep
 
-_EXPONENT_KEYS = ("h_rx", "h_ry", "h_z", "h_x", "h_y", "h_xy", "h_rxry",
-                  "h_xyz")
-_REGRESSION_KEYS = ("intercept", "coef_h_rx", "coef_h_ry", "coef_h_z")
-# All three experiments stack (rx, ry, z) with force z and take the
-# products of these pairs, with the slopes of rx and ry on z, from one
-# kernel call; ``_contaminated`` builds those of x, y, x|z and y|z.
+# the pair of series each experiment reads, by the name of its output
+_SWEEP_ROWS = {"h_rx": ("rx", "rx"), "h_ry": ("ry", "ry"), "h_z": ("z", "z"),
+               "h_x": ("x", "x"), "h_y": ("y", "y"), "h_xy": ("x", "y"),
+               "h_rxry": ("rx", "ry"), "h_xyz": ("x|z", "y|z")}
+# rho(u, v) reads the pairs (u, v), (u, u) and (v, v)
+_RHO_CURVES = {name: ((u, v), (u, u), (v, v)) for name, (u, v) in (
+    ("rho_dcca_xy", ("x", "y")), ("rho_dcca_r", ("rx", "ry")),
+    ("rho_dpxa", ("x|z", "y|z")))}
+_RHO_PAIRS = tuple(p for sides in _RHO_CURVES.values() for p in sides)
+_MF_FITS = {"mfdcca_xy": ("x", "y"), "mfdcca_r": ("rx", "ry"),
+            "mfdpxa_xyz": ("x|z", "y|z")}
+_EXPONENT_KEYS = tuple(_SWEEP_ROWS)
+_REGRESSORS = ("h_rx", "h_ry", "h_z")
+_REGRESSION_KEYS = ("intercept", *(f"coef_{key}" for key in _REGRESSORS))
+# the products of (rx, ry, z) that one kernel call takes, force z
 _BASE_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
-_SWEEP_KINDS = (KIND_DFA,) * 5 + (KIND_DCCA, KIND_DCCA, KIND_DPXA)
 
 
 def _contaminated(f2: np.ndarray, slopes: np.ndarray,
-                  beta_x: ContaminationSpec,
-                  beta_y: ContaminationSpec) -> np.ndarray:
-    """The covariance rows of the ``_BASE_PAIRS`` products ``f2`` (6, W)
-    of the stack (rx, ry, z) as (rx rx, ry ry, z z, x x, y y, x y, rx ry,
-    x|z y|z, x|z x|z, y|z y|z): the sweep takes the first eight, mf rows
-    5 to 7 and rho all ten. ``slopes`` (2, W) holds the OLS slopes a_x,
-    a_y of rx and ry on z in each window:
-
-    F2_xx = F2_rxrx + 2 b1 F2_rxz + b1^2 F2_zz,
-    F2_yy = F2_ryry + 2 b2 F2_ryz + b2^2 F2_zz,
-    F2_xy = F2_rxry + b2 F2_rxz + b1 F2_zry + b1 b2 F2_zz,
-    F2_x|z,y|z = F2_rxry - a_y F2_rxz - a_x F2_zry + a_x a_y F2_zz,
-    F2_x|z,x|z = F2_rxrx - 2 a_x F2_rxz + a_x^2 F2_zz, and likewise y|z.
-
-    The kernel zeroes a residual window that the force explains up to
-    rounding (``detrend._VANISHING``). The algebra has no such rule and
-    needs none: r_x and r_y are continuous draws independent of z or
-    deterministic cascades, and z explains none of their windows. A
-    uniform cascade (p = 1/2) is constant in every window, so its clean
-    row rx ry is zero and ``surface`` raises ``DegenerateInputError``."""
-    rxrx, ryry, zz, rxry, rxz, ryz = f2
-    b1, b2 = beta_x.slope, beta_y.slope
+                  beta_x: ContaminationSpec, beta_y: ContaminationSpec,
+                  pairs) -> np.ndarray:
+    """The window products u'Gv of the named ``pairs`` (u, v), one row
+    each: G is the Gram form of the ``_BASE_PAIRS`` products ``f2`` (6, W)
+    of (rx, ry, z), ``slopes`` (2, W) the OLS slopes a_x, a_y of rx and ry
+    on z in each window. The terms G_ij, i <= j, are summed in index
+    order, each weighted by u_i v_j + u_j v_i (u_i v_i if i = j). Unlike
+    the kernel, which zeroes a residual window that the force explains up
+    to rounding, this needs no such rule: z explains no window of r."""
     ax, ay = slopes
-    xx = rxrx + 2.0 * b1 * rxz + b1 * b1 * zz
-    yy = ryry + 2.0 * b2 * ryz + b2 * b2 * zz
-    xy = rxry + b2 * rxz + b1 * ryz + b1 * b2 * zz
-    return np.stack([rxrx, ryry, zz, xx, yy, xy, rxry,
-                     rxry - ay * rxz - ax * ryz + ax * ay * zz,
-                     rxrx - 2.0 * ax * rxz + ax * ax * zz,
-                     ryry - 2.0 * ay * ryz + ay * ay * zz])
+    # each series' nonzero coefficients on the stack (rx, ry, z)
+    table = {"rx": {0: 1}, "ry": {1: 1}, "z": {2: 1},
+             "x": {0: 1, 2: beta_x.slope}, "y": {1: 1, 2: beta_y.slope},
+             "x|z": {0: 1, 2: -ax}, "y|z": {1: 1, 2: -ay}}
+    # -0.0 is the additive identity of every float, signed zeros included
+    out = np.full((len(pairs), f2.shape[1]), -0.0)
+    for row, (a, b) in zip(out, pairs):
+        weights = {}
+        for i, p in table[a].items():
+            for j, q in table[b].items():
+                ij = (min(i, j), max(i, j))
+                weights[ij] = weights[ij] + p * q if ij in weights else p * q
+        for ij, w in sorted(weights.items()):
+            term = f2[_BASE_PAIRS.index(ij)]
+            row += term if np.ndim(w) == 0 and w == 1 else w * term
+    return out
+
+
+def _pair_surfaces(covs: WindowCovariances, spec, pairs, scales: ScaleGrid,
+                   orders: QGrid) -> list:
+    """The surfaces of the named ``pairs`` of the stack products ``covs``;
+    a pair of residuals on z is DPXA, a series with itself DFA."""
+    rows = _contaminated(covs.f2, covs.slopes, spec.beta_x, spec.beta_y,
+                         pairs)
+    return surface(replace(covs, f2=rows), scales, orders, [
+        KIND_DPXA if "|" in u + v else KIND_DFA if u == v else KIND_DCCA
+        for u, v in pairs])
 
 
 def _stack_covariances(rx, ry, z, scales: ScaleGrid) -> WindowCovariances:
@@ -430,12 +442,10 @@ def _sweep_realization(spec: SweepSpec, i: int) -> tuple[float, ...]:
     try:
         grid = spec.scales()
         covs = _contaminated_draw(spec, (hrx, hry, hz), (t, real_idx), grid)
-        covs = replace(covs, f2=_contaminated(covs.f2, covs.slopes,
-                                              spec.beta_x, spec.beta_y)[:8])
         q2 = QGrid.second_order()
         # the eight q = 2 rows in one least-squares pass
-        F = np.concatenate([sf.F for sf in
-                            surface(covs, grid, q2, _SWEEP_KINDS)])
+        F = np.concatenate([sf.F for sf in _pair_surfaces(
+            covs, spec, tuple(_SWEEP_ROWS.values()), grid, q2)])
         h, _, _ = fit_slopes(grid.scales, F, q2.orders.repeat(len(F)),
                              np.ones(len(grid), dtype=bool))
         return tuple(h.tolist())
@@ -451,14 +461,14 @@ def _reduce_sweep(spec: SweepSpec, outputs) -> SweepResult:
         len(spec.hurst_grid), spec.realizations,
         len(_EXPONENT_KEYS)).mean(axis=1)
 
-    triples = []
-    for (hrx, hry, hz), row in zip(spec.hurst_grid, per_triple):
-        entry = {"H_rx": hrx, "H_ry": hry, "H_z": hz}
-        entry.update(zip(_EXPONENT_KEYS, (float(v) for v in row)))
-        triples.append(entry)
+    triples = [{"H_rx": hrx, "H_ry": hry, "H_z": hz,
+                **dict(zip(_EXPONENT_KEYS, row.tolist()))}
+               for (hrx, hry, hz), row in zip(spec.hurst_grid, per_triple)]
 
-    design = np.column_stack([np.ones(len(triples)), per_triple[:, :3]])
-    coeffs, _, _, _ = np.linalg.lstsq(design, per_triple[:, 7], rcond=None)
+    column = dict(zip(_EXPONENT_KEYS, per_triple.T))
+    design = np.column_stack([np.ones(len(triples)),
+                              *(column[key] for key in _REGRESSORS)])
+    coeffs, _, _, _ = np.linalg.lstsq(design, column["h_xyz"], rcond=None)
     regression = dict(zip(_REGRESSION_KEYS, coeffs.tolist()))
 
     pairs: dict[tuple[float, float], list[int]] = {}
@@ -466,14 +476,11 @@ def _reduce_sweep(spec: SweepSpec, outputs) -> SweepResult:
         pairs.setdefault((hrx, hry), []).append(idx)
     relative_errors = []
     for (hrx, hry), idxs in sorted(pairs.items()):
-        mean_xyz = float(per_triple[idxs, 7].mean())
-        mean_rxry = float(per_triple[idxs, 6].mean())
-        relative_errors.append({
-            "H_rx": hrx, "H_ry": hry,
-            "mean_h_xyz": mean_xyz,
-            "mean_h_rxry": mean_rxry,
-            "rel_err": (mean_xyz - mean_rxry) / mean_rxry,
-        })
+        xyz, rxry = (float(column[key][idxs].mean())
+                     for key in ("h_xyz", "h_rxry"))
+        relative_errors.append({"H_rx": hrx, "H_ry": hry, "mean_h_xyz": xyz,
+                                "mean_h_rxry": rxry,
+                                "rel_err": (xyz - rxry) / rxry})
     return SweepResult(spec, triples, regression, relative_errors)
 
 
@@ -485,18 +492,18 @@ def _rho_realization(spec: RhoSpec, seed_idx: int) -> np.ndarray:
     covs = _contaminated_draw(spec, (spec.hurst_x, spec.hurst_y,
                                      spec.hurst_z), (seed_idx,), scales)
     # the slopes vary by window, so the rows are per window before their
-    # per-scale means: rho_dcca(x, y), rho_dcca(rx, ry) and
-    # rho_curve(x, y | z)
+    # per-scale means
     means = covs.sums(_contaminated(covs.f2, covs.slopes, spec.beta_x,
-                                    spec.beta_y)) / covs.windows
-    return np.stack([rho_values(means, which, scales)
-                     for which in ((5, 3, 4), (6, 0, 1), (7, 8, 9))])
+                                    spec.beta_y, _RHO_PAIRS)) / covs.windows
+    return np.stack([rho_values(means, [_RHO_PAIRS.index(p) for p in sides],
+                                scales) for sides in _RHO_CURVES.values()])
 
 
 def _reduce_rho(spec: RhoSpec, outputs) -> RhoComparisonResult:
     """Seed-averaged DCCA/DPXA coefficient curves."""
     return RhoComparisonResult(spec, spec.scales().scales.copy(),
-                               *np.mean(outputs, axis=0))
+                               **dict(zip(_RHO_CURVES,
+                                          np.mean(outputs, axis=0))))
 
 
 # --------------------------------------------------------------------------- #
@@ -517,12 +524,9 @@ def _mf_realization(spec: MfSpec, seed_idx: int) -> tuple:
     ry = gen_binomial(BinomialSpec(spec.p_y, spec.depth))
     z = gen_fgn(FgnSpec(spec.noise_hurst, 2 ** spec.depth,
                         derive_seed(spec.seed_base, seed_idx, 0)))
-    covs = _stack_covariances(rx, ry, z, scales)
-    # rows 5, 6 and 7 of the contaminated rows: x y, rx ry and x|z y|z
-    rows = _contaminated(covs.f2, covs.slopes, spec.beta_x, spec.beta_y)[5:8]
-    fits = [fit_exponent(sf) for sf in surface(
-        replace(covs, f2=rows), scales, orders,
-        (KIND_DCCA, KIND_DCCA, KIND_DPXA))]
+    fits = [fit_exponent(sf) for sf in _pair_surfaces(
+        _stack_covariances(rx, ry, z, scales), spec,
+        tuple(_MF_FITS.values()), scales, orders)]
     noise_std = float(np.std(spec.beta_x.slope * z.values))
     snr = float(np.std(rx.values) / noise_std) if noise_std > 0 else float("inf")
     return (*fits, snr)
@@ -531,11 +535,12 @@ def _mf_realization(spec: MfSpec, seed_idx: int) -> tuple:
 def _reduce_mf(spec: MfSpec, outputs) -> MfRecoveryResult:
     """Seed-averaged fits and SNR, and the closed-form mass exponents."""
     orders = QGrid.default()
-    xy, clean, xyz, snr = zip(*outputs)
-    fits = {"mfdcca_xy": _averaged_fit(orders, xy),
-            "mfdpxa_xyz": _averaged_fit(orders, xyz),
-            # the cascades are the same in every realization
-            "mfdcca_r": legendre(mass_exponents(clean[0]))}
+    *per_seed, snr = zip(*outputs)
+    fits = dict(zip(_MF_FITS, per_seed))
+    # the cascades are the same in every realization
+    clean = legendre(mass_exponents(fits.pop("mfdcca_r")[0]))
+    fits = {name: _averaged_fit(orders, f) for name, f in fits.items()}
+    fits["mfdcca_r"] = clean
     theory_tau = joint_binomial_mass_exponent(orders.orders, spec.p_x,
                                               spec.p_y)
     return MfRecoveryResult(spec, orders.orders.copy(),

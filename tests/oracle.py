@@ -9,7 +9,10 @@ precision, the reference for the kernel's rounding error.
 The unfolded circulant-embedding synthesis: complex noise over all 2N
 frequencies and one complex FFT of length 2N, keeping the real part of the
 first N outputs. It shares no code with ``dpxa.generators``, draws the same
-noise in the same order, and serves as the generators' test oracle."""
+noise in the same order, and serves as the generators' test oracle.
+
+The contaminated pairs of the experiments written out by hand, one formula
+per pair, as the bitwise reference of their table-driven evaluation."""
 
 import warnings
 
@@ -229,3 +232,32 @@ def folded_sample(weights, seed: int, n: int) -> list:
             spectrum.imag = spectrum.imag + row[j] * im[:, j]
         samples.append(np.fft.irfft(spectrum, 2 * n)[:n] * np.sqrt(0.5 * n))
     return samples
+
+
+# the pairs ``contaminated_rows`` returns, in its row order
+CONTAMINATED_PAIRS = (("rx", "rx"), ("ry", "ry"), ("z", "z"), ("x", "x"),
+                      ("y", "y"), ("x", "y"), ("rx", "ry"), ("x|z", "y|z"),
+                      ("x|z", "x|z"), ("y|z", "y|z"))
+
+
+def contaminated_rows(f2, slopes, beta_x, beta_y) -> np.ndarray:
+    """The window products of ``CONTAMINATED_PAIRS`` from the products
+    (rx rx, ry ry, z z, rx ry, rx z, ry z) ``f2`` of the stack (rx, ry, z),
+    with x = b0 + b1 z + rx, y = b0' + b2 z + ry and the per-window OLS
+    slopes ``slopes`` = (a_x, a_y) of rx and ry on z:
+
+    F2_xx = F2_rxrx + 2 b1 F2_rxz + b1^2 F2_zz,
+    F2_yy = F2_ryry + 2 b2 F2_ryz + b2^2 F2_zz,
+    F2_xy = F2_rxry + b2 F2_rxz + b1 F2_zry + b1 b2 F2_zz,
+    F2_x|z,y|z = F2_rxry - a_y F2_rxz - a_x F2_zry + a_x a_y F2_zz,
+    F2_x|z,x|z = F2_rxrx - 2 a_x F2_rxz + a_x^2 F2_zz, and likewise y|z."""
+    rxrx, ryry, zz, rxry, rxz, ryz = f2
+    b1, b2 = beta_x.slope, beta_y.slope
+    ax, ay = slopes
+    xx = rxrx + 2.0 * b1 * rxz + b1 * b1 * zz
+    yy = ryry + 2.0 * b2 * ryz + b2 * b2 * zz
+    xy = rxry + b2 * rxz + b1 * ryz + b1 * b2 * zz
+    return np.stack([rxrx, ryry, zz, xx, yy, xy, rxry,
+                     rxry - ay * rxz - ax * ryz + ax * ay * zz,
+                     rxrx - 2.0 * ax * rxz + ax * ax * zz,
+                     ryry - 2.0 * ay * ryz + ay * ay * zz])

@@ -18,6 +18,7 @@ from dpxa.experiments import (
     _contaminated_draw,
     _mf_realization,
     _rho_realization,
+    _stack_covariances,
     _sweep_realization,
     MF_PRESETS,
     MfSpec,
@@ -36,14 +37,16 @@ from dpxa.experiments import (
     write_rho_outputs,
     write_sweep_outputs,
 )
-from dpxa.fluctuation import KIND_DPXA, fluctuation_dcca, fluctuation_dfa, \
-    rho_values, surface, window_covariances
+from dpxa.fluctuation import KIND_DCCA, KIND_DFA, KIND_DPXA, \
+    fluctuation_dcca, fluctuation_dfa, rho_values, surface, \
+    window_covariances
 from dpxa.generators import BfbmSpec, BinomialSpec, FgnSpec, _bfbm_factor, \
     _fgn_factor, contaminate, derive_seed, gen_bfbm_increments, \
     gen_binomial, gen_fgn
 from dpxa.io import jsonable
 from dpxa.scaling import fit_exponent
-from oracle import longdouble_products
+from oracle import CONTAMINATED_PAIRS, contaminated_rows, \
+    longdouble_products
 
 BETAS = ContaminationSpec(2.0, 3.0)
 
@@ -394,6 +397,8 @@ def _contaminated_stack(hurst, corr, length, seeds, beta_x, beta_y):
 # the unequal slopes fail the algebra if b1 and b2 trade places
 ALGEBRA_BETAS = [(BETAS, BETAS),
                  (ContaminationSpec(2.0, 3.0), ContaminationSpec(-7.0, -0.5))]
+# the DPXA pair (x|z, y|z) and its two sides
+DPXA_PAIRS = (("x|z", "y|z"), ("x|z", "x|z"), ("y|z", "y|z"))
 
 
 @pytest.mark.parametrize("cancellation", [0.0, np.inf],
@@ -419,7 +424,7 @@ def test_sweep_algebra_matches_direct_stack(monkeypatch, cancellation, hz,
     for want, f2, slopes in zip(np.split(direct.f2, split, axis=1),
                                 np.split(algebra.f2, split, axis=1),
                                 np.split(algebra.slopes, split, axis=1)):
-        got = _contaminated(f2, slopes, *betas)
+        got = _contaminated(f2, slopes, *betas, CONTAMINATED_PAIRS)
         # each pair (i, j) judged on the scale sqrt(F2_ii F2_jj)
         diag = {pair[0]: want[n] for n, pair in enumerate(direct_pairs)
                 if pair[0] == pair[1]}
@@ -468,14 +473,15 @@ def test_dpxa_rows_match_extended_precision(spec, path):
              (spec.hurst_x, spec.hurst_y, spec.hurst_z))
     scales = spec.scales()
     covs = _contaminated_draw(spec, hurst, path, scales)
-    rows = _contaminated(covs.f2, covs.slopes, spec.beta_x, spec.beta_y)
+    rows = _contaminated(covs.f2, covs.slopes, spec.beta_x, spec.beta_y,
+                         DPXA_PAIRS)
     _, _, z, x, y = _contaminated_stack(
         hurst, spec.corr, spec.length,
         [derive_seed(spec.seed_base, *path, n) for n in (0, 1)],
         spec.beta_x, spec.beta_y)
     pairs = ((0, 1), (0, 0), (1, 1))
     split = np.cumsum(covs.windows)[:-1]
-    for s, got in zip(scales.scales, np.split(rows[7:], split, axis=1)):
+    for s, got in zip(scales.scales, np.split(rows, split, axis=1)):
         want, own = longdouble_products(np.stack([x.values, y.values]), s,
                                         1, pairs, forces=z.values[None])
         scale = np.sqrt(np.stack([own[i] * own[j] for i, j in pairs]))
@@ -503,7 +509,7 @@ def test_constant_force_window_gets_slope_zero():
     assert covs.deficient[0] == 1
     assert covs.slopes[:, 0].tolist() == [0.0, 0.0]
     assert covs.slopes[:, 1:].all()
-    got = _contaminated(covs.f2, covs.slopes, BETAS, BETAS)[7:]
+    got = _contaminated(covs.f2, covs.slopes, BETAS, BETAS, DPXA_PAIRS)
     scale = np.sqrt(np.stack([direct.f2[1] * direct.f2[2], direct.f2[1],
                               direct.f2[2]]))
     assert float((np.abs(got - direct.f2) / scale).max()) <= 1e-12
@@ -532,6 +538,80 @@ def test_contaminated_realizations_build_three_rows(monkeypatch):
     _mf_realization(MF_PRESETS["smoke"], 0)
     assert [len(rows) for rows in named] == [3, 3, 3]
     assert residuals and set(residuals) == {0}
+
+
+def _experiment_stack(experiment, log2_length):
+    """(rx, ry, z) and the grid as the experiment draws them."""
+    if experiment == "mf":
+        spec = replace(MF_PRESETS["smoke"], depth=log2_length)
+        rx, ry = (gen_binomial(BinomialSpec(p, log2_length))
+                  for p in (spec.p_x, spec.p_y))
+        z = gen_fgn(FgnSpec(spec.noise_hurst, 2 ** log2_length,
+                            derive_seed(spec.seed_base, 0, 0)))
+        return rx, ry, z, spec.scales()
+    hurst, corr = (((0.3, 0.7, 0.5), 0.5) if experiment == "sweep" else
+                   ((0.1, 0.1, 0.95), 0.7))
+    rx, ry, z, _, _ = _contaminated_stack(hurst, corr, 2 ** log2_length,
+                                          (31, 32), BETAS, BETAS)
+    return rx, ry, z, ScaleGrid.default(2 ** log2_length)
+
+
+@pytest.mark.parametrize("constant_window", [False, True],
+                         ids=["drawn", "constant-first-window"])
+@pytest.mark.parametrize("log2_length", [10, 14])
+@pytest.mark.parametrize("experiment", ["sweep", "rho", "mf"])
+def test_named_pairs_are_the_hand_expansions_bitwise(experiment, log2_length,
+                                                     constant_window):
+    # each named pair equals its hand-expanded formula in every bit; a
+    # force constant on the first window gives slopes 0 there
+    rx, ry, z, grid = _experiment_stack(experiment, log2_length)
+    if constant_window:
+        z = z.values.copy()
+        z[:grid.scales[0]] = 0.25
+        with pytest.warns(RankDeficiencyWarning):
+            covs = _stack_covariances(rx, ry, z, grid)
+        assert covs.slopes[:, 0].tolist() == [0.0, 0.0]
+    else:
+        covs = _stack_covariances(rx, ry, z, grid)
+    for betas in ALGEBRA_BETAS:
+        got = _contaminated(covs.f2, covs.slopes, *betas, CONTAMINATED_PAIRS)
+        want = contaminated_rows(covs.f2, covs.slopes, *betas)
+        for pair, row, reference in zip(CONTAMINATED_PAIRS, got, want):
+            assert np.array_equal(row, reference), pair
+
+
+def test_realizations_derive_todays_kinds(monkeypatch):
+    seen = []
+
+    def spy(covs, scales, orders, kinds):
+        seen.append(tuple(kinds))
+        return surface(covs, scales, orders, kinds)
+
+    monkeypatch.setattr(experiments, "surface", spy)
+    _sweep_realization(SWEEP_PRESETS["smoke"], 0)
+    _mf_realization(MF_PRESETS["smoke"], 0)
+    assert seen == [(KIND_DFA,) * 5 + (KIND_DCCA, KIND_DCCA, KIND_DPXA),
+                    (KIND_DCCA, KIND_DCCA, KIND_DPXA)]
+
+
+def test_realizations_ask_for_exactly_the_pairs_they_read(monkeypatch):
+    asked = []
+
+    def spy(f2, slopes, beta_x, beta_y, pairs):
+        asked.append(list(pairs))
+        return _contaminated(f2, slopes, beta_x, beta_y, pairs)
+
+    monkeypatch.setattr(experiments, "_contaminated", spy)
+    _sweep_realization(SWEEP_PRESETS["smoke"], 0)
+    _rho_realization(RHO_PRESETS["smoke"], 0)
+    _mf_realization(MF_PRESETS["smoke"], 0)
+    sweep, rho, mf = asked
+    assert sweep == [("rx", "rx"), ("ry", "ry"), ("z", "z"), ("x", "x"),
+                     ("y", "y"), ("x", "y"), ("rx", "ry"), ("x|z", "y|z")]
+    assert len(rho) == 9 and set(rho) == {
+        (u, v) for a, b in (("x", "y"), ("rx", "ry"), ("x|z", "y|z"))
+        for u, v in ((a, b), (a, a), (b, b))}
+    assert mf == [("x", "y"), ("rx", "ry"), ("x|z", "y|z")]
 
 
 @pytest.mark.parametrize("seed_idx", [0, 1])
