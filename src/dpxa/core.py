@@ -1,4 +1,5 @@
-"""Shared value types: series and the scale/q grids.
+"""Shared value types: series and the scale/q grids, and ``check_fields``,
+the one owner of the type and range rules of spec and config fields.
 
 All types are immutable after construction and safe to share across
 concurrent workers. Window and element indices are 1-based in
@@ -8,17 +9,51 @@ documentation and error messages; arrays are regular 0-based numpy.
 from __future__ import annotations
 
 import mmap
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DataError, EmptyInputError, InvalidScaleError, SizeError
+from .errors import ConfigError, DataError, EmptyInputError, \
+    InvalidScaleError, SizeError
 
 DEFAULT_SCALE_COUNT = 20
 DEFAULT_MIN_SCALE = 10
 # most points a scale or q grid is asked for: a series of T points has at
 # most T/4 distinct default scales, and the default q grid has 17 orders
 MAX_GRID_COUNT = 2 ** 16
+
+
+# check_fields' rules, each a test of a value and what it asks: one for a
+# field annotated int or float, and one for each group of field names
+_RULES = {
+    "int": (lambda v: isinstance(v, numbers.Integral), "be an integer"),
+    "float": (lambda v: isinstance(v, numbers.Real) and abs(v) < np.inf,
+              "be a finite number"),
+    "unit": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
+    "positive": (lambda v: v >= 1, "be >= 1"),
+    "natural": (lambda v: v >= 0, "be >= 0"),
+    "correlation": (lambda v: -1.0 <= v <= 1.0, "lie in [-1, 1]"),
+}
+
+
+def check_fields(spec, unit=(), positive=(), natural=(),
+                 correlation=()) -> None:
+    """Each field of the dataclass ``spec`` annotated ``int`` holds an
+    integer and each ``float`` field a finite real number, neither a bool
+    nor a str, and each field a group names lies in its range. Raises
+    ConfigError naming the first field, in declaration order, that breaks
+    one of the ``_RULES``."""
+    group = {name: g for g, names in (
+        ("unit", unit), ("positive", positive), ("natural", natural),
+        ("correlation", correlation)) for name in names}
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        # the annotation is a string under postponed evaluation
+        for rule in (getattr(f.type, "__name__", f.type), group.get(f.name)):
+            test, asks = _RULES.get(rule, (None, None))
+            if test and (isinstance(value, bool) or not test(value)):
+                raise ConfigError(f"{f.name} must {asks}, got {value!r}")
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:

@@ -62,7 +62,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import as_series, _resident_array
+from .core import as_series, _resident_array, check_fields
 from .errors import ConfigError, ShapeError, WindowTooSmallError
 
 POLYNOMIAL = "polynomial"
@@ -137,8 +137,7 @@ class DetrendConfig:
     def __post_init__(self):
         if self.method not in (POLYNOMIAL, MOVING_AVERAGE):
             raise ConfigError(f"unknown detrending method {self.method!r}")
-        if self.poly_order < 0:
-            raise ConfigError(f"poly_order must be >= 0, got {self.poly_order}")
+        check_fields(self, natural=("poly_order",))
 
     def check_scale(self, s: int) -> None:
         if self.method == POLYNOMIAL and self.poly_order >= s - 1:
@@ -211,14 +210,16 @@ def _remove_forces(A: np.ndarray, means: np.ndarray, Z, zmeans,
     to rounding (``_vanishes``) is left out, or set to zero. The windows
     S (n, M, s) are left as they are: given them, Z holds one force, and
     their OLS slopes on it go to ``slopes`` (n, M), 0 where it is left
-    out. Returns the number of windows that leave out a force:
-    rank-deficient ones."""
+    out. A window where a moment overflows float64, which would pass for
+    an explained one, gets nan residuals. Returns the number of windows
+    that leave out a force: rank-deficient ones."""
     M, s = A.shape[1:]
     left_out = np.zeros(M, dtype=bool)
     # (q, |q|^2) of each force, inf where it is left out
     basis = []
     for q, mean in zip(Z, zmeans):
         moment = np.einsum("ms,ms->m", q, q)
+        A[:, ~np.isfinite(moment)] = np.nan
         for u, norm in basis:
             # a force left out of a window divides by inf there
             q = q - (np.einsum("ms,ms->m", u, q) / norm)[:, None] * u
@@ -246,6 +247,7 @@ def _remove_forces(A: np.ndarray, means: np.ndarray, Z, zmeans,
     # fluctuations would pass for a signal
     after = np.einsum("rms,rms->rm", A, A)
     A[_vanishes(after, after + explained, means, s)] = 0.0
+    A[~np.isfinite(after + explained)] = np.nan
     return int(np.count_nonzero(left_out))
 
 
@@ -309,12 +311,12 @@ def window_products(rows, sizes, cfg: DetrendConfig, pairs, forces=(),
     ``slopes`` names distinct series i < k whose per-window OLS slopes
     on the force (not the intercept) the record returns, in the order
     named; it needs exactly one force, the z the experiments regress on,
-    and raises ``ConfigError`` otherwise. The slopes come from the force regression's own pass, which
-    builds no residual row for them, and are 0 in a window that leaves
-    the force out. With them a residual need not be built: that of
-    x = b0 + b1 z + r on z is r - a z in each window, a the slope of r,
-    so its products are bilinear forms in the plain products of r and z,
-    as the experiments take them.
+    and raises ``ConfigError`` otherwise. The slopes come from the force
+    regression's own pass, which builds no residual row for them, and are
+    0 in a window that leaves the force out. With them a residual need not
+    be built: that of x = b0 + b1 z + r on z is r - a z in each window, a
+    the slope of r, so its products are bilinear forms in the plain
+    products of r and z, as the experiments take them.
     """
     rows = list(rows)
     k, T = len(rows), len(rows[0])

@@ -7,7 +7,8 @@ contaminated bivariate FBM increments, and a multifractal recovery run on
 binomial measures masked with strong Gaussian noise.
 
 Each experiment is one ``EXPERIMENTS`` row: spec type, presets, a
-realization of ``(spec, i)``, a reduce and a summary. The one runner
+realization of ``(spec, i)``, a reduce and a summary; a spec names its
+fields' rules to their owner ``core.check_fields``. The one runner
 ``run`` maps the realization over ``spec.tasks`` and hands the outputs
 to the reduce in index order (triple t of the sweep owns realizations
 [t R, (t + 1) R); rho and mf read i as the seed index), and the one
@@ -40,14 +41,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import QGrid, ScaleGrid
+from .core import QGrid, ScaleGrid, check_fields
 from .detrend import DetrendConfig, WindowCovariances
 from .errors import ConfigError, DpxaError, InsufficientScalesError, \
     SizeError
 from .fluctuation import KIND_DCCA, KIND_DFA, KIND_DPXA, rho_values, \
     surface, window_covariances
 from .generators import (
-    MAX_BINOMIAL_DEPTH,
     BfbmSpec,
     BinomialSpec,
     ContaminationSpec,
@@ -88,23 +88,13 @@ MAX_TASKS = 2 ** 20
 # --------------------------------------------------------------------------- #
 # specs
 
-def _check_fields(spec, unit=(), positive=()) -> None:
-    """Named fields must lie in (0, 1) or be >= 1, seed_base >= 0, and
-    the spec may have at most MAX_TASKS tasks."""
-    if spec.seed_base < 0:
-        raise ConfigError(f"seed_base must be >= 0, got {spec.seed_base}")
-    for name in unit:
-        value = getattr(spec, name)
-        if not 0.0 < value < 1.0:
-            raise ConfigError(f"{name} must lie in (0, 1), got {value}")
-    for name in positive:
-        if getattr(spec, name) < 1:
-            raise ConfigError(f"{name} must be >= 1, got "
-                              f"{getattr(spec, name)}")
+def _check_run(spec) -> None:
+    """The spec has at most MAX_TASKS tasks, and a scale grid."""
     # the range's stop, since len() of a range overflows past sys.maxsize
     if spec.tasks.stop > MAX_TASKS:
         raise SizeError(f"{spec.tasks.stop} tasks exceed the limit of "
                         f"{MAX_TASKS}")
+    spec.scales()
 
 
 @dataclass(frozen=True)
@@ -120,10 +110,9 @@ class SweepSpec:
     seed_base: int = 0
 
     def __post_init__(self):
-        _check_fields(self, positive=("realizations",))
+        check_fields(self, positive=("realizations", "length"),
+                     natural=("seed_base",), correlation=("corr",))
         check_length(self.length)
-        if not -1.0 <= self.corr <= 1.0:
-            raise ConfigError(f"corr must lie in [-1, 1], got {self.corr}")
         for triple in self.hurst_grid:
             hrx, hry, hz = triple
             if hrx > hry:
@@ -135,7 +124,7 @@ class SweepSpec:
                 if not (0.0 < h < 1.0):
                     raise ConfigError(f"triple {triple}: Hurst index {h} "
                                       "outside (0, 1)")
-        self.scales()
+        _check_run(self)
 
     @property
     def tasks(self) -> range:
@@ -164,12 +153,11 @@ class RhoSpec:
     seed_base: int = 0
 
     def __post_init__(self):
-        _check_fields(self, unit=("hurst_x", "hurst_y", "hurst_z"),
-                      positive=("seeds",))
+        check_fields(self, unit=("hurst_x", "hurst_y", "hurst_z"),
+                     positive=("length", "seeds"), natural=("seed_base",),
+                     correlation=("corr",))
         check_length(self.length)
-        if not -1.0 <= self.corr <= 1.0:
-            raise ConfigError(f"corr must lie in [-1, 1], got {self.corr}")
-        self.scales()
+        _check_run(self)
 
     @property
     def tasks(self) -> range:
@@ -202,12 +190,10 @@ class MfSpec:
     seed_base: int = 0
 
     def __post_init__(self):
-        _check_fields(self, unit=("p_x", "p_y", "noise_hurst"),
-                      positive=("depth", "seeds"))
-        if self.depth > MAX_BINOMIAL_DEPTH:
-            raise ConfigError(f"depth must be <= {MAX_BINOMIAL_DEPTH}, got "
-                              f"{self.depth}")
-        self.scales()
+        check_fields(self, unit=("p_x", "p_y", "noise_hurst"),
+                     positive=("seeds",), natural=("seed_base",))
+        BinomialSpec(self.p_x, self.depth)  # the cascades' depth rules
+        _check_run(self)
 
     @property
     def tasks(self) -> range:

@@ -41,7 +41,8 @@ import numpy as np
 from .core import QGrid, ScaleGrid, _frozen_array, as_series
 from .detrend import DetrendConfig, ForceMatrix, WindowCovariances, \
     window_products
-from .errors import DegenerateInputError, RankDeficiencyWarning, ShapeError
+from .errors import DegenerateInputError, NumericalError, \
+    RankDeficiencyWarning, ShapeError
 
 KIND_DFA = "DFA"
 KIND_DCCA = "DCCA"
@@ -95,13 +96,19 @@ def window_covariances(series, scales: ScaleGrid, cfg: DetrendConfig, pairs,
     the forces; the record also holds the per-window slopes on the one
     force of the series ``slopes`` names (see ``detrend.window_products``).
     Rank-deficient windows raise one RankDeficiencyWarning for the whole
-    call."""
+    call, and window products that overflow float64 a NumericalError."""
     rows = [as_series(s).values for s in series]
     lengths = {row.size for row in rows}
     if len(lengths) > 1:
         raise ShapeError(f"series lengths differ: {sorted(lengths)}")
     scales.check_series_length(rows[0].size)
-    covs = window_products(rows, scales.scales, cfg, pairs, forces, slopes)
+    # an overflowed product (inf, or nan from inf) would read as a zero window
+    with np.errstate(over="ignore", invalid="ignore"):
+        covs = window_products(rows, scales.scales, cfg, pairs, forces, slopes)
+    overflow = covs.sums(~np.isfinite(covs.f2)).any(axis=0)
+    if overflow.any():
+        raise NumericalError(f"window products overflow float64 at scale "
+                             f"{scales.scales[overflow.argmax()]}")
     if covs.deficient.any():
         warnings.warn(
             f"rank-deficient design in {covs.deficient.sum()} of "

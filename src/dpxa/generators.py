@@ -37,6 +37,9 @@ Monte-Carlo loop over seeds computes them once.
 Binomial measures come from the deterministic multiplicative cascade:
 at each of k refinement steps every interval splits its mass into
 fractions p (left) and 1-p (right).
+
+Each spec names its fields' rules to their owner ``core.check_fields``;
+``check_length`` and ``BinomialSpec`` cap the points a spec generates.
 """
 
 from __future__ import annotations
@@ -47,14 +50,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import TimeSeries, _resident_array, as_series
-from .errors import (
-    CoherenceError,
-    ConfigError,
-    GenerationError,
-    ShapeError,
-    SizeError,
-)
+from .core import TimeSeries, _resident_array, as_series, check_fields
+from .errors import CoherenceError, GenerationError, ShapeError, SizeError
 
 # negative embedding eigenvalues below this fraction of the largest one are
 # treated as roundoff and clamped to zero; anything larger is an error
@@ -64,20 +61,11 @@ MAX_BINOMIAL_DEPTH = 24
 
 
 def check_length(length: int) -> None:
-    """A generated length lies in [1, 2^MAX_BINOMIAL_DEPTH], the bound of
-    the binomial cascade, so an oversized run is refused before it
-    allocates."""
-    if length < 1:
-        raise ConfigError(f"length must be >= 1, got {length}")
+    """A generated length is at most 2^MAX_BINOMIAL_DEPTH, the cascade's
+    bound, so an oversized run is refused before it allocates."""
     if length > 2 ** MAX_BINOMIAL_DEPTH:
         raise SizeError(f"length {length} exceeds the limit of "
                         f"2^{MAX_BINOMIAL_DEPTH} points")
-
-
-def _check_hurst(value: float, name: str) -> float:
-    if not (0.0 < value < 1.0):
-        raise ConfigError(f"{name} must lie in (0, 1), got {value}")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -89,10 +77,9 @@ class FgnSpec:
     seed: int
 
     def __post_init__(self):
-        _check_hurst(self.hurst, "hurst")
+        check_fields(self, unit=("hurst",), positive=("length",),
+                     natural=("seed",))
         check_length(self.length)
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -112,13 +99,9 @@ class BfbmSpec:
     seed: int
 
     def __post_init__(self):
-        _check_hurst(self.hurst_x, "hurst_x")
-        _check_hurst(self.hurst_y, "hurst_y")
-        if not (-1.0 <= self.corr <= 1.0):
-            raise ConfigError(f"corr must lie in [-1, 1], got {self.corr}")
+        check_fields(self, unit=("hurst_x", "hurst_y"), positive=("length",),
+                     natural=("seed",), correlation=("corr",))
         check_length(self.length)
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -130,12 +113,7 @@ class BinomialSpec:
     depth: int
 
     def __post_init__(self):
-        if not (0.0 < self.multiplier < 1.0):
-            raise ConfigError(
-                f"multiplier must lie in (0, 1), got {self.multiplier}"
-            )
-        if self.depth < 1:
-            raise ConfigError(f"depth must be >= 1, got {self.depth}")
+        check_fields(self, unit=("multiplier",), positive=("depth",))
         if self.depth > MAX_BINOMIAL_DEPTH:
             raise SizeError(
                 f"depth {self.depth} would generate 2^{self.depth} points; "
@@ -151,8 +129,7 @@ class ContaminationSpec:
     slope: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.intercept) and math.isfinite(self.slope)):
-            raise ConfigError("contamination coefficients must be finite")
+        check_fields(self)
 
 
 def derive_seed(master: int, *path: int) -> int:

@@ -177,6 +177,35 @@ def test_analyze_force_explaining_offset_x_exits_degenerate(tmp_path, capsys,
     assert [p.name for p in tmp_path.iterdir()] == ["offset.csv"]
 
 
+@pytest.mark.parametrize("method, series_scale, force_scale, scale", [
+    ("dfa", 3e150, None, 2984), ("dfa", 1e152, None, 92),
+    ("dpxa", 1e152, 1e152, 325), ("dpxa", 1e160, 1.0, 10),
+    ("dpxa", 1.0, 1e160, 10)],
+    ids=["dfa-3e150", "dfa-1e152", "dpxa-all", "dpxa-series", "dpxa-force"])
+def test_analyze_overflowing_products_exit_numerical(tmp_path, capsys, method,
+                                                     series_scale,
+                                                     force_scale, scale):
+    # the estimators are scale-free, but products beyond float64's range
+    # overflow, which read as exactly degenerate windows or left-out
+    # forces; the tests' warning filter turns an escaped numpy warning
+    # into an error
+    n = 2 ** 14
+    x, y, z = (gen_fgn(FgnSpec(h, n, seed)).values
+               for h, seed in ((0.7, 3), (0.4, 4), (0.9, 5)))
+    src = tmp_path / "big.csv"
+    if method == "dfa":
+        write_columns(src, {"x": series_scale * x})
+        argv = ["--col", "x"]
+    else:
+        write_columns(src, {"x": series_scale * (x + z),
+                            "y": series_scale * (y + z),
+                            "z": force_scale * z})
+        argv = ["--x", "x", "--y", "y", "--z", "z"]
+    assert run(["analyze", method, src, *argv, "--out", tmp_path / "r"]) == 5
+    assert capsys.readouterr().err == \
+        f"dpxa: error: window products overflow float64 at scale {scale}\n"
+
+
 @pytest.mark.parametrize("method, flags, cfg", [
     ("dpxa", ["--detrend", "moving_average", "--no-intercept"],
      DetrendConfig(method="moving_average", with_intercept=False)),

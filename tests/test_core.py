@@ -1,4 +1,6 @@
+import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,11 +9,20 @@ import numpy as np
 import pytest
 
 from dpxa import (
+    BfbmSpec,
+    BinomialSpec,
+    ConfigError,
+    ContaminationSpec,
     DataError,
+    DetrendConfig,
     EmptyInputError,
+    FgnSpec,
     InvalidScaleError,
+    MfSpec,
     QGrid,
+    RhoSpec,
     ScaleGrid,
+    SweepSpec,
     TimeSeries,
     as_series,
 )
@@ -127,3 +138,58 @@ def test_q_grid():
         QGrid([1.0, 1.0])
     with pytest.raises(InvalidScaleError):
         QGrid([2.0, 1.0])
+
+
+BETA = ContaminationSpec(2.0, 3.0)
+# one valid instance of each dataclass whose fields check_fields owns;
+# among the wrong types below are FgnSpec(0.5, 100.5, 1),
+# BinomialSpec(0.3, 2.5), and RhoSpec with seeds=2.5 and length=4096.0
+CHECKED = (
+    FgnSpec(0.5, 100, 1),
+    BfbmSpec(0.3, 0.7, 0.5, 1024, 2),
+    BinomialSpec(0.3, 2),
+    BETA,
+    SweepSpec(((0.5, 0.5, 0.5),), 1, 1024, BETA, BETA),
+    RhoSpec(0.5, 0.3, 0.7, 0.9, 4096, 2, BETA, BETA),
+    MfSpec(0.3, 0.4, 10, 1, BETA, BETA),
+    DetrendConfig(),
+)
+
+
+def _wrong_types():
+    for spec in CHECKED:
+        for f in dataclasses.fields(spec):
+            value = getattr(spec, f.name)
+            if f.type == "int":
+                rule = "an integer"
+                wrong = (True, value + 0.5, float(value), str(value))
+            elif f.type == "float":
+                rule = "a finite number"
+                wrong = (True, str(value), float("nan"), float("inf"))
+            else:
+                continue
+            for bad in wrong:
+                yield pytest.param(spec, f.name, bad, rule,
+                                   id=f"{type(spec).__name__}-{f.name}-{bad!r}")
+
+
+@pytest.mark.parametrize("spec, name, value, rule", _wrong_types())
+def test_typed_field_refuses_a_wrong_type(spec, name, value, rule):
+    # an int field holds an integer and a float field a finite number,
+    # neither a bool nor a str
+    with pytest.raises(ConfigError, match=f"^{name} must be {rule}, got "
+                       f"{re.escape(repr(value))}$"):
+        dataclasses.replace(spec, **{name: value})
+
+
+def test_depth_cap_is_one_check():
+    # a cascade's depth and an mf run's depth are refused alike
+    errors = []
+    for make in (lambda: BinomialSpec(0.3, 25),
+                 lambda: MfSpec(0.3, 0.4, 25, 1, BETA, BETA)):
+        with pytest.raises(ConfigError) as info:
+            make()
+        errors.append(info.value)
+    assert type(errors[0]) is type(errors[1])
+    assert str(errors[0]) == str(errors[1]) == \
+        "depth 25 would generate 2^25 points; the limit is 24"
