@@ -5,7 +5,8 @@ sidecars that embed the complete effective configuration and seed, so any
 output file is reproducible from its own metadata. Exit codes: 0 success,
 2 usage, 3 ingestion, 4 configuration (a bad flag or spec value, a flag
 that the method does not read, or an --out path that cannot be written),
-5 numerical degeneracy.
+5 numerical degeneracy. Of an experiment's --spec file the CLI judges the
+keys only; the spec's constructor judges every value, as in a Python call.
 """
 
 from __future__ import annotations
@@ -288,38 +289,11 @@ def _cmd_analyze(args) -> int:
 # --------------------------------------------------------------------------- #
 # experiment
 
-def _number(value, kind):
-    if isinstance(value, (bool, str)) or kind(value) != value:
-        raise ValueError(value)
-    return kind(value)
-
-
-def _as_beta(value) -> ContaminationSpec:
-    if not isinstance(value, dict) or set(value) != {"intercept", "slope"}:
-        raise ValueError(value)
-    return ContaminationSpec(*(_number(value[k], float)
-                               for k in ("intercept", "slope")))
-
-
-def _as_grid(value) -> tuple:
-    if not value or any(len(t) != 3 for t in value):
-        raise ValueError(value)
-    return tuple(tuple(_number(v, float) for v in t) for t in value)
-
-
-# spec field annotation -> (converter of its JSON value, what it expects)
-_CONVERTERS = {
-    "int": (lambda v: _number(v, int), "an integer"),
-    "float": (lambda v: _number(v, float), "a number"),
-    "ContaminationSpec": (_as_beta, "{'intercept': .., 'slope': ..}"),
-    "tuple[tuple[float, float, float], ...]":
-        (_as_grid, "a non-empty list of [H_rx, H_ry, H_z] triples"),
-}
-
-
 def _parse_spec_file(cls: type, path: str):
-    """Build a ``cls`` spec from a JSON object whose keys are the spec's
-    fields; every problem found is listed in one ConfigError."""
+    """The ``cls`` spec a JSON file describes: only the object's keys are
+    judged here, and a ``ContaminationSpec`` field is built from its own
+    object; the constructors judge every value, as in a call. Every problem
+    found is listed in one ConfigError."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -330,30 +304,23 @@ def _parse_spec_file(cls: type, path: str):
     if not isinstance(raw, dict):
         raise ConfigError(f"spec file {path} must hold a JSON object")
     fields = {f.name: f for f in dataclasses.fields(cls)}
-    values = {}
     issues = [f"unknown key {key!r}; expected one of {sorted(fields)}"
               for key in raw if key not in fields]
-    for key, field in fields.items():
-        if key not in raw:
-            if field.default is dataclasses.MISSING:
-                issues.append(f"missing required key {key!r}")
-            continue
-        convert, expected = _CONVERTERS[field.type]
-        try:
-            values[key] = convert(raw[key])
-        except (DpxaError, TypeError, ValueError, OverflowError):
-            issues.append(f"key {key!r}: cannot interpret {raw[key]!r} as "
-                          f"{expected}")
-    spec = None
+    issues += [f"missing required key {key!r}" for key, f in fields.items()
+               if key not in raw and f.default is dataclasses.MISSING]
+    values = {key: value for key, value in raw.items() if key in fields}
+    for key, value in values.items():
+        if fields[key].type == "ContaminationSpec":
+            try:
+                values[key] = ContaminationSpec(**value)
+            except (DpxaError, TypeError) as exc:
+                issues.append(f"key {key!r}: {exc}")
     if not issues:
         try:
-            spec = cls(**values)
+            return cls(**values)
         except DpxaError as exc:
             issues.append(str(exc))
-    if issues:
-        raise ConfigError("invalid experiment spec:\n  "
-                          + "\n  ".join(issues))
-    return spec
+    raise ConfigError("invalid experiment spec:\n  " + "\n  ".join(issues))
 
 
 def _cmd_experiment(args) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import mmap
 import numbers
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -28,8 +29,9 @@ MAX_GRID_COUNT = 2 ** 16
 # field annotated int or float, and one for each group of field names
 _RULES = {
     "int": (lambda v: isinstance(v, numbers.Integral), "be an integer"),
-    "float": (lambda v: isinstance(v, numbers.Real) and abs(v) < np.inf,
-              "be a finite number"),
+    # an integer beyond float64's range is not a finite number either
+    "float": (lambda v: isinstance(v, numbers.Real)
+              and abs(v) <= sys.float_info.max, "be a finite number"),
     "unit": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
     "positive": (lambda v: v >= 1, "be >= 1"),
     "natural": (lambda v: v >= 0, "be >= 0"),
@@ -37,23 +39,32 @@ _RULES = {
 }
 
 
+def check_value(name: str, value, *rules):
+    """``value``, a float from the ``float`` rule on, once it passes each
+    rule named (other names are skipped; no bool passes); else ConfigError."""
+    for rule in rules:
+        test, asks = _RULES.get(rule, (None, None))
+        if test and (isinstance(value, bool) or not test(value)):
+            raise ConfigError(f"{name} must {asks}, got {value!r}")
+        value = float(value) if rule == "float" else value
+    return value
+
+
 def check_fields(spec, unit=(), positive=(), natural=(),
                  correlation=()) -> None:
     """Each field of the dataclass ``spec`` annotated ``int`` holds an
     integer and each ``float`` field a finite real number, neither a bool
-    nor a str, and each field a group names lies in its range. Raises
-    ConfigError naming the first field, in declaration order, that breaks
-    one of the ``_RULES``."""
+    nor a str, stored as a float; each field a group names lies in its
+    range. Raises the ``check_value`` error of the first field, in
+    declaration order, that breaks a rule."""
     group = {name: g for g, names in (
         ("unit", unit), ("positive", positive), ("natural", natural),
         ("correlation", correlation)) for name in names}
     for f in fields(spec):
-        value = getattr(spec, f.name)
         # the annotation is a string under postponed evaluation
-        for rule in (getattr(f.type, "__name__", f.type), group.get(f.name)):
-            test, asks = _RULES.get(rule, (None, None))
-            if test and (isinstance(value, bool) or not test(value)):
-                raise ConfigError(f"{f.name} must {asks}, got {value!r}")
+        object.__setattr__(spec, f.name, check_value(
+            f.name, getattr(spec, f.name),
+            getattr(f.type, "__name__", f.type), group.get(f.name)))
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:

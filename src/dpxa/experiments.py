@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import QGrid, ScaleGrid, check_fields
+from .core import QGrid, ScaleGrid, check_fields, check_value
 from .detrend import DetrendConfig, WindowCovariances
 from .errors import ConfigError, DpxaError, InsufficientScalesError, \
     SizeError
@@ -110,20 +110,24 @@ class SweepSpec:
     seed_base: int = 0
 
     def __post_init__(self):
+        grid = self.hurst_grid
+        if not (isinstance(grid, (list, tuple)) and grid and all(
+                isinstance(t, (list, tuple)) and len(t) == 3 for t in grid)):
+            raise ConfigError("hurst_grid must be a non-empty sequence of "
+                              f"(H_rx, H_ry, H_z) triples, got {grid!r}")
+        # each object once: the full preset's 9,234 entries are 18 objects
+        hurst = {id(h): h for t in grid for h in t}
+        hurst = {key: check_value("each Hurst index in hurst_grid", h,
+                                  "float", "unit") for key, h in hurst.items()}
+        grid = tuple(tuple(hurst[id(h)] for h in t) for t in grid)
+        object.__setattr__(self, "hurst_grid", grid)
+        for triple in grid:
+            if triple[0] > triple[1]:
+                raise ConfigError(f"triple {triple}: H_rx must be <= H_ry "
+                                  "(symmetry reduction)")
         check_fields(self, positive=("realizations", "length"),
                      natural=("seed_base",), correlation=("corr",))
         check_length(self.length)
-        for triple in self.hurst_grid:
-            hrx, hry, hz = triple
-            if hrx > hry:
-                raise ConfigError(
-                    f"triple {triple}: H_rx must be <= H_ry (symmetry "
-                    "reduction)"
-                )
-            for h in triple:
-                if not (0.0 < h < 1.0):
-                    raise ConfigError(f"triple {triple}: Hurst index {h} "
-                                      "outside (0, 1)")
         _check_run(self)
 
     @property
@@ -631,9 +635,6 @@ def write_outputs(result, outdir) -> None:
     write_json(outdir / "results.json", result.to_dict())
     name, header, rows = result.table()
     write_table_csv(outdir / name, header, rows)
-
-
-write_sweep_outputs = write_rho_outputs = write_mf_outputs = write_outputs
 
 
 # --------------------------------------------------------------------------- #

@@ -96,7 +96,8 @@ def window_covariances(series, scales: ScaleGrid, cfg: DetrendConfig, pairs,
     the forces; the record also holds the per-window slopes on the one
     force of the series ``slopes`` names (see ``detrend.window_products``).
     Rank-deficient windows raise one RankDeficiencyWarning for the whole
-    call, and window products that overflow float64 a NumericalError."""
+    call, and window products that overflow float64 or underflow its
+    normal range a NumericalError."""
     rows = [as_series(s).values for s in series]
     lengths = {row.size for row in rows}
     if len(lengths) > 1:
@@ -105,10 +106,14 @@ def window_covariances(series, scales: ScaleGrid, cfg: DetrendConfig, pairs,
     # an overflowed product (inf, or nan from inf) would read as a zero window
     with np.errstate(over="ignore", invalid="ignore"):
         covs = window_products(rows, scales.scales, cfg, pairs, forces, slopes)
-    overflow = covs.sums(~np.isfinite(covs.f2)).any(axis=0)
-    if overflow.any():
-        raise NumericalError(f"window products overflow float64 at scale "
-                             f"{scales.scales[overflow.argmax()]}")
+    # and one below the normal range has lost digits
+    absf2 = np.abs(covs.f2)
+    for what, bad in (("overflow", ~np.isfinite(covs.f2)), ("underflow", (
+            absf2 > 0.0) & (absf2 < np.finfo(float).tiny))):
+        hit = covs.sums(bad).any(axis=0)
+        if hit.any():
+            raise NumericalError(f"window products {what} float64 at scale "
+                                 f"{scales.scales[hit.argmax()]}")
     if covs.deficient.any():
         warnings.warn(
             f"rank-deficient design in {covs.deficient.sum()} of "
@@ -146,7 +151,7 @@ def surface(covs: WindowCovariances, scales: ScaleGrid, orders: QGrid,
     qs = orders.orders.tolist()
     F = np.empty((len(kinds), len(qs), len(scales)))
     for i, q in enumerate(qs):
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             if abs(q) <= Q_ZERO_TOL:
                 # the logarithmic average skips exactly degenerate windows
                 logs = np.where(nonzero, np.log(absf2), 0.0)
@@ -157,6 +162,12 @@ def surface(covs: WindowCovariances, scales: ScaleGrid, orders: QGrid,
                 powers = np.where(nonzero, absf2 ** (q / 2.0), 0.0)
                 F[:, i] = (covs.sums(powers) / (live if q < 0 else
                                                 covs.windows)) ** (1.0 / q)
+    # every scale has a live window, so only a large |q| gets here
+    bad = np.argwhere(~((F > 0.0) & (F < np.inf)))
+    if bad.size:
+        _, i, j = bad[0]
+        raise NumericalError(f"F(q={qs[i]:g}, s) is beyond float64's range at "
+                             f"scale {scales.scales[j]}")
     cov2 = covs.means()
     return [FluctuationSurface(scales, orders, F[n], cov2[n], kind,
                                covs.windows - live[n],

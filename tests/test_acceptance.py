@@ -36,9 +36,7 @@ from dpxa.experiments import (
     run_mf_recovery,
     run_rho_comparison,
     run_sweep,
-    write_mf_outputs,
-    write_rho_outputs,
-    write_sweep_outputs,
+    write_outputs,
 )
 
 JOBS = min(8, os.cpu_count() or 1)
@@ -206,20 +204,20 @@ def test_08_binomial_mass_exponent_oracle():
 
 def test_09_determinism(tmp_path):
     runs = {
-        "sweep": (run_sweep, write_sweep_outputs, SWEEP_PRESETS["smoke"],
+        "sweep": (run_sweep, SWEEP_PRESETS["smoke"],
                   ("results.json", "sweep.csv")),
-        "rho": (run_rho_comparison, write_rho_outputs, RHO_PRESETS["smoke"],
+        "rho": (run_rho_comparison, RHO_PRESETS["smoke"],
                 ("results.json", "rho.csv")),
-        "mf": (run_mf_recovery, write_mf_outputs, MF_PRESETS["smoke"],
+        "mf": (run_mf_recovery, MF_PRESETS["smoke"],
                ("results.json", "mass_exponents.csv")),
     }
     ok = True
-    for name, (runner, writer, spec, files) in runs.items():
+    for name, (runner, spec, files) in runs.items():
         first = tmp_path / f"{name}_1"
         second = tmp_path / f"{name}_2"
         first.mkdir(), second.mkdir()
-        writer(runner(spec, jobs=1), first)
-        writer(runner(spec, jobs=2), second)
+        write_outputs(runner(spec, jobs=1), first)
+        write_outputs(runner(spec, jobs=2), second)
         for fname in files:
             ok &= (first / fname).read_bytes() == (second / fname).read_bytes()
     assert report("determinism",

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -13,9 +14,12 @@ from dpxa import DetrendConfig, ForceMatrix, QGrid, ScaleGrid, cli, \
     fluctuation_dcca, fluctuation_dfa, fluctuation_dpxa, rho_curve, rho_dcca
 from dpxa.cli import main
 from dpxa.core import MAX_GRID_COUNT
+from dpxa.errors import ConfigError
 from dpxa.experiments import EXPERIMENTS, MAX_TASKS
 from dpxa.generators import BfbmSpec
 from dpxa.io import read_series_csv, write_table_csv
+
+from test_core import CHECKED, _wrong_types
 
 
 def run(argv):
@@ -204,6 +208,45 @@ def test_analyze_overflowing_products_exit_numerical(tmp_path, capsys, method,
     assert run(["analyze", method, src, *argv, "--out", tmp_path / "r"]) == 5
     assert capsys.readouterr().err == \
         f"dpxa: error: window products overflow float64 at scale {scale}\n"
+
+
+def _h2(tmp_path, factor) -> float:
+    # DFA's h(2) of factor * x for the standard-normal x, by the CLI
+    x = np.random.default_rng(0).standard_normal(4096)
+    src, out = tmp_path / f"{factor:g}.csv", tmp_path / f"{factor:g}"
+    write_columns(src, {"x": factor * x})
+    assert run(["analyze", "dfa", src, "--col", "x", "--out", out]) == 0
+    fit = json.loads(Path(f"{out}_fit.json").read_text())["fit"]
+    return fit["h"][0]
+
+
+def test_analyze_underflowing_products_exit_numerical(tmp_path, capsys):
+    # 1e-150 x keeps every window product normal, so its h(2) is that of
+    # x; at 1e-160 subnormal products would move h(2) by 6.7e-6 unflagged
+    assert _h2(tmp_path, 1e-150) == pytest.approx(_h2(tmp_path, 1.0),
+                                                  rel=0, abs=1e-12)
+    src = tmp_path / "tiny.csv"
+    write_columns(src, {"x": 1e-160 * np.random.default_rng(0)
+                        .standard_normal(4096)})
+    capsys.readouterr()
+    assert run(["analyze", "dfa", src, "--col", "x",
+                "--out", tmp_path / "r"]) == 5
+    assert capsys.readouterr().err == \
+        "dpxa: error: window products underflow float64 at scale 10\n"
+
+
+def test_analyze_large_q_exits_numerical(tmp_path, capsys):
+    # |F^2|^(q/2) beyond float64 is refused, not fitted or excluded as a
+    # non-positive point; the tests' warning filter turns an escaped numpy
+    # overflow warning into an error
+    src = tmp_path / "x.csv"
+    write_columns(src, {"x": np.random.default_rng(0).standard_normal(4096)})
+    assert run(["analyze", "mfdfa", src, "--col", "x", "--q-min", -400,
+                "--q-max", 400, "--q-count", 5, "--out", tmp_path / "r"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "dpxa: error: F(q=400, s) is beyond float64's " \
+        "range at scale 237\n"
 
 
 @pytest.mark.parametrize("method, flags, cfg", [
@@ -449,18 +492,19 @@ MF_SPEC = {"p_x": 0.3, "p_y": 0.4, "depth": 10, "seeds": 1,
     ("rho", RHO_SPEC, "hurst_x", 0, "hurst_x must lie in (0, 1), got 0.0"),
     ("rho", RHO_SPEC, "hurst_z", 1, "hurst_z must lie in (0, 1), got 1.0"),
     ("rho", RHO_SPEC, "corr", 2, "corr must lie in [-1, 1], got 2.0"),
-    ("rho", RHO_SPEC, "seeds", 1.5, "key 'seeds': cannot interpret 1.5"),
+    ("rho", RHO_SPEC, "seeds", 1.5, "seeds must be an integer, got 1.5"),
     ("rho", RHO_SPEC, "typo_key", 1, "unknown key 'typo_key'"),
     ("sweep", SWEEP_SPEC, "realizations", 0,
      "realizations must be >= 1, got 0"),
     ("sweep", SWEEP_SPEC, "length", 0, "length must be >= 1, got 0"),
-    ("sweep", SWEEP_SPEC, "hurst_grid", [], "key 'hurst_grid': cannot "
-     "interpret [] as a non-empty list of [H_rx, H_ry, H_z] triples"),
+    ("sweep", SWEEP_SPEC, "hurst_grid", [], "hurst_grid must be a non-empty "
+     "sequence of (H_rx, H_ry, H_z) triples, got []"),
     ("mf", MF_SPEC, "depth", 0, "depth must be >= 1, got 0"),
     ("mf", MF_SPEC, "p_x", 0, "p_x must lie in (0, 1), got 0.0"),
     ("mf", MF_SPEC, "noise_hurst", 0, "noise_hurst must lie in (0, 1)"),
-    ("mf", MF_SPEC, "beta_y", {"intercept": 1}, "key 'beta_y': cannot "
-     "interpret"),
+    ("mf", MF_SPEC, "beta_y", {"intercept": 1}, "key 'beta_y': "
+     "ContaminationSpec.__init__() missing 1 required positional argument: "
+     "'slope'"),
     # a spec too short for its own scale grid fails before any run
     ("mf", MF_SPEC, "depth", 2, "no scales in [s_min, s_max] = [8, 1]"),
     ("mf", MF_SPEC, "depth", 7,
@@ -488,6 +532,24 @@ MF_SPEC = {"p_x": 0.3, "p_y": 0.4, "depth": 10, "seeds": 1,
      f"{MAX_TASKS + 1} tasks exceed the limit of {MAX_TASKS}"),
     ("mf", MF_SPEC, "seeds", MAX_TASKS + 1,
      f"{MAX_TASKS + 1} tasks exceed the limit of {MAX_TASKS}"),
+    # the grid rule is SweepSpec's, as in a call (test_experiments)
+    ("sweep", SWEEP_SPEC, "hurst_grid", [[0.5, 0.5]], "hurst_grid must be a "
+     "non-empty sequence of (H_rx, H_ry, H_z) triples, got [[0.5, 0.5]]"),
+    ("sweep", SWEEP_SPEC, "hurst_grid", [["a", 0.5, 0.5]], "each Hurst "
+     "index in hurst_grid must be a finite number, got 'a'"),
+    ("sweep", SWEEP_SPEC, "hurst_grid", [[0.5, 0.5, True]], "each Hurst "
+     "index in hurst_grid must be a finite number, got True"),
+    ("sweep", SWEEP_SPEC, "hurst_grid", "abc", "hurst_grid must be a "
+     "non-empty sequence of (H_rx, H_ry, H_z) triples, got 'abc'"),
+    # a contamination field is judged by ContaminationSpec, a whole number
+    # in a float field is stored as a float, and one beyond float64 refused
+    pytest.param("rho", RHO_SPEC, "beta_x",
+                 {"intercept": 2, "slope": 10 ** 400},
+                 f"key 'beta_x': slope must be a finite number, got "
+                 f"{10 ** 400}", id="rho-beta_x-slope-401-digits"),
+    ("rho", RHO_SPEC, "beta_y", 5, "key 'beta_y': dpxa.generators."
+     "ContaminationSpec() argument after ** must be a mapping, not int"),
+    ("rho", RHO_SPEC, "corr", 1.5, "corr must lie in [-1, 1], got 1.5"),
 ])
 def test_bad_spec_field_is_config_error(tmp_path, capsys, name, base, key,
                                         value, message):
@@ -496,6 +558,38 @@ def test_bad_spec_field_is_config_error(tmp_path, capsys, name, base, key,
     assert run(["experiment", name, "--spec", path,
                 "--out", tmp_path / "out"]) == 4
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _wrong_spec_values():
+    # test_core's wrong types for each experiment spec's int and float
+    # fields, and for each float field an integer beyond float64's range
+    names = {row.spec: name for name, row in EXPERIMENTS.items()}
+    for param in _wrong_types():
+        spec, key, value, _ = param.values
+        if type(spec) in names:
+            yield pytest.param(names[type(spec)], spec, key, value,
+                               id=param.id)
+    for spec in CHECKED:
+        for f in dataclasses.fields(spec):
+            if type(spec) in names and f.type == "float":
+                yield pytest.param(names[type(spec)], spec, f.name, 10 ** 400,
+                                   id=f"{type(spec).__name__}-{f.name}-"
+                                   "401-digits")
+
+
+@pytest.mark.parametrize("name, spec, key, value", _wrong_spec_values())
+def test_spec_file_refuses_as_the_constructor_does(tmp_path, capsys, name,
+                                                   spec, key, value):
+    # json writes nan and inf as NaN and Infinity, and reads them back
+    with pytest.raises(ConfigError) as info:
+        dataclasses.replace(spec, **{key: value})
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**dataclasses.asdict(spec), key: value}))
+    assert run(["experiment", name, "--spec", path,
+                "--out", tmp_path / "out"]) == 4
+    assert capsys.readouterr().err == \
+        f"dpxa: error: invalid experiment spec:\n  {info.value}\n"
     assert not (tmp_path / "out").exists()
 
 

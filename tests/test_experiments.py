@@ -33,9 +33,7 @@ from dpxa.experiments import (
     summarize_mf,
     summarize_rho,
     summarize_sweep,
-    write_mf_outputs,
-    write_rho_outputs,
-    write_sweep_outputs,
+    write_outputs,
 )
 from dpxa.fluctuation import KIND_DCCA, KIND_DFA, KIND_DPXA, \
     fluctuation_dcca, fluctuation_dfa, rho_values, surface, \
@@ -74,6 +72,38 @@ def test_sweep_spec_validation():
     with pytest.raises(ConfigError):
         SweepSpec(((0.4, 0.6, 1.5),), realizations=2, length=1024, corr=0.0,
                   beta_x=BETAS, beta_y=BETAS, seed_base=0)
+
+
+_GRID = "hurst_grid must be a non-empty sequence of (H_rx, H_ry, H_z) " \
+    "triples, got "
+
+
+@pytest.mark.parametrize("grid, message", [
+    ((), _GRID + "()"),
+    ([], _GRID + "[]"),
+    (((0.5, 0.5),), _GRID + "((0.5, 0.5),)"),
+    ([[0.5, 0.5]], _GRID + "[[0.5, 0.5]]"),
+    ("abc", _GRID + "'abc'"),
+    (0.5, _GRID + "0.5"),
+    ((("a", 0.5, 0.5),),
+     "each Hurst index in hurst_grid must be a finite number, got 'a'"),
+    ([[0.5, 0.5, 0.5], [0.5, 0.5, True]],
+     "each Hurst index in hurst_grid must be a finite number, got True"),
+    (((0.4, 0.6, 1.5),),
+     "each Hurst index in hurst_grid must lie in (0, 1), got 1.5"),
+])
+def test_sweep_grid_rule(grid, message):
+    # the rule a --spec file's grid meets too (test_cli): a sweep of no
+    # triples would return a result that no summary can read
+    with pytest.raises(ConfigError) as info:
+        SweepSpec(grid, 1, 4096, BETAS, BETAS)
+    assert type(info.value) is ConfigError and str(info.value) == message
+
+
+def test_sweep_grid_is_stored_as_tuples_of_floats():
+    spec = SweepSpec([[np.float64(0.25), 0.5, 0.5]], 1, 4096, BETAS, BETAS)
+    assert spec.hurst_grid == ((0.25, 0.5, 0.5),)
+    assert type(spec.hurst_grid[0][0]) is float
 
 
 @pytest.mark.parametrize("make", [
@@ -253,7 +283,7 @@ def test_sweep_files_byte_identical_across_jobs(tmp_path):
                      seed_base=4)
     for jobs in (1, 2):
         (tmp_path / str(jobs)).mkdir()
-        write_sweep_outputs(run_sweep(spec, jobs=jobs), tmp_path / str(jobs))
+        write_outputs(run_sweep(spec, jobs=jobs), tmp_path / str(jobs))
     for name in ("results.json", "sweep.csv"):
         assert (tmp_path / "1" / name).read_bytes() == \
             (tmp_path / "2" / name).read_bytes()
@@ -280,10 +310,10 @@ def test_rho_files_survive_a_sweep_in_between(tmp_path):
                       beta_y=BETAS, seed_base=6)
     first, second = tmp_path / "a", tmp_path / "b"
     first.mkdir(), second.mkdir()
-    write_rho_outputs(run_rho_comparison(spec), first)
+    write_outputs(run_rho_comparison(spec), first)
     run_sweep(sweep)
     misses = _fgn_factor.cache_info().misses
-    write_rho_outputs(run_rho_comparison(spec), second)
+    write_outputs(run_rho_comparison(spec), second)
     assert _fgn_factor.cache_info().misses == misses + 1
     for name in ("results.json", "rho.csv"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
@@ -357,19 +387,19 @@ def test_summaries_and_writers(tmp_path):
     sweep = run_sweep(SWEEP_PRESETS["smoke"])
     text = summarize_sweep(sweep)
     assert "recovery regression" in text and ("PASS" in text or "FAIL" in text)
-    write_sweep_outputs(sweep, tmp_path)
+    write_outputs(sweep, tmp_path)
     assert (tmp_path / "results.json").exists()
     assert (tmp_path / "sweep.csv").read_text().startswith(
         "H_rx,H_ry,H_z,statistic,value")
 
     rho = run_rho_comparison(RHO_PRESETS["smoke"])
     assert "rho_dpxa" in summarize_rho(rho)
-    write_rho_outputs(rho, tmp_path)
+    write_outputs(rho, tmp_path)
     assert (tmp_path / "rho.csv").exists()
 
     mf = run_mf_recovery(MF_PRESETS["smoke"])
     assert "signal-to-noise" in summarize_mf(mf)
-    write_mf_outputs(mf, tmp_path)
+    write_outputs(mf, tmp_path)
     assert (tmp_path / "mass_exponents.csv").exists()
 
 
@@ -377,8 +407,8 @@ def test_rerun_is_byte_identical(tmp_path):
     spec = RHO_PRESETS["smoke"]
     first, second = tmp_path / "a", tmp_path / "b"
     first.mkdir(), second.mkdir()
-    write_rho_outputs(run_rho_comparison(spec), first)
-    write_rho_outputs(run_rho_comparison(spec), second)
+    write_outputs(run_rho_comparison(spec), first)
+    write_outputs(run_rho_comparison(spec), second)
     for name in ("results.json", "rho.csv"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 

@@ -315,6 +315,17 @@ def test_contaminate_examples():
     assert out.values.tolist() == [5.0, 8.0]
 
 
+def test_contamination_beyond_float_range_is_refused():
+    # an integer beyond float64 is not a finite number, so the run that
+    # would convert it is never started
+    with pytest.raises(ConfigError, match="^slope must be a finite number, "
+                       "got 1000"):
+        ContaminationSpec(2, 10 ** 400)
+    spec = ContaminationSpec(2, 3)
+    assert (spec.intercept, spec.slope) == (2.0, 3.0)
+    assert type(spec.intercept) is float
+
+
 def test_contaminate_shape_error():
     with pytest.raises(ShapeError):
         contaminate([1.0, 2.0], [1.0], ContaminationSpec(0.0, 1.0))

@@ -1,5 +1,6 @@
 """Dead-code guard over the package source: every import is used, and every
-top-level function and class is referenced somewhere in ``src/dpxa``."""
+top-level function, class and name bound by ``=`` is referenced somewhere
+in ``src/dpxa``."""
 
 import ast
 from collections import Counter
@@ -24,13 +25,13 @@ def _imported(tree):
 
 
 def _references(node) -> Counter:
-    """Names read in ``node``: plain names, attributes and the names a
-    ``from`` import takes from another module."""
+    """Names read in ``node``: loaded plain names and attributes, and the
+    names a ``from`` import takes from another module."""
     found = Counter()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
             found[sub.id] += 1
-        elif isinstance(sub, ast.Attribute):
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
             found[sub.attr] += 1
         elif isinstance(sub, ast.ImportFrom):
             found.update(alias.name for alias in sub.names)
@@ -58,3 +59,18 @@ def test_every_top_level_definition_is_referenced():
                              ast.ClassDef))
         and total[node.name] == _references(node)[node.name]]
     assert unreferenced == []
+
+
+def test_every_top_level_assignment_is_read():
+    # a name bound by = at module level is read outside its own statement,
+    # where __init__'s exports count as reads; dunder names are exempt
+    total = sum((_references(tree) for tree in MODULES.values()), Counter())
+    unread = [
+        f"{name}:{node.lineno} {target.id}"
+        for name, tree in MODULES.items() for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in ast.walk(node) if isinstance(target, ast.Name)
+        and isinstance(target.ctx, ast.Store)
+        and not target.id.startswith("__")
+        and total[target.id] == _references(node)[target.id]]
+    assert unread == []
