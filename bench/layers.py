@@ -56,8 +56,8 @@ from dpxa import (BfbmSpec, ContaminationSpec, DetrendConfig, FgnSpec,  # noqa: 
                   gen_bfbm_increments, gen_fgn, run_mf_recovery,
                   run_rho_comparison, run_sweep)
 from dpxa.experiments import EXPERIMENTS, usable_cpus  # noqa: E402
-from dpxa.fluctuation import KIND_DCCA, KIND_DPXA, surface, \
-    window_covariances  # noqa: E402
+from dpxa.detrend import window_products  # noqa: E402
+from dpxa.fluctuation import KIND_DCCA, KIND_DPXA, surface  # noqa: E402
 from dpxa.io import read_series_csv, write_json, write_table_csv  # noqa: E402
 
 BETAS = ContaminationSpec(intercept=2.0, slope=3.0)
@@ -86,8 +86,8 @@ def layers(n: int, repeats: int, workdir: Path) -> dict:
     rx, ry = gen_bfbm_increments(BfbmSpec(0.3, 0.7, 0.5, n, 2))
     x = 2.0 + 3.0 * z.values + rx.values
     y = 2.0 + 3.0 * z.values + ry.values
-    analyze = window_covariances((x, y, z), grid, cfg, ANALYZE_PAIRS,
-                                 forces=(2,))
+    analyze = window_products((x, y, z), grid.scales, cfg, ANALYZE_PAIRS,
+                              forces=(2,))
     surfaces = surface(analyze, grid, QGrid.default(),
                        (KIND_DCCA, KIND_DPXA))
     csv_path, json_path = workdir / "layers.csv", workdir / "layers.json"
@@ -103,11 +103,11 @@ def layers(n: int, repeats: int, workdir: Path) -> dict:
         "gen_fgn": lambda: gen_fgn(FgnSpec(0.5, n, 1)),
         "gen_bfbm_increments": lambda: gen_bfbm_increments(
             BfbmSpec(0.3, 0.7, 0.5, n, 2)),
-        "window_sweep": lambda: window_covariances(
-            (rx, ry, z), grid, cfg, SWEEP_PAIRS, forces=(2,),
+        "window_sweep": lambda: window_products(
+            (rx, ry, z), grid.scales, cfg, SWEEP_PAIRS, forces=(2,),
             slopes=(0, 1)),
-        "window_analyze": lambda: window_covariances(
-            (x, y, z), grid, cfg, ANALYZE_PAIRS, forces=(2,)),
+        "window_analyze": lambda: window_products(
+            (x, y, z), grid.scales, cfg, ANALYZE_PAIRS, forces=(2,)),
         "surface_17q_2pairs": lambda: surface(
             analyze, grid, QGrid.default(), (KIND_DCCA, KIND_DPXA)),
         "full_fit": lambda: full_fit(surfaces[1]),

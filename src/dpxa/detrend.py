@@ -13,8 +13,11 @@ k + i its residual on the forces. Only the named rows become profiles,
 but they and every force sit once in one window buffer, each centred
 from its own series, and the regression reads only buffer rows and their
 window means. A call with one force, as the experiments make, may also
-ask for the per-window slopes of named series on it, which the
-regression gives without building their residual rows.
+ask for the per-window slopes of named series on it, which the regression
+gives without building their residual rows. The kernel, every estimator's
+one entry, owns the checks: valid rows of one length, sizes with a whole
+window, products in float64's normal range, none flushed to zero, and one
+warning per call for rank-deficient windows.
 
 The forces go before the cumsum: with an intercept the window residual is
 (x - mean x) less its projection on the centred force windows. Modified
@@ -57,13 +60,15 @@ one running sum of the profiles.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .core import as_series, _resident_array, check_fields
-from .errors import ConfigError, ShapeError, WindowTooSmallError
+from .errors import ConfigError, InvalidScaleError, NumericalError, \
+    RankDeficiencyWarning, ShapeError, WindowTooSmallError
 
 POLYNOMIAL = "polynomial"
 MOVING_AVERAGE = "moving_average"
@@ -293,20 +298,21 @@ def window_products(rows, sizes, cfg: DetrendConfig, pairs, forces=(),
     """Window covariances of pairs of stack rows at every window size.
 
     ``rows`` holds k distinct equal-length series (a (k, T) array or a
-    sequence of 1-d arrays) and ``forces`` the indices of those that are
-    force columns. In a pair, index i < k names series i and index k + i
-    the residual of series i on the forces. In every size-s window a row
-    is the increments of its series, centred with an intercept; a residual
-    row then has its OLS fit on the force windows removed. One buffer,
-    which serves every size, holds the r rows some pair names and after
-    them the forces no pair names plain, each row centred from its own
-    series: a force has one copy per window, and the regression reads the
-    forces' offsets from the same window means as the residuals'. Only the
-    r named rows are cumulated and detrended; the moving average's running
-    sums are a fresh array at each size. Returns the signed mean products
-    of the detrended profiles of each pair in the T // s windows of each
-    size s (points beyond the last whole window are excluded), with the
-    per-size counts of windows and of rank-deficient force designs.
+    sequence of series, each through ``as_series``) and ``forces`` the
+    indices of those that are force columns. In a pair, index i < k names
+    series i and index k + i the residual of series i on the forces. In
+    every size-s window a row is the increments of its series, centred with
+    an intercept; a residual row then has its OLS fit on the force windows
+    removed. One buffer, which serves every size, holds the r rows some
+    pair names and after them the forces no pair names plain, each row
+    centred from its own series: a force has one copy per window, and the
+    regression reads the forces' offsets from the same window means as the
+    residuals'. Only the r named rows are cumulated and detrended; the
+    moving average's running sums are a fresh array at each size. Returns
+    the signed mean products of the detrended profiles of each pair in the
+    T // s windows of each size s (points beyond the last whole window are
+    excluded), with the per-size counts of windows and of rank-deficient
+    force designs.
 
     ``slopes`` names distinct series i < k whose per-window OLS slopes
     on the force (not the intercept) the record returns, in the order
@@ -317,16 +323,26 @@ def window_products(rows, sizes, cfg: DetrendConfig, pairs, forces=(),
     be built: that of x = b0 + b1 z + r on z is r - a z in each window, a
     the slope of r, so its products are bilinear forms in the plain
     products of r and z, as the experiments take them.
+
+    Unequal lengths raise ``ShapeError``, a size with no whole window
+    (s > T) ``InvalidScaleError``, and products beyond float64's range or
+    below its normal range, or flushed to zero from a nonzero profile,
+    ``NumericalError`` naming the first such size. Rank-deficient windows
+    raise one ``RankDeficiencyWarning`` per call, at the estimator's caller.
     """
-    rows = list(rows)
-    k, T = len(rows), len(rows[0])
+    rows = [as_series(row).values for row in rows]
+    lengths = {row.size for row in rows}
+    if len(lengths) > 1:
+        raise ShapeError(f"series lengths differ: {sorted(lengths)}")
+    k, T = len(rows), rows[0].size
     sizes = [int(s) for s in sizes]
     slopes = list(slopes)
     if slopes and len(forces) != 1:
-        raise ConfigError(f"slopes need exactly one force, got "
-                          f"{len(forces)}")
+        raise ConfigError(f"slopes need exactly one force, got {len(forces)}")
     d = len(forces) + int(cfg.with_intercept)
     for s in sizes:
+        if s > T:
+            raise InvalidScaleError(f"scale {s} exceeds the series length {T}")
         cfg.check_scale(s)
         if forces and s <= d:
             raise WindowTooSmallError(
@@ -348,50 +364,69 @@ def window_products(rows, sizes, cfg: DetrendConfig, pairs, forces=(),
     out = np.empty((len(pairs), windows.sum()))
     coefs = np.zeros((len(slopes), windows.sum()))
     deficient = np.zeros(len(sizes), dtype=int)
-    for j, (size, start) in enumerate(zip(sizes,
-                                          np.cumsum(windows) - windows)):
-        M = T // size
-        dest = out[:, start:start + M]
-        B = work[:len(named) * M * size].reshape(len(named), M, size)
-        # without an intercept the means stay zero and the rows raw
-        means = np.zeros((len(named), M, 1))
-        for a, i in enumerate(named):
-            X = rows[i % k][: M * size].reshape(M, size)
-            if cfg.with_intercept:
-                # the sum and division of ndarray.mean, without its dispatch
-                np.add.reduce(X, axis=-1, keepdims=True, out=means[a])
-                means[a] /= size
-            np.subtract(X, means[a], out=B[a])
-        A = B[:r]
-        if forces:
-            deficient[j] = _remove_forces(
-                A[plain:], means[plain:r, :, 0], [B[f] for f in zrows],
-                means[zrows, :, 0], A[:len(slopes)],
-                coefs[:, start:start + M])
-        _cumulate(A)
-        flat = A.reshape(r * M, size)
-        if cfg.method == MOVING_AVERAGE:
-            _subtract_moving_average(flat)
-            f2 = _products(A, pairs, dest)
-        else:
-            # sum (P - QQ'P)_i (P - QQ'P)_j = <P_i, P_j> - <c_i, c_j>, c = Q'P
-            Q = _projection_basis(size, cfg.poly_order)
-            c = (flat @ Q).reshape(r, M, Q.shape[1])
-            norms = np.einsum("kms,kms->km", A, A)
-            trends = np.einsum("kmd,kmd->km", c, c)
-            f2 = _products(A, pairs, dest, norms)
-            f2 -= _products(c, pairs, np.empty((len(pairs), M)), trends)
-            # the difference loses up to 1.2e-15 * <P, P> / F^2 of F^2: a
-            # pair takes the explicitly detrended products in the windows
-            # where a trend carries most of one of its two profiles
-            ruled = norms > _CANCELLATION * (norms - trends)
-            bad = np.logical_or.reduce(ruled, axis=0).nonzero()[0]
-            if bad.size:
-                R = A[:, bad]
-                R -= (R @ Q) @ Q.T
-                own = (ruled[[i for i, _ in pairs]]
-                       | ruled[[j for _, j in pairs]])[:, bad]
-                f2[:, bad] = np.where(own, _products(
-                    R, pairs, np.empty((len(pairs), bad.size))), f2[:, bad])
-        f2 /= size
-    return WindowCovariances(out, windows, deficient, coefs)
+    flushed = np.zeros(len(sizes), dtype=bool)
+    # an overflowed product (inf, or nan from inf) is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, (size, start) in enumerate(zip(sizes,
+                                              np.cumsum(windows) - windows)):
+            M = T // size
+            dest = out[:, start:start + M]
+            B = work[:len(named) * M * size].reshape(len(named), M, size)
+            # without an intercept the means stay zero and the rows raw
+            means = np.zeros((len(named), M, 1))
+            for a, i in enumerate(named):
+                X = rows[i % k][: M * size].reshape(M, size)
+                if cfg.with_intercept:
+                    # ndarray.mean's sum and division, without its dispatch
+                    np.add.reduce(X, axis=-1, keepdims=True, out=means[a])
+                    means[a] /= size
+                np.subtract(X, means[a], out=B[a])
+            A = B[:r]
+            if forces:
+                deficient[j] = _remove_forces(
+                    A[plain:], means[plain:r, :, 0], [B[f] for f in zrows],
+                    means[zrows, :, 0], A[:len(slopes)],
+                    coefs[:, start:start + M])
+            _cumulate(A)
+            flat = A.reshape(r * M, size)
+            if cfg.method == MOVING_AVERAGE:
+                _subtract_moving_average(flat)
+                f2 = _products(A, pairs, dest)
+            else:
+                # <P_i - QQ'P_i, P_j - QQ'P_j> = <P_i, P_j> - <c_i, c_j>
+                Q = _projection_basis(size, cfg.poly_order)
+                c = (flat @ Q).reshape(r, M, Q.shape[1])
+                norms = np.einsum("kms,kms->km", A, A)
+                trends = np.einsum("kmd,kmd->km", c, c)
+                f2 = _products(A, pairs, dest, norms)
+                f2 -= _products(c, pairs, np.empty((len(pairs), M)), trends)
+                # the difference loses up to 1.2e-15 <P, P> / F^2 of F^2:
+                # a pair takes the explicitly detrended products in the
+                # windows where a trend carries most of one of its profiles
+                ruled = norms > _CANCELLATION * (norms - trends)
+                bad = np.logical_or.reduce(ruled, axis=0).nonzero()[0]
+                if bad.size:
+                    R = A[:, bad]
+                    R -= (R @ Q) @ Q.T
+                    own = (ruled[[i for i, _ in pairs]]
+                           | ruled[[j for _, j in pairs]])[:, bad]
+                    f2[:, bad] = np.where(own, _products(
+                        R, pairs, np.empty(own.shape)), f2[:, bad])
+            if not f2.all():
+                # a nonzero profile whose squares flush to zero underflowed
+                flushed[j] = A[np.einsum("kms,kms->km", A, A) == 0].any()
+            f2 /= size
+    covs = WindowCovariances(out, windows, deficient, coefs)
+    absf2 = np.abs(out)
+    tiny = covs.sums((absf2 > 0.0) & (absf2 < np.finfo(float).tiny))
+    for what, hit in (("overflow", covs.sums(~np.isfinite(out)).any(axis=0)),
+                      ("underflow", flushed | tiny.any(axis=0))):
+        if hit.any():
+            raise NumericalError(f"window products {what} float64 at scale "
+                                 f"{sizes[hit.argmax()]}")
+    if deficient.any():
+        warnings.warn(f"rank-deficient design in {deficient.sum()} of "
+                      f"{windows.sum()} windows; the forces those windows "
+                      "cannot use were left out (coefficient 0)",
+                      RankDeficiencyWarning, stacklevel=3)
+    return covs

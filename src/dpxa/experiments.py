@@ -42,11 +42,10 @@ from pathlib import Path
 import numpy as np
 
 from .core import QGrid, ScaleGrid, check_fields, check_value
-from .detrend import DetrendConfig, WindowCovariances
+from .detrend import DetrendConfig, WindowCovariances, window_products
 from .errors import ConfigError, DpxaError, InsufficientScalesError, \
     SizeError
-from .fluctuation import KIND_DCCA, KIND_DFA, KIND_DPXA, rho_values, \
-    surface, window_covariances
+from .fluctuation import KIND_DCCA, KIND_DFA, KIND_DPXA, rho_values, surface
 from .generators import (
     BfbmSpec,
     BinomialSpec,
@@ -404,12 +403,12 @@ def _pair_surfaces(covs: WindowCovariances, spec, pairs, scales: ScaleGrid,
 
 
 def _stack_covariances(rx, ry, z, scales: ScaleGrid) -> WindowCovariances:
-    """The ``window_covariances`` of the ``_BASE_PAIRS`` of the stack
+    """The ``window_products`` of the ``_BASE_PAIRS`` of the stack
     (rx, ry, z) with force z, with the slopes of rx and ry on z."""
     cfg = DetrendConfig()
     assert cfg.with_intercept, "the intercepts cancel only in centred windows"
-    return window_covariances((rx, ry, z), scales, cfg, _BASE_PAIRS,
-                              forces=(2,), slopes=(0, 1))
+    return window_products((rx, ry, z), scales.scales, cfg, _BASE_PAIRS,
+                           forces=(2,), slopes=(0, 1))
 
 
 def _contaminated_draw(spec, hurst, path,

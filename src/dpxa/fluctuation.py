@@ -7,9 +7,11 @@ names the residual of series i on the forces: DFA of x is the pair
 (x, x), DCCA the pair (x, y), DPXA the pair (x|z, y|z) of residuals, and
 rho(s) the pairs (x, y), (x, x) and (y, y) of one family. The public
 functions append a ``ForceMatrix``'s validated columns to the stack as
-they are. The signed mean product of two detrended profiles in window v
-is its covariance F_v^2. ``window_covariances`` returns them as one
-``WindowCovariances`` record, whose ``sums`` and ``means`` reduce per scale.
+they are, once every scale is within the fit range s <= T/4. The signed
+mean product of two detrended profiles in window v is its covariance
+F_v^2. The kernel returns them as one ``WindowCovariances`` record, whose
+``sums`` and ``means`` reduce per scale, and owns the checks of its
+input and its products (see ``detrend.window_products``).
 ``surface`` turns every pair of the record into its F(q, s) surface, with
 one pass over the windows of all pairs and scales per order q.
 Aggregation keeps two views of F_v^2:
@@ -33,7 +35,6 @@ analysis; both reductions are bitwise, not statistical.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,7 @@ import numpy as np
 from .core import QGrid, ScaleGrid, _frozen_array, as_series
 from .detrend import DetrendConfig, ForceMatrix, WindowCovariances, \
     window_products
-from .errors import DegenerateInputError, NumericalError, \
-    RankDeficiencyWarning, ShapeError
+from .errors import DegenerateInputError, NumericalError
 
 KIND_DFA = "DFA"
 KIND_DCCA = "DCCA"
@@ -88,43 +88,6 @@ class RhoCurve:
                            _frozen_array(self.deficient_windows, dtype=int))
 
 
-def window_covariances(series, scales: ScaleGrid, cfg: DetrendConfig, pairs,
-                       forces=(), slopes=()) -> WindowCovariances:
-    """The window covariances at every scale of pairs of rows of the stack
-    of k equal-length ``series``, of which ``forces`` index the force
-    columns: pair index i < k names series i, and k + i its residual on
-    the forces; the record also holds the per-window slopes on the one
-    force of the series ``slopes`` names (see ``detrend.window_products``).
-    Rank-deficient windows raise one RankDeficiencyWarning for the whole
-    call, and window products that overflow float64 or underflow its
-    normal range a NumericalError."""
-    rows = [as_series(s).values for s in series]
-    lengths = {row.size for row in rows}
-    if len(lengths) > 1:
-        raise ShapeError(f"series lengths differ: {sorted(lengths)}")
-    scales.check_series_length(rows[0].size)
-    # an overflowed product (inf, or nan from inf) would read as a zero window
-    with np.errstate(over="ignore", invalid="ignore"):
-        covs = window_products(rows, scales.scales, cfg, pairs, forces, slopes)
-    # and one below the normal range has lost digits
-    absf2 = np.abs(covs.f2)
-    for what, bad in (("overflow", ~np.isfinite(covs.f2)), ("underflow", (
-            absf2 > 0.0) & (absf2 < np.finfo(float).tiny))):
-        hit = covs.sums(bad).any(axis=0)
-        if hit.any():
-            raise NumericalError(f"window products {what} float64 at scale "
-                                 f"{scales.scales[hit.argmax()]}")
-    if covs.deficient.any():
-        warnings.warn(
-            f"rank-deficient design in {covs.deficient.sum()} of "
-            f"{covs.windows.sum()} windows; the forces those windows "
-            "cannot use were left out (coefficient 0)",
-            RankDeficiencyWarning,
-            stacklevel=3,
-        )
-    return covs
-
-
 def _with_forces(series: tuple, forces: ForceMatrix | None):
     """The stack of ``series`` followed by the force columns, the indices
     of those rows, and the offset that names each series in a pair: k,
@@ -137,7 +100,7 @@ def _with_forces(series: tuple, forces: ForceMatrix | None):
 
 def surface(covs: WindowCovariances, scales: ScaleGrid, orders: QGrid,
             kinds) -> list[FluctuationSurface]:
-    """F(q, s) of every pair of a ``window_covariances`` record, one
+    """F(q, s) of every pair of a ``window_products`` record, one
     surface per pair, labelled by ``kinds``."""
     absf2 = np.abs(covs.f2)
     nonzero = absf2 > 0.0
@@ -201,13 +164,14 @@ def fluctuation_dpxa(x, y, forces: ForceMatrix | None, scales: ScaleGrid,
     computes DFA.
     """
     xs, ys = as_series(x), as_series(y)
-    same = y is x or y is xs
+    same = y is x
     if kind is None:
         kind = KIND_DPXA if forces is not None else \
             (KIND_DFA if same else KIND_DCCA)
+    scales.check_series_length(len(xs))
     stack, zrows, base = _with_forces((xs,) if same else (xs, ys), forces)
     pair = (base, base) if same else (base, base + 1)
-    covs = window_covariances(stack, scales, cfg, (pair,), zrows)
+    covs = window_products(stack, scales.scales, cfg, (pair,), zrows)
     return surface(covs, scales, orders, (kind,))[0]
 
 
@@ -234,8 +198,9 @@ def rho_curve(x, y, forces: ForceMatrix | None, scales: ScaleGrid,
     to [-1, 1].
     """
     stack, zrows, b = _with_forces((as_series(x), as_series(y)), forces)
-    covs = window_covariances(stack, scales, cfg,
-                              ((b, b + 1), (b, b), (b + 1, b + 1)), zrows)
+    scales.check_series_length(len(stack[0]))
+    covs = window_products(stack, scales.scales, cfg,
+                           ((b, b + 1), (b, b), (b + 1, b + 1)), zrows)
     return RhoCurve(scales, rho_values(covs.means(), (0, 1, 2), scales),
                     KIND_DCCA if forces is None else KIND_DPXA,
                     covs.deficient)

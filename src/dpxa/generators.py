@@ -244,36 +244,26 @@ def _bfbm_factor(hurst_x: float, hurst_y: float, corr: float,
     h_cross = 0.5 * (hurst_x + hurst_y)
     spectra = {h: _spectrum(fgn_autocovariance(h, length))
                for h in {hurst_x, hurst_y, h_cross}}
-    g_xx = spectra[hurst_x]
-    g_yy = spectra[hurst_y]
+    g_xx, g_yy = spectra[hurst_x], spectra[hurst_y]
     g_xy = corr * spectra[h_cross]
 
     # eigenvalues of the per-frequency 2x2 spectral matrices, frequencies
     # 0..N; the rest mirror them
     mean = 0.5 * (g_xx + g_yy)
     radius = np.hypot(0.5 * (g_xx - g_yy), g_xy)
-    lam_hi = mean + radius
-    lam_lo = mean - radius
-    lam_max = lam_hi.max()
+    lam_lo, lam_max = mean - radius, (mean + radius).max()
     if lam_lo.min() < -EIGENVALUE_CLAMP * lam_max:
         raise CoherenceError(
             f"(hurst_x={hurst_x}, hurst_y={hurst_y}, corr={corr}) does not "
             f"admit a positive semidefinite covariance (min eigenvalue "
             f"{lam_lo.min():.3e})"
         )
-    lam_hi = np.maximum(lam_hi, 0.0)
-    lam_lo = np.maximum(lam_lo, 0.0)
-
-    # symmetric PSD square root per frequency, via spectral projectors
-    sq_hi, sq_lo = np.sqrt(lam_hi), np.sqrt(lam_lo)
-    iso = radius <= 1e-15 * (lam_max + 1e-300)
-    denom = np.where(iso, 1.0, lam_hi - lam_lo)
-    p11 = np.where(iso, 0.5, (g_xx - lam_lo) / denom)
-    p22 = np.where(iso, 0.5, (g_yy - lam_lo) / denom)
-    p12 = np.where(iso, 0.0, g_xy / denom)
-    return _resident_array(np.stack([sq_hi * p11 + sq_lo * (1.0 - p11),
-                                     (sq_hi - sq_lo) * p12,
-                                     sq_hi * p22 + sq_lo * (1.0 - p22)]))
+    # the symmetric square root of a 2x2 PSD matrix M is (M + sqrt(det M) I)
+    # / sqrt(tr M + 2 sqrt(det M)), and 0 where M is 0 up to rounding
+    root_det = np.sqrt(np.maximum(g_xx * g_yy - g_xy * g_xy, 0.0))
+    scale = np.sqrt(np.maximum(g_xx + g_yy + 2.0 * root_det, 0.0))
+    return _resident_array(np.stack([g_xx + root_det, g_xy, g_yy + root_det])
+                           / np.where(scale > 0.0, scale, np.inf))
 
 
 def gen_bfbm_increments(spec: BfbmSpec) -> tuple[TimeSeries, TimeSeries]:

@@ -235,6 +235,25 @@ def test_analyze_underflowing_products_exit_numerical(tmp_path, capsys):
         "dpxa: error: window products underflow float64 at scale 10\n"
 
 
+@pytest.mark.parametrize("factor, error", [
+    (1e-300, "window products underflow float64 at scale 10"),
+    (1e-310, "window products underflow float64 at scale 10"),
+    (0.0, "all 409 windows are exactly degenerate at scale 10")])
+@pytest.mark.parametrize("method", ["polynomial", "moving_average"])
+def test_analyze_products_flushed_to_zero_exit_numerical(tmp_path, capsys,
+                                                         method, factor,
+                                                         error):
+    # every square of these profiles flushes to zero, so their windows
+    # would read as exactly degenerate; the kernel names the underflow.
+    # The profiles of a constant series are exactly zero: degenerate
+    src = tmp_path / "tiny.csv"
+    write_columns(src, {"x": factor * np.random.default_rng(0)
+                        .standard_normal(4096)})
+    assert run(["analyze", "dfa", src, "--col", "x", "--detrend", method,
+                "--out", tmp_path / "r"]) == 5
+    assert capsys.readouterr().err == f"dpxa: error: {error}\n"
+
+
 def test_analyze_large_q_exits_numerical(tmp_path, capsys):
     # |F^2|^(q/2) beyond float64 is refused, not fitted or excluded as a
     # non-positive point; the tests' warning filter turns an escaped numpy

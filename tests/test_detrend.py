@@ -1,4 +1,5 @@
 import warnings
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -9,13 +10,14 @@ from dpxa import (
     DataError,
     DetrendConfig,
     ForceMatrix,
+    InvalidScaleError,
     ShapeError,
     TimeSeries,
     WindowTooSmallError,
 )
 from dpxa.detrend import (_SCAN_WINDOWS, _cumulate, _projection_basis,
                           window_products)
-from dpxa.errors import RankDeficiencyWarning
+from dpxa.errors import NumericalError, RankDeficiencyWarning
 from oracle import (longdouble_products, local_trend, oracle_products, profile,
                     window_ols)
 
@@ -257,11 +259,18 @@ def test_kernel_matches_single_window_oracle(seed, s, windows, extra, p,
         with pytest.raises(WindowTooSmallError):
             kernel(rows, Z, (s,), cfg, pairs, regressed=2)
         return
-    covs = kernel(rows, Z, (s,), cfg, pairs, regressed=2)
+    rank_deficient = (deficient == "duplicate" and p >= 2
+                      or deficient == "constant" and p and with_intercept)
+    # a rank-deficient design warns once per call, with its window count
+    with (pytest.warns(RankDeficiencyWarning, match=f" {windows} of ")
+          if rank_deficient else nullcontext()):
+        covs = kernel(rows, Z, (s,), cfg, pairs, regressed=2)
     got = covs.f2
     # the buffer left dirty by a larger size changes nothing; a window as
     # long as the series takes the first column
-    both = kernel(rows, Z, (T, s), cfg, pairs, regressed=2)
+    with (pytest.warns(RankDeficiencyWarning, match=f" {windows + 1} of ")
+          if rank_deficient else nullcontext()):
+        both = kernel(rows, Z, (T, s), cfg, pairs, regressed=2)
     assert both.windows.tolist() == [1, windows]
     _, again = np.split(both.f2, np.cumsum(both.windows)[:-1], axis=1)
     assert np.array_equal(again, got)
@@ -269,8 +278,6 @@ def test_kernel_matches_single_window_oracle(seed, s, windows, extra, p,
         warnings.simplefilter("ignore", RankDeficiencyWarning)
         expected = oracle_products(rows, Z, s, cfg, pairs, regressed=2)
     assert np.allclose(got, expected, rtol=0, atol=1e-10)
-    rank_deficient = (deficient == "duplicate" and p >= 2
-                      or deficient == "constant" and p and with_intercept)
     assert covs.deficient.tolist() == [windows if rank_deficient else 0]
     assert both.deficient.tolist() == [int(rank_deficient)] + \
         covs.deficient.tolist()
@@ -402,7 +409,6 @@ def test_force_matching_a_row_matches_unshared_bitwise(cfg, p, lent):
     # takes the plain z rows' centred windows instead of centring z again,
     # for each of the first ``lent`` forces; the others are centred apart
     from dpxa import ScaleGrid, TimeSeries
-    from dpxa.fluctuation import window_covariances
 
     rng = np.random.default_rng(15)
     n = 3000
@@ -417,13 +423,13 @@ def test_force_matching_a_row_matches_unshared_bitwise(cfg, p, lent):
     named = [i for i in range(k) if not 2 + lent <= i < 2 + p] \
         + [2 * k - 2, 2 * k - 1]
     pairs = [(i, j) for a, i in enumerate(named) for j in named[a:]]
-    shared = window_covariances(stack, grid, cfg, pairs,
-                                tuple(range(2, 2 + p)))
+    shared = window_products(stack, grid.scales, cfg, pairs,
+                             tuple(range(2, 2 + p)))
     # the same stack with the forces as separate copies no pair names
     copies = stack + tuple(row.copy() for row in z)
     m = len(copies)
-    unshared = window_covariances(
-        copies, grid, cfg,
+    unshared = window_products(
+        copies, grid.scales, cfg,
         [(i + m - k if i >= k else i, j + m - k if j >= k else j)
          for i, j in pairs], tuple(range(k, m)))
     assert shared.f2.tobytes() == unshared.f2.tobytes()
@@ -445,8 +451,10 @@ def test_residual_the_forces_explain_is_zero(cfg, offset, repeated):
     y = x + 1e-6 * rng.standard_normal(600)
     forces = (z, z.copy()) if repeated else (z,)
     k = 2 + len(forces)
-    covs = window_products([x, y, *forces], (10, 60), cfg,
-                           ((k, k), (k + 1, k + 1)), tuple(range(2, k)))
+    with (pytest.warns(RankDeficiencyWarning, match=" 70 of 70 windows")
+          if repeated else nullcontext()):
+        covs = window_products([x, y, *forces], (10, 60), cfg,
+                               ((k, k), (k + 1, k + 1)), tuple(range(2, k)))
     assert covs.deficient.tolist() == ([60, 10] if repeated else [0, 0])
     assert not covs.f2[0].any()
     assert (covs.f2[1] > 0).all()
@@ -465,8 +473,9 @@ def test_repeated_force_is_left_out(cfg):
     pairs = ((3, 3), (3, 4), (4, 4))
     sizes = (10, 90, 300)
     once = window_products(rows, sizes, cfg, pairs, (2,))
-    twice = window_products(rows + [z.copy()], sizes, cfg,
-                            [(i + 1, j + 1) for i, j in pairs], (2, 3))
+    with pytest.warns(RankDeficiencyWarning, match=" 103 of 103 windows"):
+        twice = window_products(rows + [z.copy()], sizes, cfg,
+                                [(i + 1, j + 1) for i, j in pairs], (2, 3))
     assert twice.deficient.tolist() == twice.windows.tolist()
     assert not once.deficient.any()
     xx, yy = once.f2[0], once.f2[2]
@@ -531,13 +540,17 @@ def test_force_under_a_large_offset_is_kept(a):
     rows = np.stack([3.0 * z + r[0], -2.0 * z + r[1]])
     pairs = ((0, 0), (0, 1), (1, 1))
     residuals = [(i + 3, j + 3) for i, j in pairs]
-    covs, sweep = (window_products([*rows, z], (s,), DetrendConfig(),
-                                   residuals + named, (2,), slopes=(0, 1))
-                   for named in ([], [(2, 2)]))
+    left_out = a < 4 * np.finfo(float).eps * 1e8
+    with (pytest.warns(RankDeficiencyWarning, match=" 100 of 100 windows")
+          if left_out else nullcontext()) as caught:
+        covs, sweep = (window_products([*rows, z], (s,), DetrendConfig(),
+                                       residuals + named, (2,), slopes=(0, 1))
+                       for named in ([], [(2, 2)]))
+    assert not left_out or len(caught) == 2
     assert covs.deficient.tolist() == sweep.deficient.tolist()
     assert covs.f2.tobytes() == sweep.f2[:3].tobytes()
     assert covs.slopes.tobytes() == sweep.slopes.tobytes()
-    if a < 4 * np.finfo(float).eps * 1e8:
+    if left_out:
         # the residuals are the centred series, their slopes 0
         assert covs.deficient.tolist() == [n // s]
         assert not covs.slopes.any()
@@ -561,9 +574,11 @@ def test_trend_ruled_windows_are_pair_local():
     z = 1e8 + 1e-8 * rng.standard_normal(n)
     r = rng.standard_normal((2, n))
     rows = [3.0 * z + r[0], -2.0 * z + r[1], z]
-    alone, beside = (window_products(rows, (s,), DetrendConfig(), pairs,
-                                     (2,))
-                     for pairs in ([(3, 4)], [(3, 4), (2, 2)]))
+    with pytest.warns(RankDeficiencyWarning) as caught:
+        alone, beside = (window_products(rows, (s,), DetrendConfig(), pairs,
+                                         (2,))
+                         for pairs in ([(3, 4)], [(3, 4), (2, 2)]))
+    assert len(caught) == 2
     W = z.reshape(n // s, s)
     P = np.cumsum(W - W.mean(axis=1, keepdims=True), axis=1)
     c = P @ _projection_basis(s, 1)
@@ -580,7 +595,10 @@ def test_least_squares_runs_only_in_failed_windows(constant):
     rng = np.random.default_rng(4)
     rows = rng.standard_normal((3, 300))
     rows[2, :constant] = 0.7
-    covs = window_products(rows, (30,), DetrendConfig(), ((3, 4),), (2,))
+    with (pytest.warns(RankDeficiencyWarning,
+                       match=f" {constant // 30} of 10 windows")
+          if constant >= 30 else nullcontext()):
+        covs = window_products(rows, (30,), DetrendConfig(), ((3, 4),), (2,))
     assert covs.deficient.tolist() == [constant // 30]
 
 
@@ -686,3 +704,56 @@ def test_window_products_call_budget(monkeypatch):
     assert covs.f2.tobytes() == again.f2.tobytes() == want.f2.tobytes()
     assert counts["call"] <= 2600 and counts["c_call"] <= 1100, counts
     assert ufuncs.calls <= 420
+
+
+@pytest.mark.parametrize("factor, what", [
+    (1e160, "overflow"), (1e-160, "underflow"), (1e-300, "underflow"),
+    (1e-310, "underflow")])
+@pytest.mark.parametrize("method", ["polynomial", "moving_average"])
+def test_kernel_refuses_products_beyond_float64(method, factor, what):
+    # a direct call checks its products as the estimators' calls do; a
+    # nonzero profile whose squares all flush to exact zeros has
+    # underflowed too, and is not an exactly degenerate window
+    x = np.random.default_rng(0).standard_normal(4096)
+    with pytest.raises(NumericalError, match=f"^window products {what} "
+                       "float64 at scale 10$") as caught:
+        window_products((factor * x,), (10, 100),
+                        DetrendConfig(method=method), ((0, 0),))
+    assert caught.value.exit_code == 5
+
+
+def test_kernel_refuses_a_size_with_no_whole_window():
+    x = np.random.default_rng(0).standard_normal(100)
+    with pytest.raises(InvalidScaleError, match="scale 200 exceeds the "
+                       "series length 100") as caught:
+        window_products((x,), (10, 200), DetrendConfig(), ((0, 0),))
+    assert caught.value.exit_code == 4
+    # a window as long as the series is whole
+    assert window_products((x,), (10, 100), DetrendConfig(),
+                           ((0, 0),)).windows.tolist() == [10, 1]
+
+
+def test_rank_deficiency_warns_once_per_call_at_the_estimators_caller():
+    # the repeated force is left out of every window of every size: one
+    # warning for the call, naming the windows of all sizes together, and
+    # an estimator's warning points at the estimator's caller
+    from dpxa import QGrid, ScaleGrid
+    from dpxa.fluctuation import fluctuation_dpxa, rho_curve
+
+    rng = np.random.default_rng(22)
+    z, x, y = rng.standard_normal((3, 900))
+    with pytest.warns(RankDeficiencyWarning,
+                      match="^rank-deficient design in 103 of 103 "
+                            "windows;") as caught:
+        window_products([x, z, z.copy()], (10, 90, 300), DetrendConfig(),
+                        ((3, 3),), (1, 2))
+    assert len(caught) == 1
+    forces = ForceMatrix([z, z.copy()])
+    grid = ScaleGrid([10, 90, 225])
+    for estimate in (lambda: fluctuation_dpxa(x, y, forces, grid,
+                                              QGrid.second_order()),
+                     lambda: rho_curve(x, y, forces, grid)):
+        with pytest.warns(RankDeficiencyWarning, match=" 104 of 104 ") \
+                as caught:
+            estimate()
+        assert [w.filename for w in caught] == [__file__]

@@ -35,9 +35,9 @@ from dpxa.experiments import (
     summarize_sweep,
     write_outputs,
 )
+from dpxa.detrend import window_products
 from dpxa.fluctuation import KIND_DCCA, KIND_DFA, KIND_DPXA, \
-    fluctuation_dcca, fluctuation_dfa, rho_values, surface, \
-    window_covariances
+    fluctuation_dcca, fluctuation_dfa, rho_values, surface
 from dpxa.generators import BfbmSpec, BinomialSpec, FgnSpec, _bfbm_factor, \
     _fgn_factor, contaminate, derive_seed, gen_bfbm_increments, \
     gen_binomial, gen_fgn
@@ -446,10 +446,11 @@ def test_sweep_algebra_matches_direct_stack(monkeypatch, cancellation, hz,
     # the direct stack builds x and y: (rx, ry, z, x, y, x|z, y|z)
     direct_pairs = ((0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (3, 4), (0, 1),
                     (8, 9), (8, 8), (9, 9))
-    direct = window_covariances(stack, grid, cfg, direct_pairs, forces=(2,))
+    direct = window_products(stack, grid.scales, cfg, direct_pairs,
+                             forces=(2,))
     # the algebra builds (rx, ry, z) and takes the slopes of rx and ry on z
-    algebra = window_covariances(stack[:3], grid, cfg, _BASE_PAIRS,
-                                 forces=(2,), slopes=(0, 1))
+    algebra = window_products(stack[:3], grid.scales, cfg, _BASE_PAIRS,
+                              forces=(2,), slopes=(0, 1))
     split = np.cumsum(direct.windows)[:-1]
     for want, f2, slopes in zip(np.split(direct.f2, split, axis=1),
                                 np.split(algebra.f2, split, axis=1),
@@ -479,8 +480,8 @@ def test_rho_algebra_matches_direct_stack(monkeypatch, cancellation, betas):
         [derive_seed(spec.seed_base, 0, n) for n in (0, 1)], *betas)
     pairs = tuple((a + i, a + j) for a in (0, 2, 5)
                   for i, j in ((0, 1), (0, 0), (1, 1)))
-    covs = window_covariances((x, y, rx, ry, z), scales, DetrendConfig(),
-                              pairs, forces=(4,))
+    covs = window_products((x, y, rx, ry, z), scales.scales,
+                           DetrendConfig(), pairs, forces=(4,))
     means = covs.means()
     want = np.stack([rho_values(means, (3 * k, 3 * k + 1, 3 * k + 2), scales)
                      for k in range(3)])
@@ -530,11 +531,11 @@ def test_constant_force_window_gets_slope_zero():
     x, y = (contaminate(r, z, BETAS) for r in (rx, ry))
     cfg = DetrendConfig()
     with pytest.warns(RankDeficiencyWarning, match=" 1 of "):
-        covs = window_covariances((rx, ry, z), grid, cfg, _BASE_PAIRS,
-                                  forces=(2,), slopes=(0, 1))
+        covs = window_products((rx, ry, z), grid.scales, cfg, _BASE_PAIRS,
+                               forces=(2,), slopes=(0, 1))
     with pytest.warns(RankDeficiencyWarning, match=" 1 of "):
-        direct = window_covariances((rx, ry, z, x, y), grid, cfg,
-                                    ((8, 9), (8, 8), (9, 9)), forces=(2,))
+        direct = window_products((rx, ry, z, x, y), grid.scales, cfg,
+                                 ((8, 9), (8, 8), (9, 9)), forces=(2,))
     assert covs.deficient.tolist() == direct.deficient.tolist()
     assert covs.deficient[0] == 1
     assert covs.slopes[:, 0].tolist() == [0.0, 0.0]
@@ -554,13 +555,13 @@ def test_contaminated_realizations_build_three_rows(monkeypatch):
 
     def spy(series, scales, cfg, pairs, forces=(), slopes=()):
         named.append({i for pair in pairs for i in pair} | set(slopes))
-        return window_covariances(series, scales, cfg, pairs, forces, slopes)
+        return window_products(series, scales, cfg, pairs, forces, slopes)
 
     def spy_regression(A, *args):
         residuals.append(len(A))
         return remove_forces(A, *args)
 
-    monkeypatch.setattr(experiments, "window_covariances", spy)
+    monkeypatch.setattr(experiments, "window_products", spy)
     monkeypatch.setattr(detrend, "_remove_forces", spy_regression)
     spec = SWEEP_PRESETS["smoke"]
     _sweep_realization(spec, 0)

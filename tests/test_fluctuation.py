@@ -15,7 +15,7 @@ from dpxa import (
     rho_curve,
     rho_dcca,
 )
-from dpxa.fluctuation import window_covariances
+from dpxa.detrend import window_products
 from oracle import oracle_products, window_cov
 
 
@@ -132,7 +132,7 @@ def test_negative_q_averages_the_live_windows():
     orders = np.array([-4.0, -1.0, 2.0])
     surface = fluctuation_dfa(x, grid, QGrid(orders))
     assert surface.zero_windows.tolist() == [1500 // s for s in grid.scales]
-    covs = window_covariances((x,), grid, DetrendConfig(), ((0, 0),))
+    covs = window_products((x,), grid.scales, DetrendConfig(), ((0, 0),))
     windows = np.split(covs.f2[0], np.cumsum(covs.windows)[:-1])
     for j, f2 in enumerate(windows):
         live = f2[f2 != 0.0]
@@ -282,7 +282,6 @@ def test_dpxa_on_masked_binomial_matches_extended_precision():
     # the residual is ~1e-4 of the force it is recovered from; removing
     # the force after the cumsum instead loses up to 8% here at s = 16
     from dpxa import BinomialSpec, FgnSpec, gen_binomial, gen_fgn
-    from dpxa.detrend import window_products
 
     depth = 14
     z = gen_fgn(FgnSpec(0.5, 2 ** depth, 3)).values
@@ -416,16 +415,16 @@ def test_repeated_series_matches_copies_bitwise(cfg):
         y = -1.0 + z[0] + rng.standard_normal(n)
         k = 2 + p
         plain = ((0, 0), (0, 1), (1, 1), (0, 2), (2, 2))
-        shared = window_covariances(
-            (x, y, *z), grid, cfg,
+        shared = window_products(
+            (x, y, *z), grid.scales, cfg,
             plain + ((k, k + 1), (k, k), (0, k + 1), (2, k)),
             tuple(range(2, k)))
         # x, y and z again as copies: the residuals of the copied x and y,
         # on the copied forces, which no pair names
         m = k + 2 + p
-        copies = window_covariances(
+        copies = window_products(
             (x, y, *z, x.copy(), y.copy(), *(row.copy() for row in z)),
-            grid, cfg,
+            grid.scales, cfg,
             plain + ((m + k, m + k + 1), (m + k, m + k), (0, m + k + 1),
                      (2, m + k)),
             tuple(range(k + 2, m)))
@@ -435,7 +434,7 @@ def test_repeated_series_matches_copies_bitwise(cfg):
 def test_surfaces_of_several_pairs_equal_each_alone():
     from dataclasses import replace
 
-    from dpxa.fluctuation import surface, window_covariances
+    from dpxa.fluctuation import surface
 
     rng = np.random.default_rng(15)
     n = 2400
@@ -445,7 +444,7 @@ def test_surfaces_of_several_pairs_equal_each_alone():
     orders = QGrid(np.array([-2.0, 0.0, 1.0, 2.0]))
     pairs = ((0, 0), (0, 1), (1, 1))
     kinds = ("DFA", "DCCA", "DFA")
-    covs = window_covariances((x, y), grid, DetrendConfig(), pairs)
+    covs = window_products((x, y), grid.scales, DetrendConfig(), pairs)
     together = surface(covs, grid, orders, kinds)
     for n_, (kind, got) in enumerate(zip(kinds, together)):
         alone = surface(replace(covs, f2=covs.f2[n_:n_ + 1]), grid, orders,
@@ -458,14 +457,11 @@ def test_surfaces_of_several_pairs_equal_each_alone():
     assert together[2].zero_windows.tolist() == [0, 0, 0, 0, 0]
 
 
-def test_window_covariances_rejects_unequal_lengths():
-    from dpxa.fluctuation import window_covariances
-
+def test_window_products_rejects_unequal_lengths():
     with pytest.raises(ShapeError, match=r"\[400, 401\]"):
-        window_covariances((np.ones(400), np.ones(401)), ScaleGrid([10, 20]),
-                           DetrendConfig(), ((0, 1),))
+        window_products((np.ones(400), np.ones(401)), (10, 20),
+                        DetrendConfig(), ((0, 1),))
     # the force columns are rows of the same stack
     with pytest.raises(ShapeError, match=r"\[400, 401\]"):
-        window_covariances((np.ones(400), np.ones(400), np.ones(401)),
-                           ScaleGrid([10, 20]), DetrendConfig(), ((3, 4),),
-                           (2,))
+        window_products((np.ones(400), np.ones(400), np.ones(401)),
+                        (10, 20), DetrendConfig(), ((3, 4),), (2,))

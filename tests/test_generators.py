@@ -102,6 +102,26 @@ def test_bfbm_matches_unfolded_synthesis(n, hurst, partner, corr):
         _assert_matches(got.values, want)
 
 
+# the desk sweep's (H_rx, H_ry) pairs at corr 0.5, and isotropic,
+# perfectly coherent and anticoherent matrices
+@pytest.mark.parametrize("hurst_x, hurst_y, corr", [
+    (hx, hy, 0.5) for hx in (0.2, 0.4, 0.6, 0.8)
+    for hy in (0.2, 0.4, 0.6, 0.8) if hx <= hy] + [
+    (h, h, corr) for h in HURSTS for corr in (0.0, 1.0, -1.0)])
+@pytest.mark.parametrize("n", [4096, 2 ** 16])
+def test_bfbm_factor_squares_to_the_spectral_matrix(n, hurst_x, hurst_y,
+                                                    corr):
+    # B B = M = [[g_xx, g_xy], [g_xy, g_yy]] at every frequency to a few
+    # ulps of tr M
+    g_xx, g_yy, g_c = (_spectrum(fgn_autocovariance(h, n))
+                       for h in (hurst_x, hurst_y, 0.5 * (hurst_x + hurst_y)))
+    b11, b12, b22 = _bfbm_factor(hurst_x, hurst_y, corr, n)
+    err = (np.abs(b11 * b11 + b12 * b12 - g_xx)
+           + 2.0 * np.abs(b11 * b12 + b12 * b22 - corr * g_c)
+           + np.abs(b12 * b12 + b22 * b22 - g_yy))
+    assert float((err / (g_xx + g_yy)).max()) <= 4e-15
+
+
 @pytest.mark.parametrize("n", SIZES)
 def test_sampler_matches_its_plain_arithmetic_bitwise(n):
     # the sampler's contiguous fold rows and reused product row change
