@@ -43,7 +43,6 @@ from .generators import (
     BinomialSpec,
     ContaminationSpec,
     FgnSpec,
-    contaminate,
     derive_seed,
     gen_bfbm_increments,
     gen_binomial,

@@ -350,7 +350,7 @@ def _cmd_experiment(args) -> int:
             if any(made.iterdir()):
                 break
             made.rmdir()
-    summary = experiment.summary(result)
+    summary = experiments.render(*experiment.checks(result))
     elapsed = time.perf_counter() - started
     used = experiments.workers(args.jobs, len(spec.tasks))
     summary = (f"{summary}\nelapsed: {elapsed:.1f} s (jobs={args.jobs}, "

@@ -324,8 +324,8 @@ def window_products(rows, sizes, cfg: DetrendConfig, pairs, forces=(),
     the slope of r, so its products are bilinear forms in the plain
     products of r and z, as the experiments take them.
 
-    Unequal lengths raise ``ShapeError``, a size with no whole window
-    (s > T) ``InvalidScaleError``, and products beyond float64's range or
+    Unequal lengths raise ``ShapeError``, a size outside 2 <= s <= T
+    ``InvalidScaleError``, and products beyond float64's range or
     below its normal range, or flushed to zero from a nonzero profile,
     ``NumericalError`` naming the first such size. Rank-deficient windows
     raise one ``RankDeficiencyWarning`` per call, at the estimator's caller.
@@ -343,6 +343,8 @@ def window_products(rows, sizes, cfg: DetrendConfig, pairs, forces=(),
     for s in sizes:
         if s > T:
             raise InvalidScaleError(f"scale {s} exceeds the series length {T}")
+        if s < 2:
+            raise InvalidScaleError(f"scale {s} < 2")
         cfg.check_scale(s)
         if forces and s <= d:
             raise WindowTooSmallError(

@@ -7,15 +7,17 @@ contaminated bivariate FBM increments, and a multifractal recovery run on
 binomial measures masked with strong Gaussian noise.
 
 Each experiment is one ``EXPERIMENTS`` row: spec type, presets, a
-realization of ``(spec, i)``, a reduce and a summary; a spec names its
+realization of ``(spec, i)``, a reduce and its checks; a spec names its
 fields' rules to their owner ``core.check_fields``. The one runner
 ``run`` maps the realization over ``spec.tasks`` and hands the outputs
 to the reduce in index order (triple t of the sweep owns realizations
 [t R, (t + 1) R); rho and mf read i as the seed index), and the one
 writer ``write_outputs`` writes ``to_dict()`` to ``results.json`` and
-``table()`` to a CSV. Sub-seeds derive from ``seed_base`` per (triple,
-realization, stream), so a spec reproduces its files byte for byte at
-any parallelism degree.
+``table()`` to a CSV. A row's ``checks(result)`` returns the summary's
+title lines and its ``Check`` verdicts, which the one ``render`` turns
+into text. Sub-seeds derive from ``seed_base`` per (triple, realization,
+stream), so a spec reproduces its files byte for byte at any
+parallelism degree.
 
 All three experiments contaminate their pair as x = b0 + b1 z + r_x and
 y = b0' + b2 z + r_y (the spec's ``ContaminationSpec``s); r is bivariate
@@ -68,7 +70,7 @@ from .scaling import (
     mass_exponents,
 )
 
-# expected values and tolerances used by the pass/fail summaries
+# expected values, tolerances and floors of the checks
 SWEEP_EXPECTED_COEFFS = (0.0, 0.5, 0.5, 0.0)
 SWEEP_COEFF_TOL = 0.10
 SWEEP_REL_ERR_TOL = 0.10
@@ -168,7 +170,7 @@ class RhoSpec:
         return range(self.seeds)
 
     def scales(self) -> ScaleGrid:
-        """The run's scale grid; the summary averages rho over s <= N/10,
+        """The run's scale grid; a check averages rho over s <= N/10,
         so at least one scale must lie there."""
         grid = ScaleGrid.default(self.length)
         if grid.scales[0] > self.length // 10:
@@ -538,15 +540,30 @@ def _reduce_mf(spec: MfSpec, outputs) -> MfRecoveryResult:
 
 
 # --------------------------------------------------------------------------- #
-# summaries and file output
+# verdicts and file output
 
-def _check(label: str, value: float, ok: bool) -> str:
-    return f"  {label}: {value:.4f} -> {'PASS' if ok else 'FAIL'}"
+@dataclass(frozen=True)
+class Check:
+    """One verdict: ``value`` against ``bound`` (a tolerance or a floor, as
+    ``label`` says); ``passed`` is None when not evaluated."""
+
+    label: str
+    value: float | None
+    bound: float
+    passed: bool | None
 
 
-def summarize_sweep(result: SweepResult) -> str:
-    spec = result.spec
-    lines = [
+def render(titles, checks) -> str:
+    """A summary's text: its title lines, then one line per check."""
+    return "\n".join([*titles, *(
+        f"  {c.label}: not evaluated" if c.passed is None else
+        f"  {c.label}: {c.value:.4f} -> {'PASS' if c.passed else 'FAIL'}"
+        for c in checks)])
+
+
+def _sweep_checks(result: SweepResult) -> tuple[list[str], list[Check]]:
+    spec, reg = result.spec, result.regression
+    titles = [
         f"sweep: {len(spec.hurst_grid)} triples x {spec.realizations} "
         f"realizations, N={spec.length}, corr={spec.corr:g}, "
         f"seed_base={spec.seed_base}",
@@ -556,75 +573,67 @@ def summarize_sweep(result: SweepResult) -> str:
     # the spec's triples, not the noisy exponents, must determine the fit
     determined = np.linalg.matrix_rank(np.column_stack(
         [np.ones(len(spec.hurst_grid)), spec.hurst_grid])) == 4
-    reg = result.regression
-    for key, expected in zip(_REGRESSION_KEYS, SWEEP_EXPECTED_COEFFS):
-        label = f"{key} (expected {expected:g})"
-        ok = abs(reg[key] - expected) <= SWEEP_COEFF_TOL
-        lines.append(_check(label, reg[key], ok) if determined else
-                     f"  {label}: not evaluated")
+    checks = [
+        Check(f"{key} (expected {expected:g})", reg[key], SWEEP_COEFF_TOL,
+              abs(reg[key] - expected) <= SWEEP_COEFF_TOL if determined
+              else None)
+        for key, expected in zip(_REGRESSION_KEYS, SWEEP_EXPECTED_COEFFS)]
     eligible = [abs(e["rel_err"]) for e in result.relative_errors
                 if min(e["H_rx"], e["H_ry"]) >= 0.2]
     worst = max(eligible, default=None)
-    label = (f"max |rel err| over {len(eligible)} pairs with min(H) >= 0.2 "
-             f"(tolerance {SWEEP_REL_ERR_TOL:g})")
-    lines.append(f"  {label}: not evaluated" if worst is None else
-                 _check(label, worst, worst < SWEEP_REL_ERR_TOL))
+    checks.append(Check(
+        f"max |rel err| over {len(eligible)} pairs with min(H) >= 0.2 "
+        f"(tolerance {SWEEP_REL_ERR_TOL:g})", worst, SWEEP_REL_ERR_TOL,
+        None if worst is None else worst < SWEEP_REL_ERR_TOL))
     drift = max(abs(t["h_rxry"] - 0.5 * (t["h_rx"] + t["h_ry"]))
                 for t in result.triples)
-    lines.append(_check(
+    checks.append(Check(
         f"max |h_rxry - (h_rx+h_ry)/2| (tolerance {SWEEP_CONSISTENCY_TOL:g})",
-        drift, drift <= SWEEP_CONSISTENCY_TOL))
-    return "\n".join(lines)
+        drift, SWEEP_CONSISTENCY_TOL, drift <= SWEEP_CONSISTENCY_TOL))
+    return titles, checks
 
 
-def summarize_rho(result: RhoComparisonResult) -> str:
+def _rho_checks(result: RhoComparisonResult) -> tuple[list[str], list[Check]]:
     spec = result.spec
     mask = result.scales <= spec.length // 10
-    mean_dpxa = float(result.rho_dpxa[mask].mean())
-    err = abs(mean_dpxa - spec.corr)
+    err = abs(float(result.rho_dpxa[mask].mean()) - spec.corr)
     small_scale = float(result.rho_dcca_xy[0])
-    lines = [
-        f"rho comparison: corr={spec.corr:g}, H=({spec.hurst_x:g}, "
-        f"{spec.hurst_y:g}), H_z={spec.hurst_z:g}, N={spec.length}, "
-        f"{spec.seeds} seeds, seed_base={spec.seed_base}",
-        _check(
-            f"|mean rho_dpxa - {spec.corr:g}| over s <= N/10 "
-            f"(tolerance {RHO_MEAN_TOL:g})", err, err <= RHO_MEAN_TOL),
-        _check(
-            f"rho_dcca(x,y) at s={int(result.scales[0])} "
-            f"(floor {RHO_DCCA_FLOOR:g})", small_scale,
-            small_scale >= RHO_DCCA_FLOOR),
+    titles = [f"rho comparison: corr={spec.corr:g}, H=({spec.hurst_x:g}, "
+              f"{spec.hurst_y:g}), H_z={spec.hurst_z:g}, N={spec.length}, "
+              f"{spec.seeds} seeds, seed_base={spec.seed_base}"]
+    return titles, [
+        Check(f"|mean rho_dpxa - {spec.corr:g}| over s <= N/10 "
+              f"(tolerance {RHO_MEAN_TOL:g})", err, RHO_MEAN_TOL,
+              err <= RHO_MEAN_TOL),
+        Check(f"rho_dcca(x,y) at s={int(result.scales[0])} "
+              f"(floor {RHO_DCCA_FLOOR:g})", small_scale, RHO_DCCA_FLOOR,
+              small_scale >= RHO_DCCA_FLOOR),
     ]
-    return "\n".join(lines)
 
 
-def _spectrum_stats(fit: ScalingFit) -> tuple[float, float]:
-    alpha = fit.alpha[np.isfinite(fit.alpha)]
-    width = float(alpha.max() - alpha.min())
-    center = float(0.5 * (alpha.max() + alpha.min()))
-    return width, center
-
-
-def summarize_mf(result: MfRecoveryResult) -> str:
+def _mf_checks(result: MfRecoveryResult) -> tuple[list[str], list[Check]]:
+    """The masked pair's MF-DCCA sees only the noise: narrow, at H_z."""
     spec = result.spec
     tau_err = float(np.max(np.abs(result.fits["mfdpxa_xyz"].tau
                                   - result.theory_tau)))
-    width, center = _spectrum_stats(result.fits["mfdcca_xy"])
-    lines = [
+    alpha = result.fits["mfdcca_xy"].alpha
+    alpha = alpha[np.isfinite(alpha)]
+    width = float(alpha.max() - alpha.min())
+    center = float(0.5 * (alpha.max() + alpha.min()))
+    titles = [
         f"mf recovery: p=({spec.p_x:g}, {spec.p_y:g}), depth={spec.depth}, "
         f"{spec.seeds} seeds, seed_base={spec.seed_base}",
         f"  realized signal-to-noise ratio: {result.snr:.3e}",
-        _check(
-            f"max |tau_xyz - theory| over q (tolerance {MF_TAU_TOL:g})",
-            tau_err, tau_err <= MF_TAU_TOL),
-        _check(
-            f"mfdcca(x,y) spectrum width (tolerance {MF_WIDTH_TOL:g})",
-            width, width <= MF_WIDTH_TOL),
-        _check(
-            f"mfdcca(x,y) spectrum center (0.5 +- {MF_CENTER_TOL:g})",
-            center, abs(center - 0.5) <= MF_CENTER_TOL),
     ]
-    return "\n".join(lines)
+    return titles, [
+        Check(f"max |tau_xyz - theory| over q (tolerance {MF_TAU_TOL:g})",
+              tau_err, MF_TAU_TOL, tau_err <= MF_TAU_TOL),
+        Check(f"mfdcca(x,y) spectrum width (tolerance {MF_WIDTH_TOL:g})",
+              width, MF_WIDTH_TOL, width <= MF_WIDTH_TOL),
+        Check(f"mfdcca(x,y) spectrum center ({spec.noise_hurst:g} +- "
+              f"{MF_CENTER_TOL:g})", center, MF_CENTER_TOL,
+              abs(center - spec.noise_hurst) <= MF_CENTER_TOL),
+    ]
 
 
 def write_outputs(result, outdir) -> None:
@@ -648,17 +657,17 @@ class Experiment:
     presets: dict
     realization: Callable
     reduce: Callable
-    summary: Callable
+    checks: Callable
 
 
 # the one table through which the CLI reaches an experiment
 EXPERIMENTS = {
     "sweep": Experiment(SweepSpec, SWEEP_PRESETS, _sweep_realization,
-                        _reduce_sweep, summarize_sweep),
+                        _reduce_sweep, _sweep_checks),
     "rho": Experiment(RhoSpec, RHO_PRESETS, _rho_realization, _reduce_rho,
-                      summarize_rho),
+                      _rho_checks),
     "mf": Experiment(MfSpec, MF_PRESETS, _mf_realization, _reduce_mf,
-                     summarize_mf),
+                     _mf_checks),
 }
 
 

@@ -50,8 +50,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import TimeSeries, _resident_array, as_series, check_fields
-from .errors import CoherenceError, GenerationError, ShapeError, SizeError
+from .core import TimeSeries, _resident_array, check_fields
+from .errors import CoherenceError, GenerationError, SizeError
 
 # negative embedding eigenvalues below this fraction of the largest one are
 # treated as roundoff and clamped to zero; anything larger is an error
@@ -287,13 +287,3 @@ def gen_binomial(spec: BinomialSpec) -> TimeSeries:
     for _ in range(spec.depth):
         measure = np.kron(measure, split)
     return TimeSeries(measure)
-
-
-def contaminate(r, z, spec: ContaminationSpec) -> TimeSeries:
-    """Apply the additive model intercept + slope * z + r, elementwise."""
-    rs, zs = as_series(r), as_series(z)
-    if len(rs) != len(zs):
-        raise ShapeError(
-            f"residual length {len(rs)} != driver length {len(zs)}"
-        )
-    return TimeSeries(spec.intercept + spec.slope * zs.values + rs.values)

@@ -11,13 +11,16 @@ frequencies and one complex FFT of length 2N, keeping the real part of the
 first N outputs. It shares no code with ``dpxa.generators``, draws the same
 noise in the same order, and serves as the generators' test oracle.
 
-The contaminated pairs of the experiments written out by hand, one formula
-per pair, as the bitwise reference of their table-driven evaluation."""
+The contamination model x = intercept + slope z + r applied elementwise,
+and the contaminated pairs of the experiments written out by hand, one
+formula per pair, as the bitwise reference of their table-driven
+evaluation."""
 
 import warnings
 
 import numpy as np
 
+from dpxa.core import TimeSeries, as_series
 from dpxa.detrend import MOVING_AVERAGE, DetrendConfig
 from dpxa.errors import RankDeficiencyWarning, ShapeError, WindowTooSmallError
 
@@ -232,6 +235,17 @@ def folded_sample(weights, seed: int, n: int) -> list:
             spectrum.imag = spectrum.imag + row[j] * im[:, j]
         samples.append(np.fft.irfft(spectrum, 2 * n)[:n] * np.sqrt(0.5 * n))
     return samples
+
+
+def contaminate(r, z, spec) -> TimeSeries:
+    """Apply the additive model intercept + slope * z + r of the
+    ``ContaminationSpec`` spec, elementwise."""
+    rs, zs = as_series(r), as_series(z)
+    if len(rs) != len(zs):
+        raise ShapeError(
+            f"residual length {len(rs)} != driver length {len(zs)}"
+        )
+    return TimeSeries(spec.intercept + spec.slope * zs.values + rs.values)
 
 
 # the pairs ``contaminated_rows`` returns, in its row order

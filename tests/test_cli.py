@@ -8,8 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpxa import ContaminationSpec, FgnSpec, contaminate, gen_bfbm_increments, \
-    gen_fgn
+from dpxa import ContaminationSpec, FgnSpec, gen_bfbm_increments, gen_fgn
 from dpxa import DetrendConfig, ForceMatrix, QGrid, ScaleGrid, cli, \
     fluctuation_dcca, fluctuation_dfa, fluctuation_dpxa, rho_curve, rho_dcca
 from dpxa.cli import main
@@ -18,6 +17,7 @@ from dpxa.errors import ConfigError
 from dpxa.experiments import EXPERIMENTS, MAX_TASKS
 from dpxa.generators import BfbmSpec
 from dpxa.io import read_series_csv, write_table_csv
+from oracle import contaminate
 
 from test_core import CHECKED, _wrong_types
 
@@ -644,6 +644,55 @@ def test_sweep_with_no_pair_for_the_relative_error_check(tmp_path):
         "0.1): not evaluated\n" in summary
     line = next(ln for ln in summary.splitlines() if "rel err" in ln)
     assert "PASS" not in line
+
+
+# the smoke presets' summaries but their elapsed lines
+SMOKE_SUMMARIES = {
+    "sweep": """\
+sweep: 1 triples x 2 realizations, N=4096, corr=0.5, seed_base=12345
+recovery regression h_xyz ~ 1 + h_rx + h_ry + h_z (tolerance +-0.1):
+  intercept (expected 0): not evaluated
+  coef_h_rx (expected 0.5): not evaluated
+  coef_h_ry (expected 0.5): not evaluated
+  coef_h_z (expected 0): not evaluated
+  max |rel err| over 1 pairs with min(H) >= 0.2 (tolerance 0.1): 0.0179 -> PASS
+  max |h_rxry - (h_rx+h_ry)/2| (tolerance 0.03): 0.0001 -> PASS""",
+    "rho": """\
+rho comparison: corr=0.7, H=(0.1, 0.1), H_z=0.95, N=4096, 2 seeds, seed_base=777
+  |mean rho_dpxa - 0.7| over s <= N/10 (tolerance 0.08): 0.0124 -> PASS
+  rho_dcca(x,y) at s=10 (floor 0.9): 0.9445 -> PASS""",
+    "mf": """\
+mf recovery: p=(0.3, 0.4), depth=10, 2 seeds, seed_base=55
+  realized signal-to-noise ratio: 5.928e-04
+  max |tau_xyz - theory| over q (tolerance 0.15): 0.2230 -> FAIL
+  mfdcca(x,y) spectrum width (tolerance 0.2): 0.0850 -> PASS
+  mfdcca(x,y) spectrum center (0.5 +- 0.1): 0.4996 -> PASS""",
+}
+
+
+@pytest.mark.parametrize("name", SMOKE_SUMMARIES)
+def test_smoke_summaries_word_for_word(tmp_path, capsys, name):
+    # a failed check is a verdict, not an error: the mf run exits 0
+    out = tmp_path / "out"
+    assert run(["experiment", name, "--preset", "smoke", "--out", out,
+                "--jobs", 1]) == 0
+    text = (out / "summary.txt").read_text()
+    body, elapsed = text.rstrip("\n").rsplit("\n", 1)
+    assert body == SMOKE_SUMMARIES[name]
+    assert elapsed.startswith("elapsed: ")
+    assert capsys.readouterr().out == text
+
+
+def test_mf_center_check_expects_the_noise_hurst_index(tmp_path):
+    # the masked pair's MF-DCCA follows its noise z, here of H_z = 0.8
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**MF_SPEC, "depth": 16, "seeds": 8,
+                                "seed_base": 55, "noise_hurst": 0.8}))
+    out = tmp_path / "out"
+    assert run(["experiment", "mf", "--spec", path, "--out", out,
+                "--jobs", 1]) == 0
+    assert "\n  mfdcca(x,y) spectrum center (0.8 +- 0.1): 0.7891 -> PASS\n" \
+        in (out / "summary.txt").read_text()
 
 
 def test_fit_bounds_of_zero_are_used_as_given(tmp_path, capsys):

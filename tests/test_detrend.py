@@ -733,6 +733,17 @@ def test_kernel_refuses_a_size_with_no_whole_window():
                            ((0, 0),)).windows.tolist() == [10, 1]
 
 
+@pytest.mark.parametrize("method", ["polynomial", "moving_average"])
+@pytest.mark.parametrize("size", [0, -5, 1])
+def test_kernel_refuses_a_size_below_two(method, size):
+    # refused before the method's own rules: size 1 has no fluctuation to
+    # detrend, 0 no window and -5 no buffer
+    x = np.random.default_rng(0).standard_normal(100)
+    with pytest.raises(InvalidScaleError, match=f"^scale {size} < 2$"):
+        window_products((x,), (size,), DetrendConfig(method=method),
+                        ((0, 0),))
+
+
 def test_rank_deficiency_warns_once_per_call_at_the_estimators_caller():
     # the repeated force is left out of every window of every size: one
     # warning for the call, naming the windows of all sizes together, and

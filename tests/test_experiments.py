@@ -20,6 +20,8 @@ from dpxa.experiments import (
     _rho_realization,
     _stack_covariances,
     _sweep_realization,
+    Check,
+    EXPERIMENTS,
     MF_PRESETS,
     MfSpec,
     RHO_PRESETS,
@@ -30,20 +32,16 @@ from dpxa.experiments import (
     run_mf_recovery,
     run_rho_comparison,
     run_sweep,
-    summarize_mf,
-    summarize_rho,
-    summarize_sweep,
     write_outputs,
 )
 from dpxa.detrend import window_products
 from dpxa.fluctuation import KIND_DCCA, KIND_DFA, KIND_DPXA, \
     fluctuation_dcca, fluctuation_dfa, rho_values, surface
 from dpxa.generators import BfbmSpec, BinomialSpec, FgnSpec, _bfbm_factor, \
-    _fgn_factor, contaminate, derive_seed, gen_bfbm_increments, \
-    gen_binomial, gen_fgn
+    _fgn_factor, derive_seed, gen_bfbm_increments, gen_binomial, gen_fgn
 from dpxa.io import jsonable
 from dpxa.scaling import fit_exponent
-from oracle import CONTAMINATED_PAIRS, contaminated_rows, \
+from oracle import CONTAMINATED_PAIRS, contaminate, contaminated_rows, \
     longdouble_products
 
 BETAS = ContaminationSpec(2.0, 3.0)
@@ -236,17 +234,16 @@ def test_usable_cpus_read_the_affinity_mask(monkeypatch):
 _REGRESSION_KEYS = ("intercept", "coef_h_rx", "coef_h_ry", "coef_h_z")
 
 
-def _regression_lines(summary: str) -> list[str]:
-    return [line for line in summary.splitlines()
-            if line.lstrip().startswith(_REGRESSION_KEYS)]
+def _regression_checks(result) -> list[Check]:
+    _, checks = EXPERIMENTS["sweep"].checks(result)
+    return [c for c in checks if c.label.startswith(_REGRESSION_KEYS)]
 
 
 def test_smoke_sweep_summary_leaves_the_regression_unevaluated():
     # one triple cannot determine four coefficients
-    lines = _regression_lines(summarize_sweep(run_sweep(
-        SWEEP_PRESETS["smoke"])))
-    assert len(lines) == 4
-    assert all(line.endswith(": not evaluated") for line in lines)
+    checks = _regression_checks(run_sweep(SWEEP_PRESETS["smoke"]))
+    assert len(checks) == 4
+    assert all(c.passed is None for c in checks)
 
 
 @pytest.mark.parametrize("grid, determined", [
@@ -262,17 +259,16 @@ def test_sweep_summary_judges_the_regression_of_a_determined_grid(
     triples = [{"H_rx": a, "H_ry": b, "H_z": c, "h_rx": a, "h_ry": b,
                 "h_rxry": 0.5 * (a + b)} for a, b, c in grid]
     regression = dict(zip(_REGRESSION_KEYS, (0.3, 0.5, 0.5, 0.0)))
-    lines = _regression_lines(summarize_sweep(
-        SweepResult(spec, triples, regression, [])))
+    checks = _regression_checks(SweepResult(spec, triples, regression, []))
     if determined:
-        assert lines == [
-            "  intercept (expected 0): 0.3000 -> FAIL",
-            "  coef_h_rx (expected 0.5): 0.5000 -> PASS",
-            "  coef_h_ry (expected 0.5): 0.5000 -> PASS",
-            "  coef_h_z (expected 0): 0.0000 -> PASS"]
+        assert checks == [
+            Check("intercept (expected 0)", 0.3, 0.1, False),
+            Check("coef_h_rx (expected 0.5)", 0.5, 0.1, True),
+            Check("coef_h_ry (expected 0.5)", 0.5, 0.1, True),
+            Check("coef_h_z (expected 0)", 0.0, 0.1, True)]
     else:
-        assert all(line.endswith(": not evaluated") for line in lines)
-        assert len(lines) == 4
+        assert all(c.passed is None for c in checks)
+        assert len(checks) == 4
 
 
 def test_sweep_files_byte_identical_across_jobs(tmp_path):
@@ -385,20 +381,23 @@ def test_presets_exist():
 
 def test_summaries_and_writers(tmp_path):
     sweep = run_sweep(SWEEP_PRESETS["smoke"])
-    text = summarize_sweep(sweep)
-    assert "recovery regression" in text and ("PASS" in text or "FAIL" in text)
+    titles, checks = EXPERIMENTS["sweep"].checks(sweep)
+    assert titles[1].startswith("recovery regression")
+    assert any(c.passed is not None for c in checks)
     write_outputs(sweep, tmp_path)
     assert (tmp_path / "results.json").exists()
     assert (tmp_path / "sweep.csv").read_text().startswith(
         "H_rx,H_ry,H_z,statistic,value")
 
     rho = run_rho_comparison(RHO_PRESETS["smoke"])
-    assert "rho_dpxa" in summarize_rho(rho)
+    _, checks = EXPERIMENTS["rho"].checks(rho)
+    assert "rho_dpxa" in checks[0].label
     write_outputs(rho, tmp_path)
     assert (tmp_path / "rho.csv").exists()
 
     mf = run_mf_recovery(MF_PRESETS["smoke"])
-    assert "signal-to-noise" in summarize_mf(mf)
+    titles, _ = EXPERIMENTS["mf"].checks(mf)
+    assert "signal-to-noise" in titles[1]
     write_outputs(mf, tmp_path)
     assert (tmp_path / "mass_exponents.csv").exists()
 

@@ -16,7 +16,7 @@ from dpxa import (
     rho_dcca,
 )
 from dpxa.detrend import window_products
-from oracle import oracle_products, window_cov
+from oracle import contaminate, oracle_products, window_cov
 
 
 def test_window_cov_examples():
@@ -231,7 +231,7 @@ def test_dpxa_slope_ignores_strong_driver():
     # additive model with a persistent common force: the partial slope must
     # track the intrinsic cross exponent, not the driver's.
     # oracle: DCCA on the true residual pair.
-    from dpxa import (BfbmSpec, ContaminationSpec, FgnSpec, contaminate,
+    from dpxa import (BfbmSpec, ContaminationSpec, FgnSpec,
                       gen_bfbm_increments, gen_fgn)
     from dpxa.scaling import fit_exponent
 
@@ -299,7 +299,7 @@ def test_dpxa_on_masked_binomial_matches_extended_precision():
 
 @pytest.mark.parametrize("offset, tol", [(1e6, 1e-7), (1e8, 1e-5)])
 def test_dpxa_under_large_common_offset(offset, tol):
-    from dpxa import (BfbmSpec, ContaminationSpec, FgnSpec, contaminate,
+    from dpxa import (BfbmSpec, ContaminationSpec, FgnSpec,
                       gen_bfbm_increments, gen_fgn)
 
     n = 2 ** 12

@@ -12,7 +12,6 @@ from dpxa import (
     FgnSpec,
     ShapeError,
     SizeError,
-    contaminate,
     derive_seed,
     gen_bfbm_increments,
     gen_binomial,
@@ -25,8 +24,8 @@ from dpxa.generators import (
     _spectrum,
     fgn_autocovariance,
 )
-from oracle import (folded_sample, three_power_autocovariance, unfolded_bfbm,
-                    unfolded_fgn)
+from oracle import (contaminate, folded_sample, three_power_autocovariance,
+                    unfolded_bfbm, unfolded_fgn)
 
 SIZES = [1, 2, 3, 7, 4096, 2 ** 16]
 HURSTS = [0.1, 0.5, 0.95]
