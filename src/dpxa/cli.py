@@ -5,8 +5,9 @@ sidecars that embed the complete effective configuration and seed, so any
 output file is reproducible from its own metadata. Exit codes: 0 success,
 2 usage, 3 ingestion, 4 configuration (a bad flag or spec value, a flag
 that the method does not read, or an --out path that cannot be written),
-5 numerical degeneracy. Of an experiment's --spec file the CLI judges the
-keys only; the spec's constructor judges every value, as in a Python call.
+5 numerical degeneracy. An experiment's --spec file holds the spec
+constructor's keys, as a preset and the ``spec`` block of any results.json
+do; ``experiments.spec_from`` judges the keys, the constructor every value.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .fluctuation import KIND_DCCA, KIND_DFA, KIND_DPXA, fluctuation_dpxa, \
 from .generators import (
     BfbmSpec,
     BinomialSpec,
-    ContaminationSpec,
     FgnSpec,
     gen_bfbm_increments,
     gen_binomial,
@@ -125,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("name", choices=list(experiments.EXPERIMENTS))
     group = exp.add_mutually_exclusive_group(required=True)
     group.add_argument("--preset", help="named preset configuration")
-    group.add_argument("--spec", help="JSON spec file")
+    group.add_argument("--spec", help="JSON file of the spec's keys, as a "
+                       "preset or the spec block of a results.json holds")
     exp.add_argument("--out", required=True, help="output directory")
     exp.add_argument("--jobs", type=int, default=experiments.usable_cpus(),
                      help="worker processes, at most the usable CPUs "
@@ -289,38 +290,29 @@ def _cmd_analyze(args) -> int:
 # --------------------------------------------------------------------------- #
 # experiment
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's pairs as a dict; a key given twice is refused."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigError(f"spec file holds key {key!r} twice")
+        out[key] = value
+    return out
+
+
 def _parse_spec_file(cls: type, path: str):
-    """The ``cls`` spec a JSON file describes: only the object's keys are
-    judged here, and a ``ContaminationSpec`` field is built from its own
-    object; the constructors judge every value, as in a call. Every problem
-    found is listed in one ConfigError."""
+    """The ``cls`` spec a JSON file holds, by ``experiments.spec_from``."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8-sig"),
+                         object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise IngestionError(f"cannot read spec file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise IngestionError(f"spec file {path} is not valid JSON: {exc}") \
             from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"spec file {path} must hold a JSON object")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    issues = [f"unknown key {key!r}; expected one of {sorted(fields)}"
-              for key in raw if key not in fields]
-    issues += [f"missing required key {key!r}" for key, f in fields.items()
-               if key not in raw and f.default is dataclasses.MISSING]
-    values = {key: value for key, value in raw.items() if key in fields}
-    for key, value in values.items():
-        if fields[key].type == "ContaminationSpec":
-            try:
-                values[key] = ContaminationSpec(**value)
-            except (DpxaError, TypeError) as exc:
-                issues.append(f"key {key!r}: {exc}")
-    if not issues:
-        try:
-            return cls(**values)
-        except DpxaError as exc:
-            issues.append(str(exc))
-    raise ConfigError("invalid experiment spec:\n  " + "\n  ".join(issues))
+    return experiments.spec_from(cls, raw)
 
 
 def _cmd_experiment(args) -> int:

@@ -6,18 +6,18 @@ scale-by-scale comparison of the DCCA and DPXA correlation coefficients on
 contaminated bivariate FBM increments, and a multifractal recovery run on
 binomial measures masked with strong Gaussian noise.
 
-Each experiment is one ``EXPERIMENTS`` row: spec type, presets, a
-realization of ``(spec, i)``, a reduce and its checks; a spec names its
-fields' rules to their owner ``core.check_fields``. The one runner
-``run`` maps the realization over ``spec.tasks`` and hands the outputs
-to the reduce in index order (triple t of the sweep owns realizations
-[t R, (t + 1) R); rho and mf read i as the seed index), and the one
-writer ``write_outputs`` writes ``to_dict()`` to ``results.json`` and
-``table()`` to a CSV. A row's ``checks(result)`` returns the summary's
-title lines and its ``Check`` verdicts, which the one ``render`` turns
-into text. Sub-seeds derive from ``seed_base`` per (triple, realization,
-stream), so a spec reproduces its files byte for byte at any
-parallelism degree.
+Each experiment is one ``EXPERIMENTS`` row: spec type, presets (each the
+mapping a spec file holds, built by ``spec_from``), a realization of
+``(spec, i)``, a reduce and its checks; a spec names its fields' rules to
+``core.check_fields``. The one runner ``run`` maps the realization over
+``spec.tasks`` and hands the outputs to the reduce in index order (triple
+t of the sweep owns realizations [t R, (t + 1) R); rho and mf read i as
+the seed index), and the one writer ``write_outputs`` writes ``to_dict()``
+to ``results.json`` and ``table()`` to a CSV. A row's ``checks(result)``
+returns the summary's title lines and its ``Check`` verdicts, which the
+one ``render`` turns into text. Sub-seeds derive from ``seed_base`` per
+(triple, realization, stream), so a spec reproduces its files byte for
+byte at any parallelism degree.
 
 All three experiments contaminate their pair as x = b0 + b1 z + r_x and
 y = b0' + b2 z + r_y (the spec's ``ContaminationSpec``s); r is bivariate
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -216,57 +216,65 @@ class MfSpec:
         return grid
 
 
-def _desk_sweep_grid() -> tuple[tuple[float, float, float], ...]:
-    pair_values = (0.2, 0.4, 0.6, 0.8)
-    z_values = (0.2, 0.5, 0.8)
-    return tuple(
-        (hrx, hry, hz)
-        for hrx in pair_values for hry in pair_values if hrx <= hry
-        for hz in z_values
-    )
+def spec_from(cls: type, mapping: dict):
+    """The ``cls`` spec of ``mapping``, as a spec file holds it: its keys are
+    judged here, and each ``ContaminationSpec`` built from its own mapping;
+    the constructors judge every value. One ConfigError lists every problem."""
+    known = {f.name: f for f in fields(cls)}
+    issues = [f"unknown key {key!r}; expected one of {sorted(known)}"
+              for key in mapping if key not in known]
+    issues += [f"missing required key {key!r}" for key, f in known.items()
+               if key not in mapping and f.default is MISSING]
+    values = {key: value for key, value in mapping.items() if key in known}
+    for key, value in values.items():
+        if known[key].type == "ContaminationSpec":
+            try:
+                values[key] = ContaminationSpec(**value)
+            except (DpxaError, TypeError) as exc:
+                issues.append(f"key {key!r}: {exc}")
+    if not issues:
+        try:
+            return cls(**values)
+        except DpxaError as exc:
+            issues.append(str(exc))
+    raise ConfigError("invalid experiment spec:\n  " + "\n  ".join(issues))
 
 
-def _full_sweep_grid() -> tuple[tuple[float, float, float], ...]:
-    values = tuple(np.round(np.arange(0.10, 0.951, 0.05), 2))
-    return tuple(
-        (hrx, hry, hz)
-        for hrx in values for hry in values if hrx <= hry
-        for hz in values
-    )
+def _sweep_grid(pairs, zs) -> tuple[tuple[float, float, float], ...]:
+    """Each (H_rx, H_ry, H_z): H_rx <= H_ry from ``pairs``, H_z from ``zs``."""
+    return tuple((hrx, hry, hz) for hrx in pairs for hry in pairs
+                 if hrx <= hry for hz in zs)
 
 
-_BETAS = ContaminationSpec(intercept=2.0, slope=3.0)
+# each preset is the mapping a spec file holds
+_BETAS = {"intercept": 2.0, "slope": 3.0}
+_FULL_AXIS = tuple(np.round(np.arange(0.10, 0.951, 0.05), 2))
+_SWEEP = {"corr": 0.5, "beta_x": _BETAS, "beta_y": _BETAS, "seed_base": 12345}
+_RHO = {"corr": 0.7, "hurst_x": 0.1, "hurst_y": 0.1, "hurst_z": 0.95,
+        "beta_x": _BETAS, "beta_y": _BETAS, "seed_base": 777}
+_MF = {"p_x": 0.3, "p_y": 0.4, "beta_x": _BETAS, "beta_y": _BETAS,
+       "seed_base": 55}
 
-SWEEP_PRESETS = {
-    "desk": SweepSpec(_desk_sweep_grid(), realizations=20, length=2 ** 14,
-                      corr=0.5, beta_x=_BETAS, beta_y=_BETAS,
-                      seed_base=12345),
+SWEEP_PRESETS = {name: spec_from(SweepSpec, data) for name, data in {
+    "desk": {**_SWEEP, "realizations": 20, "length": 2 ** 14, "hurst_grid":
+             _sweep_grid((0.2, 0.4, 0.6, 0.8), (0.2, 0.5, 0.8))},
     # the full grid needs a weaker cross-correlation: corr=0.5 is not
     # positive semidefinite at pairs like (0.10, 0.95)
-    "full": SweepSpec(_full_sweep_grid(), realizations=100, length=2 ** 16,
-                      corr=0.25, beta_x=_BETAS, beta_y=_BETAS,
-                      seed_base=12345),
-    "smoke": SweepSpec(((0.5, 0.5, 0.5),), realizations=2, length=2 ** 12,
-                       corr=0.5, beta_x=_BETAS, beta_y=_BETAS,
-                       seed_base=12345),
-}
+    "full": {**_SWEEP, "realizations": 100, "length": 2 ** 16, "corr": 0.25,
+             "hurst_grid": _sweep_grid(_FULL_AXIS, _FULL_AXIS)},
+    "smoke": {**_SWEEP, "realizations": 2, "length": 2 ** 12,
+              "hurst_grid": ((0.5, 0.5, 0.5),)},
+}.items()}
 
-RHO_PRESETS = {
-    "paper-fig2a-desk": RhoSpec(corr=0.7, hurst_x=0.1, hurst_y=0.1,
-                                hurst_z=0.95, length=2 ** 16, seeds=10,
-                                beta_x=_BETAS, beta_y=_BETAS,
-                                seed_base=777),
-    "smoke": RhoSpec(corr=0.7, hurst_x=0.1, hurst_y=0.1, hurst_z=0.95,
-                     length=2 ** 12, seeds=2, beta_x=_BETAS, beta_y=_BETAS,
-                     seed_base=777),
-}
+RHO_PRESETS = {name: spec_from(RhoSpec, data) for name, data in {
+    "paper-fig2a-desk": {**_RHO, "length": 2 ** 16, "seeds": 10},
+    "smoke": {**_RHO, "length": 2 ** 12, "seeds": 2},
+}.items()}
 
-MF_PRESETS = {
-    "paper-fig3-desk": MfSpec(p_x=0.3, p_y=0.4, depth=16, seeds=8,
-                              beta_x=_BETAS, beta_y=_BETAS, seed_base=55),
-    "smoke": MfSpec(p_x=0.3, p_y=0.4, depth=10, seeds=2, beta_x=_BETAS,
-                    beta_y=_BETAS, seed_base=55),
-}
+MF_PRESETS = {name: spec_from(MfSpec, data) for name, data in {
+    "paper-fig3-desk": {**_MF, "depth": 16, "seeds": 8},
+    "smoke": {**_MF, "depth": 10, "seeds": 2},
+}.items()}
 
 
 # --------------------------------------------------------------------------- #

@@ -483,6 +483,44 @@ def test_recorded_spec_reproduces_the_run(tmp_path, name):
         assert (preset / file).read_bytes() == (again / file).read_bytes()
 
 
+def test_spec_file_with_a_byte_order_mark_runs_as_without(tmp_path):
+    # editors that save UTF-8 with a BOM write the same spec
+    text = json.dumps(RHO_SPEC)
+    for name, encoding in (("plain", "utf-8"), ("bom", "utf-8-sig")):
+        (tmp_path / f"{name}.json").write_text(text, encoding=encoding)
+        assert run(["experiment", "rho", "--spec", tmp_path / f"{name}.json",
+                    "--out", tmp_path / name, "--jobs", 1]) == 0
+    assert (tmp_path / "bom.json").read_bytes()[:3] == b"\xef\xbb\xbf"
+    assert (tmp_path / "plain" / "results.json").read_bytes() == \
+        (tmp_path / "bom" / "results.json").read_bytes()
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"seeds": 1, "seeds": 2}', "seeds"),
+    ('{"beta_x": {"intercept": 2.0, "slope": 3.0, "slope": 5.0}}', "slope"),
+], ids=["top-level", "nested"])
+def test_spec_file_refuses_a_duplicate_key(tmp_path, capsys, text, key):
+    # json keeps the last of two values; a spec file may not hold both
+    base = {k: v for k, v in RHO_SPEC.items() if k not in ("seeds", "beta_x")}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(base)[:-1] + ", " + text[1:])
+    assert run(["experiment", "rho", "--spec", path,
+                "--out", tmp_path / "out"]) == 4
+    assert f"spec file holds key {key!r} twice" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("data", [b'{"corr": 0.7,', b'{"corr": "\xff"}'],
+                         ids=["truncated", "not-utf8"])
+def test_spec_file_that_is_not_json_is_ingestion_error(tmp_path, capsys,
+                                                       data):
+    path = tmp_path / "spec.json"
+    path.write_bytes(data)
+    assert run(["experiment", "rho", "--spec", path,
+                "--out", tmp_path / "out"]) == 3
+    assert "is not valid JSON" in capsys.readouterr().err
+
+
 def test_experiment_spec_file_lists_all_violations(tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"corr": 0.7, "beta_x": {"bad": 1}}))

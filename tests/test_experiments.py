@@ -1,6 +1,6 @@
 import json
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import partial
 
 import numpy as np
@@ -32,6 +32,7 @@ from dpxa.experiments import (
     run_mf_recovery,
     run_rho_comparison,
     run_sweep,
+    spec_from,
     write_outputs,
 )
 from dpxa.detrend import window_products
@@ -366,6 +367,17 @@ def test_mf_recovery_uniform_cascade_is_degenerate():
         run_mf_recovery(spec)
 
 
+@pytest.mark.parametrize("name, preset", [
+    pytest.param(name, preset, id=f"{name}-{key}")
+    for name, row in EXPERIMENTS.items()
+    for key, preset in row.presets.items()])
+def test_every_preset_round_trips_through_a_spec_file(name, preset):
+    # a preset is the mapping a spec file holds: written out as JSON and
+    # read back, it builds the same spec (the full sweep built, not run)
+    spec = EXPERIMENTS[name].spec
+    assert spec_from(spec, json.loads(json.dumps(asdict(preset)))) == preset
+
+
 def test_presets_exist():
     assert "desk" in SWEEP_PRESETS and "full" in SWEEP_PRESETS
     assert "paper-fig2a-desk" in RHO_PRESETS
@@ -373,8 +385,8 @@ def test_presets_exist():
     preset = RHO_PRESETS["paper-fig2a-desk"]
     assert (preset.corr, preset.hurst_z, preset.length) == (0.7, 0.95, 2 ** 16)
     assert MF_PRESETS["paper-fig3-desk"].p_x == 0.3
-    # the spec-file parser checks the grid of a spec it reads; a preset is
-    # not parsed, so each must build its grid here
+    # a spec's constructor builds its grid; each preset's must hold the
+    # four scales a fit needs
     for presets in (SWEEP_PRESETS, RHO_PRESETS, MF_PRESETS):
         assert all(len(spec.scales()) >= 4 for spec in presets.values())
 
