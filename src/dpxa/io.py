@@ -11,9 +11,11 @@ inputs are parsed from the bytes in memory. A row-by-row ``csv`` loop over
 those bytes runs only where the one pass fails or finds the wrong shape,
 and on files that may hold a field over the ``csv`` field limit, which
 only the loop refuses: it accepts the few cells ``float`` takes and the
-one-pass parser refuses (quoted or ``1_000`` cells) and words every error
-with its line number, so both paths accept the same files with the same
-values.
+one-pass parser refuses (quoted or ``1_000`` cells), so both paths accept
+the same files with the same values. One ``csv`` reader reads the header
+and then the loop's rows, and every message about a row names a line as
+that reader counts it, as ``csv``'s own errors do: the 1-based physical
+line of the file the row ends on. A quoted cell may span lines.
 
 All numeric output uses 12 significant digits; JSON keys are sorted so
 identical results serialize to identical bytes.
@@ -78,46 +80,38 @@ def read_series_csv(path) -> dict[str, np.ndarray]:
                               newline="")
     try:
         with handle:
-            header, lines = _read_header(path, handle)
+            rows = _csv_rows(path, handle)
+            header, lines = _read_header(path, rows)
             body = handle.tell()
             source, skip = (str(path), lines) if by_path else (handle, 0)
             table = _load_table(source, len(header), skip) if one_pass \
                 else None
             if table is None:
                 handle.seek(body)
-                return _read_rows(path, handle, header)
+                return _read_rows(path, rows, header)
     except UnicodeDecodeError as exc:
         raise IngestionError(f"{path} is not UTF-8 text: {exc.reason}") \
             from None
     return dict(zip(header, np.ascontiguousarray(table.T)))
 
 
-def _csv_rows(path: Path, lines, first: int):
-    """``csv`` rows of ``lines``, whose first line is line ``first`` of the
-    file; a ``csv`` error (a field over its size limit) names the line."""
-    reader = csv.reader(lines)
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise IngestionError(
-            f"{path} line {first + reader.line_num - 1}: {exc}") from None
-
-
-def _read_header(path: Path, handle) -> tuple[list[str], int]:
-    """The header's names and the number of physical lines they took,
-    counted from the reads: ``tell()`` is an opaque cookie, not an
-    offset."""
-    lines = 0
-
+def _csv_rows(path: Path, handle):
+    """Each ``csv`` row of ``handle`` with the physical line it ends on; a
+    ``csv`` error (a field over its size limit) names the line."""
     # readline, not the handle's iterator, so that tell() still works
-    def readline():
-        nonlocal lines
-        line = handle.readline()
-        lines += bool(line)
-        return line
-
+    reader = csv.reader(iter(handle.readline, ""))
     try:
-        header = next(_csv_rows(path, iter(readline, ""), 1))
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise IngestionError(f"{path} line {reader.line_num}: {exc}") \
+            from None
+
+
+def _read_header(path: Path, rows) -> tuple[list[str], int]:
+    """The header's names and the number of physical lines they took."""
+    try:
+        lines, header = next(rows)
     except StopIteration:
         raise IngestionError(f"{path} is empty") from None
     header = [name.strip() for name in header]
@@ -150,9 +144,9 @@ def _load_table(source, width: int, skip: int) -> np.ndarray | None:
     return table
 
 
-def _read_rows(path: Path, handle, header: list[str]) -> dict[str, np.ndarray]:
+def _read_rows(path: Path, rows, header: list[str]) -> dict[str, np.ndarray]:
     columns: list[list[float]] = [[] for _ in header]
-    for line_no, row in enumerate(_csv_rows(path, handle, 2), start=2):
+    for line_no, row in rows:
         if not row:
             continue
         if len(row) != len(header):

@@ -65,6 +65,13 @@ PINNED = [
      "line 3: field larger than field limit (131072)"),
     # the header's physical lines, not its csv rows, are skipped by count
     ("header_cell_with_line_break", 'x,"y\n\nz"\n1,2\n3,4\n', [1.0, 3.0]),
+    # a message names the physical line a row ends on, not its record count
+    ("bad_cell_after_quoted_line_break", 'x,y\n1,"2\n"\n4,x\n',
+     "line 4: non-numeric value 'x' in column 'y'"),
+    ("wide_row_after_quoted_line_break", 'x,y\n1,"2\n"\n4,5,6\n',
+     "line 4: expected 2 cells, got 3"),
+    ("long_header_cell", "x" * 140_000 + "\n1\n",
+     "line 1: field larger than field limit (131072)"),
     ("bom_crlf", "\ufeffx,y\r\n1,2\r\n3,4\r\n", [1.0, 3.0]),
     ("lone_cr", "x,y\r1,2\r3,4\r", [1.0, 3.0]),
     ("lone_cr_no_final_newline", "x,y\r1,2\r3,4", [1.0, 3.0]),
@@ -154,6 +161,18 @@ def test_compressed_looking_name_is_parsed_as_text(tmp_path, loadtxt_sources):
     path.write_text("x,y\n1,2\n3,4\n")
     np.testing.assert_array_equal(read_series_csv(path)["y"], [2.0, 4.0])
     assert not any(isinstance(source, str) for source in loadtxt_sources)
+
+
+def test_row_loop_after_handle_parse_names_physical_line(tmp_path,
+                                                          loadtxt_sources):
+    # np.loadtxt reads the handle to its refusal; the row loop reads on from
+    # the body after a seek, still counting the header's lines
+    path = tmp_path / "data.csv.gz"
+    path.write_text('x,y\n1,"2\n"\n4,x\n')
+    with pytest.raises(IngestionError, match="line 4: non-numeric value 'x'"):
+        read_series_csv(path)
+    assert len(loadtxt_sources) == 1
+    assert not isinstance(loadtxt_sources[0], (str, os.PathLike))
 
 
 def test_gzip_file_is_not_utf8(tmp_path, capsys):
